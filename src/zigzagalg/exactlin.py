@@ -18,6 +18,13 @@ Canonical conventions, relied on by callers and tests:
   read off the RREF.
 * ``span_dim`` / ``span_equal`` canonicalize via RREF, so their results do not
   depend on generator order or scaling.
+
+Vectors come in two forms.  A dense vector is a sequence of scalars of one
+common length; its entries are converted into the field.  A sparse vector is
+a dict index -> nonzero scalar already in the field, which is what the
+derivation pipeline passes around (dim^2 coordinates, a few nonzero).  The
+``span_*`` functions accept either form per argument and answer in the form
+they were given.
 """
 
 from __future__ import annotations
@@ -221,9 +228,6 @@ class Matrix:
                     raise ValueError(f"column index {j} out of range for {ncols} columns")
         return cls(field, nrows, ncols, tuple(dict(r) for r in rows))
 
-    def entry(self, i: int, j: int):
-        return self.rows[i].get(j, self.field.zero)
-
     def dense_rows(self) -> list:
         zero = self.field.zero
         return [[r.get(j, zero) for j in range(self.ncols)] for r in self.rows]
@@ -368,23 +372,26 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(reduced, pivot_cols, len(pivot_cols))
 
 
-def nullspace_basis(m: Matrix) -> list:
-    """Canonical kernel basis: one vector per free column, free variable 1."""
+def nullspace_basis(m: Matrix, sparse: bool = False) -> list:
+    """Canonical kernel basis: one vector per free column, free variable 1.
+
+    Dense tuples by default; with ``sparse`` the same vectors as dicts
+    column -> nonzero scalar.
+    """
     red, pivot_cols, rank = rref(m)
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(m.ncols) if c not in pivot_set]
-    zero, neg = m.field.zero, m.field.neg
-    free_pos = {c: i for i, c in enumerate(free_cols)}
-    vecs = [[zero] * m.ncols for _ in free_cols]
-    for idx, f in enumerate(free_cols):
-        vecs[idx][f] = m.field.one
+    one, neg = m.field.one, m.field.neg
+    vecs = {f: {f: one} for f in free_cols}
     for c, row in zip(pivot_cols, red.rows):
         for j, a in row.items():
-            if j == c:
-                continue
-            if j in free_pos:
-                vecs[free_pos[j]][c] = neg(a)
-    return [tuple(v) for v in vecs]
+            if j != c and j in vecs:
+                vecs[j][c] = neg(a)
+    out = [vecs[f] for f in free_cols]
+    if sparse:
+        return out
+    zero = m.field.zero
+    return [tuple(v.get(j, zero) for j in range(m.ncols)) for v in out]
 
 
 def _stack(vectors: Sequence[Sequence], field) -> Matrix:
@@ -404,37 +411,76 @@ def _stack(vectors: Sequence[Sequence], field) -> Matrix:
     return Matrix(field, len(rows), n, tuple(rows))
 
 
-def span_dim(vectors: Sequence[Sequence], field=RATIONALS) -> int:
-    """Dimension of the span of ``vectors``."""
+def _as_matrix(vectors: Sequence, field) -> Matrix:
+    """Non-empty ``vectors`` as matrix rows: dense ones converted into
+    ``field``, sparse ones as they are.  Mixing the two forms is an error."""
+    kinds = {isinstance(v, dict) for v in vectors}
+    if len(kinds) > 1:
+        raise ValueError("mixed dense and sparse vectors in one argument")
+    if not kinds.pop():
+        return _stack(vectors, field)
+    ncols = 1 + max((j for v in vectors for j in v), default=-1)
+    return Matrix(field, len(vectors), ncols, tuple(vectors))
+
+
+def span_dim(vectors: Sequence, field=RATIONALS) -> int:
+    """Dimension of the span of ``vectors`` (dense or sparse)."""
     if not vectors:
         return 0
-    return rref(_stack(vectors, field)).rank
+    return rref(_as_matrix(vectors, field)).rank
 
 
-def span_canonical_basis(vectors: Sequence[Sequence], field=RATIONALS) -> list:
-    """Canonical basis of the span: the nonzero rows of its RREF, as dense tuples."""
+def span_canonical_basis(vectors: Sequence, field=RATIONALS) -> list:
+    """Canonical basis of the span: the nonzero rows of its RREF, in pivot
+    order.  Dense tuples for dense input, sparse dicts for sparse input."""
     if not vectors:
         return []
-    m = _stack(vectors, field)
+    m = _as_matrix(vectors, field)
     pivots = _eliminate(field, m.rows)
+    rows = [pivots[c] for c in sorted(pivots)]
+    if isinstance(vectors[0], dict):
+        return rows
     zero = field.zero
-    out = []
-    for c in sorted(pivots):
-        row = pivots[c]
-        out.append(tuple(row.get(j, zero) for j in range(m.ncols)))
-    return out
+    return [tuple(row.get(j, zero) for j in range(m.ncols)) for row in rows]
 
 
-def span_equal(a: Sequence[Sequence], b: Sequence[Sequence], field=RATIONALS) -> bool:
-    """Whether two generating sets span the same subspace.
+def span_equal(a: Sequence, b: Sequence, field=RATIONALS) -> bool:
+    """Whether two generating sets (each dense or sparse) span the same subspace.
 
     Compares the canonical (RREF) bases of the two spans, so it is an exact
     equivalence, not a mutual-containment heuristic.
     """
     if not a and not b:
         return True
-    if a and b and len(a[0]) != len(b[0]):
+    dense = a and b and not isinstance(a[0], dict) and not isinstance(b[0], dict)
+    if dense and len(a[0]) != len(b[0]):
         raise ValueError(f"length mismatch: vectors of length {len(a[0])} and {len(b[0])}")
-    ra = _eliminate(field, _stack(a, field).rows) if a else {}
-    rb = _eliminate(field, _stack(b, field).rows) if b else {}
+    ra = _eliminate(field, _as_matrix(a, field).rows) if a else {}
+    rb = _eliminate(field, _as_matrix(b, field).rows) if b else {}
     return ra == rb
+
+
+def in_rref_span(rref_rows: Sequence[dict], vectors: Iterable[dict], field) -> bool:
+    """Whether every sparse vector lies in the span of ``rref_rows``.
+
+    ``rref_rows`` must be the nonzero rows of a reduced row-echelon form
+    (leading 1 at the pivot, 0 in every other pivot column), as
+    :func:`span_canonical_basis` returns them.  Then a vector v lies in their
+    span exactly when v - sum over pivots c of v[c] * row_c is zero, so one
+    pass per vector decides it, with no elimination.
+    """
+    zero = field.zero
+    addmul, neg = field.addmul, field.neg
+    by_pivot = {min(r): r for r in rref_rows}
+    for v in vectors:
+        rest = dict(v)
+        for c, x in v.items():
+            row = by_pivot.get(c)
+            if row is None:
+                continue
+            nx = neg(x)
+            for j, y in row.items():
+                rest[j] = addmul(rest.get(j, zero), nx, y)
+        if any(x != zero for x in rest.values()):
+            return False
+    return True

@@ -15,16 +15,20 @@ and one ``d`` parameter per arrow, tied by antisymmetry and per-vertex
 consistency).  Agreement between the two is checked by callers, never
 assumed here.
 
-Maps are stored column-wise: ``columns[q]`` is the coefficient vector of
-Theta(b_q).  Flattened, coefficient (p, q) lands at index p*dim + q.
+Maps are kept sparse: a map is a dict from the flat index p*dim + q to the
+nonzero coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases,
+span checks and the audit all work on these dicts.  :class:`LinearMap` is the
+dense column-wise form (``columns[q]`` is the coefficient vector of
+Theta(b_q)), built only at the edges, for callers that print or inspect maps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
-from .exactlin import Matrix, normalize_row, nullspace_basis, span_canonical_basis, span_dim
+from .exactlin import Matrix, in_rref_span, normalize_row, nullspace_basis, span_canonical_basis
 from .zigzag import ARROW, IDEM, ZigzagAlgebra, arrow, center, cycle, idem
 
 FLAVORS = ("derivation", "jordan", "anti")
@@ -38,59 +42,83 @@ class InternalInvariantError(RuntimeError):
     """A cross-check that must hold for any correct run failed; this is a bug."""
 
 
+def _flat(entries: dict, dim: int, field) -> tuple:
+    """Dense flattened form (length dim^2) of a sparse flat-index map."""
+    out = [field.zero] * (dim * dim)
+    for j, v in entries.items():
+        out[j] = v
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class LinearMap:
-    """A linear endomorphism of the algebra, column q = image of basis q."""
+    """A linear endomorphism of the algebra in dense form, column q = image of basis q."""
 
     dim: int
     columns: tuple
 
     @classmethod
-    def from_flat(cls, field, dim: int, vec) -> "LinearMap":
-        cols = tuple(tuple(vec[p * dim + q] for p in range(dim)) for q in range(dim))
-        return cls(dim, cols)
+    def from_entries(cls, field, dim: int, entries: dict) -> "LinearMap":
+        """Dense form of a sparse flat-index map."""
+        cols = [[field.zero] * dim for _ in range(dim)]
+        for j, v in entries.items():
+            p, q = divmod(j, dim)
+            cols[q][p] = v
+        return cls(dim, tuple(tuple(c) for c in cols))
+
+    def entries(self, field) -> dict:
+        """Sparse flat-index form: p*dim + q -> nonzero coefficient."""
+        zero = field.zero
+        dim = self.dim
+        return {
+            p * dim + q: v
+            for q, col in enumerate(self.columns)
+            for p, v in enumerate(col)
+            if v != zero
+        }
 
     def flatten(self, field) -> tuple:
-        zero = field.zero
-        out = [zero] * (self.dim * self.dim)
-        for q, col in enumerate(self.columns):
-            for p, v in enumerate(col):
-                if v != zero:
-                    out[p * self.dim + q] = v
-        return tuple(out)
-
-    def column(self, q: int) -> tuple:
-        return self.columns[q]
+        return _flat(self.entries(field), self.dim, field)
 
     def is_zero(self, field) -> bool:
-        zero = field.zero
-        return all(v == zero for col in self.columns for v in col)
+        return not self.entries(field)
 
 
 class MapSpace:
-    """A subspace of maps of one flavor, stored with its canonical basis.
+    """A subspace of maps of one flavor, stored as its canonical basis.
 
-    The basis is the RREF canonical basis of the span of whatever generators
-    were supplied, reshaped back into maps, so equal spaces have equal bases.
+    ``rows`` are the nonzero rows of the RREF of the span of whatever
+    generators were supplied, as sparse flat-index maps in pivot order, so
+    equal spaces have equal ``rows``.
     """
 
-    def __init__(self, flavor: str, dim: int, basis: tuple, dimension: int) -> None:
+    def __init__(self, flavor: str, field, dim: int, rows: list) -> None:
         self.flavor = flavor
+        self.field = field
         self.dim = dim
-        self.basis = basis
-        self.dimension = dimension
+        self.rows = rows
+        self.dimension = len(rows)
 
     @classmethod
-    def from_generators(cls, flavor: str, algebra: ZigzagAlgebra, flat_vectors) -> "MapSpace":
+    def from_generators(cls, flavor: str, algebra: ZigzagAlgebra, generators: list) -> "MapSpace":
+        """Canonical space spanned by sparse flat-index maps."""
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
         field = algebra.field
-        canon = span_canonical_basis(list(flat_vectors), field)
-        maps = tuple(LinearMap.from_flat(field, algebra.dim, v) for v in canon)
-        return cls(flavor, algebra.dim, maps, len(maps))
+        return cls(flavor, field, algebra.dim, span_canonical_basis(generators, field))
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The canonical basis as dense LinearMaps."""
+        return tuple(LinearMap.from_entries(self.field, self.dim, r) for r in self.rows)
 
     def flat_basis(self, field) -> list:
-        return [m.flatten(field) for m in self.basis]
+        """The canonical basis as dense flattened tuples (index p*dim + q)."""
+        return [_flat(r, self.dim, field) for r in self.rows]
+
+    def contains(self, maps) -> bool:
+        """Whether every sparse flat-index map in ``maps`` lies in this space."""
+        return in_rref_span(self.rows, maps, self.field)
 
     def __repr__(self) -> str:
         return f"MapSpace({self.flavor!r}, dim={self.dimension})"
@@ -184,21 +212,24 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     return Matrix.from_sparse(field, len(ordered), dim * dim, ordered)
 
 
-def verify_map(a: ZigzagAlgebra, lin: LinearMap, flavor: str) -> bool:
+def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
     """Check the flavor identity for one map on every ordered basis pair.
 
-    This is the post-hoc audit of solver output; by bilinearity, holding on
-    basis pairs is holding everywhere.  Works on the sparse support of the
-    map, so auditing a whole basis stays cheap even at dim^2 pairs.
+    ``lin`` is a sparse flat-index map or a LinearMap.  This is the post-hoc
+    audit of solver output; by bilinearity, holding on basis pairs is holding
+    everywhere.  Works on the sparse support of the map, so auditing a whole
+    basis stays cheap even at dim^2 pairs.
     """
     field = a.field
     zero = field.zero
     add, sub = field.add, field.sub
     table = a.table
     dim = a.dim
-    cols_nz = [
-        tuple((p, v) for p, v in enumerate(col) if v != zero) for col in lin.columns
-    ]
+    entries = lin if isinstance(lin, dict) else lin.entries(field)
+    cols_nz = [[] for _ in range(dim)]
+    for j, v in entries.items():
+        p, q = divmod(j, dim)
+        cols_nz[q].append((p, v))
 
     def plus_col(acc, s):
         for p, v in cols_nz[s]:
@@ -265,10 +296,10 @@ def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     InternalInvariantError rather than a wrong answer.
     """
     system = leibniz_system(a, flavor)
-    kernel = nullspace_basis(system)
+    kernel = nullspace_basis(system, sparse=True)
     space = MapSpace.from_generators(flavor, a, kernel)
-    for lin in space.basis:
-        if not verify_map(a, lin, flavor):
+    for row in space.rows:
+        if not verify_map(a, row, flavor):
             raise InternalInvariantError(f"solved {flavor} basis map fails the defining identity")
     return space
 
@@ -304,9 +335,9 @@ def _consistency_sums(a: ZigzagAlgebra, d: dict) -> dict:
     return sums
 
 
-def materialize(a: ZigzagAlgebra, params: DerivationParams) -> LinearMap:
-    """Build the map the parameters describe.  Raises ValueError if the
-    parameters mention a non-arrow or violate per-vertex consistency."""
+def _parameter_entries(a: ZigzagAlgebra, params: DerivationParams) -> dict:
+    """The sparse flat-index map the parameters describe.  Raises ValueError
+    if the parameters mention a non-arrow or violate per-vertex consistency."""
     field = a.field
     zero = field.zero
     arrows = [(ar.source, ar.target) for ar in a.quiver.arrows]
@@ -319,7 +350,16 @@ def materialize(a: ZigzagAlgebra, params: DerivationParams) -> LinearMap:
     sums = _consistency_sums(a, d)
 
     dim = a.dim
-    cols = [[zero] * dim for _ in range(dim)]
+    out: dict = {}
+
+    def put(p: int, q: int, v) -> None:
+        j = p * dim + q
+        x = field.add(out.get(j, zero), v)
+        if x == zero:
+            out.pop(j, None)
+        else:
+            out[j] = x
+
     e_at = {i: a.index(idem(i)) for i in range(1, a.graph.n + 1)}
     c_at = {i: a.index(cycle(i)) for i in range(1, a.graph.n + 1)}
     a_at = {(u, v): a.index(arrow(u, v)) for (u, v) in arrows}
@@ -327,22 +367,26 @@ def materialize(a: ZigzagAlgebra, params: DerivationParams) -> LinearMap:
     for (u, v), tv in t.items():
         if tv != zero:
             row = a_at[(u, v)]
-            cols[e_at[v]][row] = field.add(cols[e_at[v]][row], tv)
-            cols[e_at[u]][row] = field.sub(cols[e_at[u]][row], tv)
+            put(row, e_at[v], tv)
+            put(row, e_at[u], field.neg(tv))
     for (u, v), dv in d.items():
         if dv != zero:
-            cols[a_at[(u, v)]][a_at[(u, v)]] = dv
+            put(a_at[(u, v)], a_at[(u, v)], dv)
     for (u, v) in arrows:
         rv = t[(v, u)]
         if rv != zero:
-            col = cols[a_at[(u, v)]]
-            col[c_at[u]] = field.sub(col[c_at[u]], rv)
-            col[c_at[v]] = field.add(col[c_at[v]], rv)
+            put(c_at[u], a_at[(u, v)], field.neg(rv))
+            put(c_at[v], a_at[(u, v)], rv)
     for i, sm in sums.items():
         if sm != zero:
-            cols[c_at[i]][c_at[i]] = sm
+            put(c_at[i], c_at[i], sm)
+    return out
 
-    return LinearMap(dim, tuple(tuple(c) for c in cols))
+
+def materialize(a: ZigzagAlgebra, params: DerivationParams) -> LinearMap:
+    """Build the map the parameters describe.  Raises ValueError if the
+    parameters mention a non-arrow or violate per-vertex consistency."""
+    return LinearMap.from_entries(a.field, a.dim, _parameter_entries(a, params))
 
 
 def structured_parameter_basis(a: ZigzagAlgebra) -> list:
@@ -381,35 +425,36 @@ def structured_parameter_basis(a: ZigzagAlgebra) -> list:
 
 def structured_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of the materialized parameter basis, as a canonical MapSpace."""
+    maps = [_parameter_entries(a, p) for p in structured_parameter_basis(a)]
+    return MapSpace.from_generators("derivation", a, maps)
+
+
+def _ad_entries(a: ZigzagAlgebra, k: int) -> dict:
+    """The commutator map [b_k, -] as a sparse flat-index map."""
     field = a.field
-    flats = [materialize(a, p).flatten(field) for p in structured_parameter_basis(a)]
-    return MapSpace.from_generators("derivation", a, flats)
+    one, neg_one = field.one, field.neg(field.one)
+    dim = a.dim
+    table = a.table
+    out = {}
+    for q in range(dim):
+        p, p2 = table[k][q], table[q][k]
+        if p == p2:  # b_k b_q = b_q b_k: the column vanishes
+            continue
+        if p >= 0:
+            out[p * dim + q] = one
+        if p2 >= 0:
+            out[p2 * dim + q] = neg_one
+    return out
 
 
 def ad_map(a: ZigzagAlgebra, k: int) -> LinearMap:
     """The commutator map [b_k, -]."""
-    field = a.field
-    zero = field.zero
-    dim = a.dim
-    table = a.table
-    cols = []
-    for q in range(dim):
-        col = [zero] * dim
-        p = table[k][q]
-        if p >= 0:
-            col[p] = field.add(col[p], field.one)
-        p = table[q][k]
-        if p >= 0:
-            col[p] = field.sub(col[p], field.one)
-        cols.append(tuple(col))
-    return LinearMap(dim, tuple(cols))
+    return LinearMap.from_entries(a.field, a.dim, _ad_entries(a, k))
 
 
 def inner_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of all commutator maps [b_k, -], as a canonical MapSpace."""
-    field = a.field
-    flats = [ad_map(a, k).flatten(field) for k in range(a.dim)]
-    return MapSpace.from_generators("derivation", a, flats)
+    return MapSpace.from_generators("derivation", a, [_ad_entries(a, k) for k in range(a.dim)])
 
 
 class HochschildDims(NamedTuple):
@@ -425,7 +470,6 @@ def hh_dims(a: ZigzagAlgebra) -> HochschildDims:
     rank must equal dim A - dim center, and the inner span must sit inside
     the solved derivation span.
     """
-    field = a.field
     cen = center(a)
     der = solve(a, "derivation")
     inner = inner_space(a)
@@ -433,9 +477,7 @@ def hh_dims(a: ZigzagAlgebra) -> HochschildDims:
         raise InternalInvariantError(
             f"inner dimension {inner.dimension} != dim algebra {a.dim} - dim center {cen.dimension}"
         )
-    der_flats = der.flat_basis(field)
-    inner_flats = inner.flat_basis(field)
-    if span_dim(der_flats + inner_flats, field) != der.dimension:
+    if not der.contains(inner.rows):
         raise InternalInvariantError("inner derivations do not sit inside the solved derivation space")
     return HochschildDims(cen.dimension, der.dimension - inner.dimension)
 

@@ -36,6 +36,9 @@ def test_analyze_json_round_trip(tmp_path, capsys):
     assert set(doc["formula_checks"]) == set(CHECK_KEYS)
     assert all(v == PASS for v in doc["formula_checks"].values())
     assert "timings_ms" in doc
+    timings = doc["timings_ms"]
+    assert "checks" in timings
+    assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
 
 
 def test_analyze_non_tree_gates_tree_checks(tmp_path, capsys):

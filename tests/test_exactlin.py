@@ -14,6 +14,7 @@ from zigzagalg.exactlin import (
     Matrix,
     PrimeField,
     Rationals,
+    in_rref_span,
     normalize_row,
     nullspace_basis,
     parse_field,
@@ -163,6 +164,22 @@ def test_span_canonical_basis_is_canonical():
     b2 = span_canonical_basis([(1, 3), (3, 7), (2, 4)])
     assert b1 == b2
     assert b1 == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+
+
+def test_span_functions_answer_sparse_input_in_sparse_form():
+    q = Fraction
+    dense = [(2, 4, 0), (1, 3, 1)]
+    sparse = [{0: q(2), 1: q(4)}, {0: q(1), 1: q(3), 2: q(1)}]
+    canon = span_canonical_basis(sparse)
+    assert canon == [{0: 1, 2: -2}, {1: 1, 2: 1}]
+    assert [tuple(r.get(j, 0) for j in range(3)) for r in canon] == span_canonical_basis(dense)
+    assert span_dim(sparse) == 2
+    assert span_equal(sparse, dense) and not span_equal(sparse, [{2: q(1)}])
+    assert in_rref_span(canon, [{0: q(1), 1: q(2)}], RATIONALS)
+    assert not in_rref_span(canon, [{0: q(1)}], RATIONALS)
+    with pytest.raises(ValueError, match="mixed"):
+        span_dim([{0: q(1)}, (1, 0)])
+    assert nullspace_basis(qq([[1, 0, 2], [0, 1, -1]]), sparse=True) == [{2: 1, 0: -2, 1: 1}]
 
 
 def test_span_length_mismatch_raises():

@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from bruteforce import edge_derivation_family
-from zigzagalg.exactlin import PrimeField, span_dim, span_equal
+from zigzagalg.exactlin import (
+    RATIONALS,
+    PrimeField,
+    nullspace_basis,
+    span_canonical_basis,
+    span_dim,
+    span_equal,
+)
 from zigzagalg.linmaps import (
     CharacteristicTwoError,
     DerivationParams,
@@ -259,3 +266,34 @@ def test_dimensions_are_relabeling_invariant():
         assert center(a).dimension == center(b).dimension
         assert inner_space(a).dimension == inner_space(b).dimension
         assert hh_dims(a) == hh_dims(b)
+
+
+REFERENCE_GRAPHS = {
+    "tree3": random_tree(3, 503),
+    "tree5": random_tree(5, 505),
+    "tree8": random_tree(8, 508),
+    "cycle4": Graph(4, frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})),
+}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(101), PrimeField(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_sparse_solver_matches_dense_reference(name, field):
+    # the dense route: dense kernel vectors, canonicalized as dense tuples
+    a = build_algebra(REFERENCE_GRAPHS[name], field)
+    for flavor in ("derivation", "jordan", "anti"):
+        reference = span_canonical_basis(nullspace_basis(leibniz_system(a, flavor)), field)
+        assert solve(a, flavor).flat_basis(field) == reference
+
+
+def test_containment_rejects_a_non_derivation():
+    a = build_algebra(random_tree(5, 505))
+    field = a.field
+    der = solve(a, "derivation")
+    assert der.contains(inner_space(a).rows)
+    e1 = a.index(idem(1))
+    outside = {e1 * a.dim + e1: field.one}  # e1 -> e1 is no derivation
+    dense = LinearMap.from_entries(field, a.dim, outside).flatten(field)
+    assert span_dim(der.flat_basis(field) + [dense], field) == der.dimension + 1
+    assert not der.contains([outside])
+    assert not der.contains(inner_space(a).rows + [outside])
