@@ -10,12 +10,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 from .exactlin import RATIONALS, parse_field, span_equal
 from .linmaps import (
     InternalInvariantError,
+    _hochschild_dims,
     inner_space,
     materialize,
     solve,
@@ -61,43 +62,17 @@ class Report:
     timings_ms: dict = dc_field(default_factory=dict)
 
     def to_dict(self, include_timings: bool = True) -> dict:
-        d = {
-            "n": self.n,
-            "edges": [list(e) for e in self.edges],
-            "is_tree": self.is_tree,
-            "field": self.field,
-            "dim_algebra": self.dim_algebra,
-            "dim_center": self.dim_center,
-            "dim_der": self.dim_der,
-            "dim_jordan": self.dim_jordan,
-            "dim_anti": self.dim_anti,
-            "dim_inner": self.dim_inner,
-            "hh0": self.hh0,
-            "hh1": self.hh1,
-            "formula_checks": dict(self.formula_checks),
-        }
-        if include_timings:
-            d["timings_ms"] = dict(self.timings_ms)
+        d = asdict(self)
+        d["edges"] = [list(e) for e in self.edges]
+        if not include_timings:
+            del d["timings_ms"]
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Report":
-        return cls(
-            n=d["n"],
-            edges=[tuple(e) for e in d["edges"]],
-            is_tree=d["is_tree"],
-            field=d["field"],
-            dim_algebra=d["dim_algebra"],
-            dim_center=d["dim_center"],
-            dim_der=d["dim_der"],
-            dim_jordan=d["dim_jordan"],
-            dim_anti=d["dim_anti"],
-            dim_inner=d["dim_inner"],
-            hh0=d["hh0"],
-            hh1=d["hh1"],
-            formula_checks=dict(d["formula_checks"]),
-            timings_ms=dict(d.get("timings_ms", {})),
-        )
+        report = cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        report.edges = [tuple(e) for e in report.edges]
+        return report
 
     def all_pass(self) -> bool:
         return all(v != FAIL for v in self.formula_checks.values())
@@ -141,17 +116,10 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
     inner = stage("inner", lambda: inner_space(algebra))
 
     t_checks = elapsed_us()
-    if inner.dimension != algebra.dim - cen.dimension:
-        raise InternalInvariantError(
-            f"inner dimension {inner.dimension} != dim {algebra.dim} - center {cen.dimension}"
-        )
-    if not der.contains(inner.rows):
-        raise InternalInvariantError("inner span escapes the derivation span")
+    hh0, hh1 = _hochschild_dims(algebra, cen, der, inner)
 
     n = g.n
     n_arrows = len(algebra.quiver.arrows)
-    hh0 = cen.dimension
-    hh1 = der.dimension - inner.dimension
 
     checks = {k: NA for k in CHECK_KEYS}
     rational = field.characteristic == 0
@@ -253,19 +221,31 @@ def _print_report(report: Report, quiet: bool, out) -> None:
     print(f"result: {verdict}", file=out)
 
 
-def cmd_analyze(args) -> int:
+def _parse_field_flag(args):
+    """The field named by --field, or None after printing why it is invalid.
+    In characteristic 2 this sets ``args.skip_jordan``, with a warning."""
     try:
         field = parse_field(args.field)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    if field.characteristic == 2 and not args.skip_jordan:
+        print("warning: characteristic 2, jordan flavor skipped automatically", file=sys.stderr)
+        args.skip_jordan = True
+    return field
+
+
+def cmd_analyze(args) -> int:
+    field = _parse_field_flag(args)
+    if field is None:
+        return 1
+    try:
         g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    skip_jordan = args.skip_jordan
-    if field.characteristic == 2 and not skip_jordan:
-        print("warning: characteristic 2, jordan flavor skipped automatically", file=sys.stderr)
-        skip_jordan = True
     try:
-        report, warnings = analyze_graph(g, field, skip_jordan)
+        report, warnings = analyze_graph(g, field, args.skip_jordan)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -282,18 +262,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        field = parse_field(args.field)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    field = _parse_field_flag(args)
+    if field is None:
         return 1
     if args.count < 1 or args.n_min < 2 or args.n_max < args.n_min:
         print("error: need count >= 1 and 2 <= n-min <= n-max", file=sys.stderr)
         return 1
-    skip_jordan = args.skip_jordan
-    if field.characteristic == 2 and not skip_jordan:
-        print("warning: characteristic 2, jordan flavor skipped automatically", file=sys.stderr)
-        skip_jordan = True
 
     rng = Xorshift64Star(args.seed)
     span = args.n_max - args.n_min + 1
@@ -304,7 +278,7 @@ def cmd_sweep(args) -> int:
         tree_seed = rng.next_u64()
         g = random_tree(n, tree_seed)
         try:
-            report, warnings = analyze_graph(g, field, skip_jordan)
+            report, warnings = analyze_graph(g, field, args.skip_jordan)
         except InternalInvariantError as exc:
             print(f"internal invariant failed on tree #{k}: {exc}", file=sys.stderr)
             print(serialize_graph(g), file=sys.stderr, end="")

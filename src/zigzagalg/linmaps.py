@@ -1,11 +1,12 @@
 """Derivation-type linear maps on a zigzag algebra.
 
-Three flavors of the same game, each a linear condition on a map Theta
-written against the canonical basis:
+Three flavors of one identity, each a linear condition on a map Theta
+written against the canonical basis: Theta(x * y) = Theta(x) . y + x . Theta(y)
+for an inner product * and an outer product . (:data:`FLAVOR_PRODUCTS`):
 
-    derivation   Theta(xy) = Theta(x) y + x Theta(y)
-    jordan       the same for the symmetrized product x o y = xy + yx
-    anti         Theta(xy) = Theta(y) x + y Theta(x)
+    derivation   * = xy,       . = xy        Theta(xy) = Theta(x) y + x Theta(y)
+    jordan       * = xy + yx,  . = xy + yx   the derivation identity for x o y = xy + yx
+    anti         * = xy,       . = yx        Theta(xy) = y Theta(x) + Theta(y) x
 
 Two independent routes produce derivation spaces and are kept independent on
 purpose: :func:`solve` builds the full Leibniz constraint system over the
@@ -31,7 +32,15 @@ from typing import NamedTuple
 from .exactlin import Matrix, in_rref_span, normalize_row, nullspace_basis, span_canonical_basis
 from .zigzag import ARROW, IDEM, ZigzagAlgebra, arrow, center, cycle, idem
 
-FLAVORS = ("derivation", "jordan", "anti")
+# flavor -> (inner, outer): the orders (xy, yx) of the algebra's product that
+# each of the two products of the flavor identity sums
+XY, YX = 0, 1
+FLAVOR_PRODUCTS = {
+    "derivation": ((XY,), (XY,)),
+    "jordan": ((XY, YX), (XY, YX)),
+    "anti": ((XY,), (YX,)),
+}
+FLAVORS = tuple(FLAVOR_PRODUCTS)
 
 
 class CharacteristicTwoError(ValueError):
@@ -125,7 +134,8 @@ class MapSpace:
 
 
 def _producer_tables(a: ZigzagAlgebra):
-    """left[r] lists (u, p) with b_u b_r = b_p; right[q] lists (u, p) with b_q b_u = b_p."""
+    """Producer lists indexed by order o: the o-th list at y holds (u, p) with
+    b_p the product of b_u and b_y in order o (b_u b_y for XY, b_y b_u for YX)."""
     dim = a.dim
     table = a.table
     left = [[] for _ in range(dim)]
@@ -143,9 +153,9 @@ def _producer_tables(a: ZigzagAlgebra):
 def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     """Constraint matrix over the dim^2 coefficients x[p, q] of Theta.
 
-    One equation per basis pair (q, r) and output coordinate p; zero rows are
-    dropped and duplicate rows (after canonical rescaling) removed.  The
-    kernel of the result is exactly the flavor's solution space.
+    One equation per basis pair (q, r) and output coordinate p, generated from
+    :data:`FLAVOR_PRODUCTS`; zero rows are dropped and duplicates (after
+    canonical rescaling) removed.  The kernel is the flavor's solution space.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -154,60 +164,38 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
         raise CharacteristicTwoError(
             "jordan flavor degenerates in characteristic 2: the symmetrized product is not usable"
         )
-    one = field.one
+    inner, outer = FLAVOR_PRODUCTS[flavor]
     dim = a.dim
     table = a.table
-    left, right = _producer_tables(a)
-
-    def bump(eqs: dict, p: int, col: int, delta) -> None:
-        row = eqs.setdefault(p, {})
-        row[col] = field.add(row.get(col, field.zero), delta)
-
-    rows = []
-    neg_one = field.neg(one)
-    for q in range(dim):
-        for r in range(dim):
-            eqs: dict = {}
-            if flavor == "derivation":
-                s = table[q][r]
-                if s >= 0:
-                    for p in range(dim):
-                        bump(eqs, p, p * dim + s, one)
-                for u, p in left[r]:
-                    bump(eqs, p, u * dim + q, neg_one)
-                for u, p in right[q]:
-                    bump(eqs, p, u * dim + r, neg_one)
-            elif flavor == "anti":
-                s = table[q][r]
-                if s >= 0:
-                    for p in range(dim):
-                        bump(eqs, p, p * dim + s, one)
-                for u, p in left[q]:
-                    bump(eqs, p, u * dim + r, neg_one)
-                for u, p in right[r]:
-                    bump(eqs, p, u * dim + q, neg_one)
-            else:  # jordan
-                for s in (table[q][r], table[r][q]):
-                    if s >= 0:
-                        for p in range(dim):
-                            bump(eqs, p, p * dim + s, one)
-                for u, p in left[r]:
-                    bump(eqs, p, u * dim + q, neg_one)
-                for u, p in right[r]:
-                    bump(eqs, p, u * dim + q, neg_one)
-                for u, p in left[q]:
-                    bump(eqs, p, u * dim + r, neg_one)
-                for u, p in right[q]:
-                    bump(eqs, p, u * dim + r, neg_one)
-            for row in eqs.values():
-                clean = {j: v for j, v in row.items() if v != field.zero}
-                if clean:
-                    rows.append(clean)
+    sides = _producer_tables(a)
+    # a coefficient sums at most len(inner) terms +1 and 2 * len(outer) terms -1
+    scalar = {c: field.convert(c) for c in range(-2 * len(outer), len(inner) + 1)}
+    zero = field.zero
 
     seen = {}
-    for row in rows:
-        nr = normalize_row(field, row)
-        seen.setdefault(tuple(sorted(nr.items())), nr)
+    for q in range(dim):
+        for r in range(dim):
+            # eqs[p][col]: integer coefficient of unknown col in coordinate p
+            # of Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r)
+            eqs: dict = {}
+            for o in inner:
+                s = table[q][r] if o == XY else table[r][q]
+                if s >= 0:
+                    for p in range(dim):
+                        row = eqs.setdefault(p, {})
+                        row[p * dim + s] = row.get(p * dim + s, 0) + 1
+            for o in outer:
+                # Theta(b_q) . b_r sums x[u, q] b_u . b_r; b_q . Theta(b_r) sums x[u, r] b_q . b_u
+                for producers, col in ((sides[o][r], q), (sides[1 - o][q], r)):
+                    for u, p in producers:
+                        row = eqs.setdefault(p, {})
+                        row[u * dim + col] = row.get(u * dim + col, 0) - 1
+            for row in eqs.values():
+                # convert before dropping zeros: -2 vanishes in GF(2)
+                clean = {j: v for j, c in row.items() if (v := scalar[c]) != zero}
+                if clean:
+                    nr = normalize_row(field, clean)
+                    seen.setdefault(tuple(sorted(nr.items())), nr)
     ordered = [seen[k] for k in sorted(seen)]
     return Matrix.from_sparse(field, len(ordered), dim * dim, ordered)
 
@@ -462,17 +450,12 @@ class HochschildDims(NamedTuple):
     hh1: int
 
 
-def hh_dims(a: ZigzagAlgebra) -> HochschildDims:
-    """Dimensions of the center and of (derivations mod inner derivations).
-
-    Cross-checks that must hold in any field, and whose failure means a bug,
-    not a property of the input: the inner dimension computed as an ad-span
-    rank must equal dim A - dim center, and the inner span must sit inside
-    the solved derivation span.
-    """
-    cen = center(a)
-    der = solve(a, "derivation")
-    inner = inner_space(a)
+def _hochschild_dims(a: ZigzagAlgebra, cen, der: MapSpace, inner: MapSpace) -> HochschildDims:
+    """HH^0 and HH^1 from the center, Der and Inner, after the cross-checks
+    that must hold in any field, and whose failure means a bug, not a
+    property of the input: the inner dimension computed as an ad-span rank
+    must equal dim A - dim center, and the inner span must sit inside the
+    solved derivation span."""
     if inner.dimension != a.dim - cen.dimension:
         raise InternalInvariantError(
             f"inner dimension {inner.dimension} != dim algebra {a.dim} - dim center {cen.dimension}"
@@ -480,6 +463,11 @@ def hh_dims(a: ZigzagAlgebra) -> HochschildDims:
     if not der.contains(inner.rows):
         raise InternalInvariantError("inner derivations do not sit inside the solved derivation space")
     return HochschildDims(cen.dimension, der.dimension - inner.dimension)
+
+
+def hh_dims(a: ZigzagAlgebra) -> HochschildDims:
+    """Dimensions of the center and of (derivations mod inner derivations)."""
+    return _hochschild_dims(a, center(a), solve(a, "derivation"), inner_space(a))
 
 
 def check_structure(a: ZigzagAlgebra, lin: LinearMap) -> bool:

@@ -156,9 +156,6 @@ class Quiver:
     def arrow_index(self, source: int, target: int) -> int:
         return self._index[(source, target)]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Quiver) and (self.n, self.arrows) == (other.n, other.arrows)
-
     def __repr__(self) -> str:
         return f"Quiver(n={self.n}, arrows={self.arrows!r})"
 

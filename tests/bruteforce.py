@@ -64,25 +64,56 @@ def dense_nullspace(rows, ncols):
     return basis
 
 
+def leibniz_rows(table, flavor):
+    """All constraints of one flavor on a map Theta, one dense row per basis
+    pair (x, y) and output coordinate, zero rows dropped.
+
+    ``table`` is a plain list of lists: table[x][y] is the index of the basis
+    element b_x b_y, or -1 when the product vanishes.  Unknown (p, q), the
+    coefficient of b_p in Theta(b_q), sits at index p*dim + q.  Each row is a
+    coordinate of the identity written out literally as LHS - RHS:
+
+        derivation  Theta(xy) - Theta(x) y - x Theta(y)
+        jordan      Theta(xy) + Theta(yx) - Theta(x) y - y Theta(x) - x Theta(y) - Theta(y) x
+        anti        Theta(xy) - Theta(y) x - y Theta(x)
+    """
+    dim = len(table)
+    rows = []
+    for x, y in product(range(dim), repeat=2):
+        expr = [[Fraction(0)] * (dim * dim) for _ in range(dim)]  # expr[p][unknown]
+
+        def theta(s, sign):  # sign * Theta(b_s)
+            if s >= 0:
+                for p in range(dim):
+                    expr[p][p * dim + s] += sign
+
+        def theta_times(src, right):  # - Theta(b_src) b_right
+            for u in range(dim):
+                if table[u][right] >= 0:
+                    expr[table[u][right]][u * dim + src] -= 1
+
+        def times_theta(left, src):  # - b_left Theta(b_src)
+            for u in range(dim):
+                if table[left][u] >= 0:
+                    expr[table[left][u]][u * dim + src] -= 1
+
+        theta(table[x][y], 1)
+        if flavor == "jordan":
+            theta(table[y][x], 1)
+        if flavor in ("derivation", "jordan"):
+            theta_times(x, y)
+            times_theta(x, y)
+        if flavor in ("jordan", "anti"):
+            times_theta(y, x)
+            theta_times(y, x)
+        rows.extend(r for r in expr if any(r))
+    return rows
+
+
 def edge_leibniz_rows():
     """All Leibniz constraints for the single-edge algebra, one dense row per
     basis pair and output coordinate; unknown (p, q) sits at index p*6 + q."""
-    n = EDGE_DIM * EDGE_DIM
-    rows = []
-    for q, r in product(range(EDGE_DIM), repeat=2):
-        s = EDGE_TABLE[q][r]
-        for p in range(EDGE_DIM):
-            row = [Fraction(0)] * n
-            if s >= 0:
-                row[p * EDGE_DIM + s] += 1
-            for u in range(EDGE_DIM):
-                if EDGE_TABLE[u][r] == p:
-                    row[u * EDGE_DIM + q] -= 1
-                if EDGE_TABLE[q][u] == p:
-                    row[u * EDGE_DIM + r] -= 1
-            if any(row):
-                rows.append(row)
-    return rows
+    return leibniz_rows(EDGE_TABLE, "derivation")
 
 
 def edge_derivation_family():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -183,6 +184,36 @@ def test_dump_rejects_unusable_graph(tmp_path, capsys):
     assert main(["dump-derivations", write(tmp_path, "vertices 1\n")]) == 1
     assert main(["dump-derivations", write(tmp_path, "vertices 0\n")]) == 1
     capsys.readouterr()
+
+
+# sha256 of stdout, pinned so that a refactor must keep the output byte for byte
+PINNED_OUTPUTS = {
+    "sweep": (
+        None,
+        ["sweep", "--seed", "42", "--count", "12", "--n-min", "2", "--n-max", "7", "--json"],
+        "ada89605d722968b84a417e19e781dbaaf3a52a1c95d3d0c63800ca3bbf451a6",
+    ),
+    "dump-path3": (
+        PATH3_FILE,
+        ["dump-derivations", "--json"],
+        "31f04f85e1944f817c99c03b2643640a222fce301607194cd40e036ce273da7e",
+    ),
+    "dump-triangle": (
+        TRIANGLE_FILE,
+        ["dump-derivations", "--json"],
+        "596798cb08c205864f6bab021f92488ac043573c1bd5f10e453b111b1d2458a4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_output_matches_pinned_digest(tmp_path, capsys, name):
+    graph, argv, digest = PINNED_OUTPUTS[name]
+    if graph is not None:
+        argv = argv + [write(tmp_path, graph)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_console_script_installed(tmp_path):

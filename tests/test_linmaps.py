@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import edge_derivation_family
+from bruteforce import dense_nullspace, edge_derivation_family, leibniz_rows
 from zigzagalg.exactlin import (
     RATIONALS,
     PrimeField,
@@ -297,3 +297,31 @@ def test_containment_rejects_a_non_derivation():
     assert span_dim(der.flat_basis(field) + [dense], field) == der.dimension + 1
     assert not der.contains([outside])
     assert not der.contains(inner_space(a).rows + [outside])
+
+
+ORACLE_GRAPHS = {
+    "edge": EDGE,
+    "path3": path_graph(3),
+    "triangle": Graph(3, frozenset({(1, 2), (2, 3), (1, 3)})),
+}
+
+
+@pytest.mark.parametrize("flavor", ["derivation", "jordan", "anti"])
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_solver_matches_literal_identity_oracle(name, flavor):
+    # the oracle sees only the plain product table, and writes each identity out
+    a = build_algebra(ORACLE_GRAPHS[name])
+    family = dense_nullspace(leibniz_rows([list(r) for r in a.table], flavor), a.dim * a.dim)
+    assert solve(a, flavor).flat_basis(RATIONALS) == span_canonical_basis(family, RATIONALS)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_GRAPHS))
+def test_gf2_system_stores_no_zero_coefficients(name):
+    # coefficients of +-2 vanish in GF(2) and must not be stored
+    field = PrimeField(2)
+    a = build_algebra(REFERENCE_GRAPHS[name], field)
+    for flavor in ("derivation", "anti"):
+        system = leibniz_system(a, flavor)
+        assert all(v != field.zero for row in system.rows for v in row.values())
+        reference = span_canonical_basis(nullspace_basis(system), field)
+        assert solve(a, flavor).flat_basis(field) == reference
