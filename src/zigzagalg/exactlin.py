@@ -292,10 +292,11 @@ def normalize_row(field, row: dict) -> dict:
 def _eliminate(field, rows: Iterable[dict]) -> dict:
     """Forward elimination into a pivot-column-keyed echelon dict.
 
-    Candidate rows are deduplicated (after canonical scaling) and processed
-    shortest-first, which keeps fill-in negligible on the near-diagonal
-    systems this package generates.  The resulting reduced row space is
-    order-independent anyway: the RREF is unique.
+    Candidate rows are deduplicated (after canonical scaling, which takes a
+    single-entry row straight to ``{c: 1}``) and processed shortest-first,
+    which keeps fill-in negligible on the near-diagonal systems this package
+    generates.  The resulting reduced row space is order-independent anyway:
+    the RREF is unique.
     """
     zero = field.zero
     addmul = field.addmul
@@ -308,8 +309,13 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
     for r in rows:
         if not r:
             continue
-        nr = normalize_row(field, r)
-        key = tuple(sorted(nr.items()))
+        if len(r) == 1:
+            [c] = r
+            nr = {c: one}
+            key = ((c, one),)
+        else:
+            nr = normalize_row(field, r)
+            key = tuple(sorted(nr.items()))
         if key in seen:
             continue
         seen.add(key)

@@ -136,17 +136,11 @@ class MapSpace:
 def _producer_tables(a: ZigzagAlgebra):
     """Producer lists indexed by order o: the o-th list at y holds (u, p) with
     b_p the product of b_u and b_y in order o (b_u b_y for XY, b_y b_u for YX)."""
-    dim = a.dim
-    table = a.table
-    left = [[] for _ in range(dim)]
-    right = [[] for _ in range(dim)]
-    for u in range(dim):
-        row = table[u]
-        for v in range(dim):
-            p = row[v]
-            if p >= 0:
-                left[v].append((u, p))
-                right[u].append((v, p))
+    left = [[] for _ in range(a.dim)]
+    right = [[] for _ in range(a.dim)]
+    for u, v, p in a.products:
+        left[v].append((u, p))
+        right[u].append((v, p))
     return left, right
 
 
@@ -154,8 +148,12 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     """Constraint matrix over the dim^2 coefficients x[p, q] of Theta.
 
     One equation per basis pair (q, r) and output coordinate p, generated from
-    :data:`FLAVOR_PRODUCTS`; zero rows are dropped and duplicates (after
-    canonical rescaling) removed.  The kernel is the flavor's solution space.
+    :data:`FLAVOR_PRODUCTS` in small-int coefficients; zero rows are dropped
+    and duplicates (after canonical rescaling) removed, and the rows come
+    sorted by their canonical key.  Most equations force a single unknown to
+    zero: those only mark their column, and become one ``{col: 1}`` row each
+    at the end, with no rescaling or key per equation.  The kernel is the
+    flavor's solution space.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -168,10 +166,13 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     dim = a.dim
     table = a.table
     sides = _producer_tables(a)
-    # a coefficient sums at most len(inner) terms +1 and 2 * len(outer) terms -1
+    # a coefficient sums at most len(inner) terms +1 and 2 * len(outer) terms -1;
+    # zero is tested on the int, against the coefficients that survive
+    # conversion into the field (-2 vanishes in GF(2))
     scalar = {c: field.convert(c) for c in range(-2 * len(outer), len(inner) + 1)}
-    zero = field.zero
+    nonzero = {c for c, v in scalar.items() if v != field.zero}
 
+    forced = set()  # columns of the single-unknown equations
     seen = {}
     for q in range(dim):
         for r in range(dim):
@@ -191,11 +192,20 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
                         row = eqs.setdefault(p, {})
                         row[u * dim + col] = row.get(u * dim + col, 0) - 1
             for row in eqs.values():
-                # convert before dropping zeros: -2 vanishes in GF(2)
-                clean = {j: v for j, c in row.items() if (v := scalar[c]) != zero}
-                if clean:
+                if len(row) == 1:
+                    [(j, c)] = row.items()
+                    if c in nonzero:
+                        forced.add(j)
+                    continue
+                clean = {j: scalar[c] for j, c in row.items() if c in nonzero}
+                if len(clean) > 1:
                     nr = normalize_row(field, clean)
                     seen.setdefault(tuple(sorted(nr.items())), nr)
+                else:  # at most one coefficient survived conversion
+                    forced.update(clean)
+    one = field.one
+    for j in forced:
+        seen[((j, one),)] = {j: one}
     ordered = [seen[k] for k in sorted(seen)]
     return Matrix.from_sparse(field, len(ordered), dim * dim, ordered)
 
@@ -205,8 +215,11 @@ def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
 
     ``lin`` is a sparse flat-index map or a LinearMap.  This is the post-hoc
     audit of solver output; by bilinearity, holding on basis pairs is holding
-    everywhere.  Works on the sparse support of the map, so auditing a whole
-    basis stays cheap even at dim^2 pairs.
+    everywhere.  Every term of the identity at (b_q, b_r) is Theta of b_q,
+    b_r, b_q b_r or b_r b_q, or a product with one of those, so the pair can
+    fail only if one of the four is a support column of the map.  Only those
+    pairs are visited (read off ``a.products``); the verdict is that of a walk
+    over all dim^2 pairs.
     """
     field = a.field
     zero = field.zero
@@ -218,6 +231,17 @@ def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
     for j, v in entries.items():
         p, q = divmod(j, dim)
         cols_nz[q].append((p, v))
+
+    # flat indices q*dim + r of the pairs that touch the support
+    pairs = set()
+    for q in range(dim):
+        if cols_nz[q]:
+            pairs.update(range(q * dim, q * dim + dim))
+            pairs.update(range(q, dim * dim, dim))
+    for q, r, s in a.products:
+        if cols_nz[s]:
+            pairs.add(q * dim + r)
+            pairs.add(r * dim + q)
 
     def plus_col(acc, s):
         for p, v in cols_nz[s]:
@@ -238,41 +262,33 @@ def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
             if p >= 0:
                 acc[p] = sub(acc.get(p, zero), x)
 
-    for q in range(dim):
-        empty_q = not cols_nz[q]
-        rowq = table[q]
-        for r in range(dim):
-            acc: dict = {}
-            if flavor == "derivation":
-                s = rowq[r]
-                if s < 0 and empty_q and not cols_nz[r]:
-                    continue
-                if s >= 0:
-                    plus_col(acc, s)
-                minus_rmul(acc, q, r)
-                minus_lmul(acc, q, r)
-            elif flavor == "anti":
-                s = rowq[r]
-                if s < 0 and empty_q and not cols_nz[r]:
-                    continue
-                if s >= 0:
-                    plus_col(acc, s)
-                minus_rmul(acc, r, q)
-                minus_lmul(acc, r, q)
-            else:  # jordan
-                s1, s2 = rowq[r], table[r][q]
-                if s1 < 0 and s2 < 0 and empty_q and not cols_nz[r]:
-                    continue
-                if s1 >= 0:
-                    plus_col(acc, s1)
-                if s2 >= 0:
-                    plus_col(acc, s2)
-                minus_rmul(acc, q, r)
-                minus_lmul(acc, r, q)
-                minus_lmul(acc, q, r)
-                minus_rmul(acc, r, q)
-            if any(v != zero for v in acc.values()):
-                return False
+    for k in pairs:
+        q, r = divmod(k, dim)
+        acc: dict = {}
+        if flavor == "derivation":
+            s = table[q][r]
+            if s >= 0:
+                plus_col(acc, s)
+            minus_rmul(acc, q, r)
+            minus_lmul(acc, q, r)
+        elif flavor == "anti":
+            s = table[q][r]
+            if s >= 0:
+                plus_col(acc, s)
+            minus_rmul(acc, r, q)
+            minus_lmul(acc, r, q)
+        else:  # jordan
+            s1, s2 = table[q][r], table[r][q]
+            if s1 >= 0:
+                plus_col(acc, s1)
+            if s2 >= 0:
+                plus_col(acc, s2)
+            minus_rmul(acc, q, r)
+            minus_lmul(acc, r, q)
+            minus_lmul(acc, q, r)
+            minus_rmul(acc, r, q)
+        if any(v != zero for v in acc.values()):
+            return False
     return True
 
 

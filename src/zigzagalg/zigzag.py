@@ -59,6 +59,9 @@ class ZigzagAlgebra:
 
     ``table[p][q]`` is the basis index of the product of basis elements p and
     q, or -1 when the product vanishes (structure constants are all 0 or 1).
+    ``products`` lists the nonzero entries as triples (p, q, table[p][q]) in
+    row-major order: about 9 per vertex on a tree, against dim^2 table
+    entries, so the checks and systems built from them follow the nonzeros.
     Treat instances as immutable.
     """
 
@@ -69,6 +72,9 @@ class ZigzagAlgebra:
         self.basis = tuple(basis)
         self.table = tuple(tuple(row) for row in table)
         self.dim = len(self.basis)
+        self.products = tuple(
+            (p, q, r) for p, row in enumerate(self.table) for q, r in enumerate(row) if r >= 0
+        )
         self._pos = {b: k for k, b in enumerate(self.basis)}
 
     def index(self, b: BasisElement) -> int:
@@ -153,21 +159,25 @@ def multiply(a: ZigzagAlgebra, x: tuple, y: tuple) -> tuple:
 
 
 def check_associativity(a: ZigzagAlgebra) -> bool:
-    """Exhaustively check (bp bq) br == bp (bq br) over all basis triples."""
+    """Check (bp bq) br == bp (bq br) over all basis triples.
+
+    Exhaustive, but visits only the triples where bp bq or bq br is nonzero:
+    when both vanish, so do both sides.  That is O(nnz * dim) table reads.
+    """
     table = a.table
     dim = a.dim
-    for p in range(dim):
-        rowp = table[p]
-        for q in range(dim):
-            pq = rowp[q]
-            rowq = table[q]
-            row_pq = table[pq] if pq >= 0 else None
-            for r in range(dim):
-                left = row_pq[r] if row_pq is not None else -1
-                qr = rowq[r]
-                right = rowp[qr] if qr >= 0 else -1
-                if left != right:
-                    return False
+    # bp bq = b_pq: compare (b_pq) br with bp (bq br) for every r
+    for p, q, pq in a.products:
+        rowp, rowq, row_pq = table[p], table[q], table[pq]
+        for r in range(dim):
+            qr = rowq[r]
+            if row_pq[r] != (rowp[qr] if qr >= 0 else -1):
+                return False
+    # bq br = b_qr and bp bq = 0: the left side vanishes, so bp b_qr must too
+    for q, r, qr in a.products:
+        for rowp in table:
+            if rowp[q] < 0 and rowp[qr] >= 0:
+                return False
     return True
 
 
@@ -192,18 +202,13 @@ def center(a: ZigzagAlgebra) -> CenterResult:
     field = a.field
     one = field.one
     dim = a.dim
-    table = a.table
     eqs = {}
-    for k in range(dim):
-        for u in range(dim):
-            r = table[u][k]
-            if r >= 0:
-                row = eqs.setdefault((k, r), {})
-                row[u] = field.add(row.get(u, field.zero), one)
-            r = table[k][u]
-            if r >= 0:
-                row = eqs.setdefault((k, r), {})
-                row[u] = field.sub(row.get(u, field.zero), one)
+    for u, k, r in a.products:  # b_u b_k = b_r: x_u enters (x b_k)_r
+        row = eqs.setdefault((k, r), {})
+        row[u] = field.add(row.get(u, field.zero), one)
+    for k, u, r in a.products:  # b_k b_u = b_r: x_u enters (b_k x)_r
+        row = eqs.setdefault((k, r), {})
+        row[u] = field.sub(row.get(u, field.zero), one)
     sparse = []
     for row in eqs.values():
         row = {j: v for j, v in row.items() if v != field.zero}

@@ -1,8 +1,9 @@
 """Independent desk oracles used by the tests.
 
 Nothing here imports the package under test: the multiplication table of the
-single-edge algebra is written out by hand, and elimination is a dense
-textbook Gauss-Jordan over Fraction.  These are deliberately dumb so they can
+single-edge algebra is written out by hand, elimination is a dense
+textbook Gauss-Jordan over Fraction, and the flavor identities and
+associativity are checked pair by pair (triple by triple) from a plain table.  These are deliberately dumb so they can
 arbitrate when the real solver and the closed-form generator disagree.
 """
 
@@ -108,6 +109,59 @@ def leibniz_rows(table, flavor):
             theta_times(y, x)
         rows.extend(r for r in expr if any(r))
     return rows
+
+
+def verify_literal(table, entries, flavor, modulus=0):
+    """Whether the map Theta satisfies the flavor identity on all dim^2 basis
+    pairs (x, y), each identity written out as in :func:`leibniz_rows`.
+
+    ``table`` is a plain list of lists as there; ``entries`` maps p*dim + q
+    to the coefficient of b_p in Theta(b_q), absent meaning zero.  With a
+    ``modulus`` p the coefficients are integers and compared mod p.
+    """
+    dim = len(table)
+
+    def basis(s):  # b_s as a dense list, the zero vector for s = -1
+        return [1 if p == s else 0 for p in range(dim)]
+
+    def theta(s):  # Theta(b_s) as a dense list
+        return [entries.get(p * dim + s, 0) if s >= 0 else 0 for p in range(dim)]
+
+    def times(u, v):  # product of two dense elements
+        out = [0] * dim
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                if ui and vj and table[i][j] >= 0:
+                    out[table[i][j]] += ui * vj
+        return out
+
+    for x, y in product(range(dim), repeat=2):
+        bx, by = basis(x), basis(y)
+        if flavor == "derivation":
+            lhs = theta(table[x][y])
+            rhs = [times(theta(x), by), times(bx, theta(y))]
+        elif flavor == "jordan":
+            lhs = [s + t for s, t in zip(theta(table[x][y]), theta(table[y][x]))]
+            rhs = [times(theta(x), by), times(by, theta(x)), times(bx, theta(y)), times(theta(y), bx)]
+        else:  # anti
+            lhs = theta(table[x][y])
+            rhs = [times(theta(y), bx), times(by, theta(x))]
+        for p in range(dim):
+            diff = lhs[p] - sum(term[p] for term in rhs)
+            if (diff % modulus if modulus else diff) != 0:
+                return False
+    return True
+
+
+def associative_literal(table):
+    """Whether (b_x b_y) b_z == b_x (b_y b_z) for all dim^3 basis triples of
+    a plain list-of-lists table (-1 for a vanishing product)."""
+    dim = len(table)
+
+    def prod(x, y):
+        return table[x][y] if x >= 0 and y >= 0 else -1
+
+    return all(prod(prod(x, y), z) == prod(x, prod(y, z)) for x, y, z in product(range(dim), repeat=3))
 
 
 def edge_leibniz_rows():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import dense_nullspace, edge_derivation_family, leibniz_rows
+from bruteforce import dense_nullspace, edge_derivation_family, leibniz_rows, verify_literal
 from zigzagalg.exactlin import (
     RATIONALS,
     PrimeField,
@@ -15,6 +15,7 @@ from zigzagalg.exactlin import (
     span_equal,
 )
 from zigzagalg.linmaps import (
+    FLAVORS,
     CharacteristicTwoError,
     DerivationParams,
     LinearMap,
@@ -325,3 +326,34 @@ def test_gf2_system_stores_no_zero_coefficients(name):
         assert all(v != field.zero for row in system.rows for v in row.values())
         reference = span_canonical_basis(nullspace_basis(system), field)
         assert solve(a, flavor).flat_basis(field) == reference
+
+
+VERIFY_GRAPHS = {**ORACLE_GRAPHS, "cycle4": REFERENCE_GRAPHS["cycle4"]}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("name", sorted(VERIFY_GRAPHS))
+def test_verify_map_agrees_with_literal_identity(name, field):
+    # solved basis maps, each with one entry bumped, and Theta(c1) = c1, which
+    # fails only on pairs whose product lands on c1 (e.g. a(1->2) a(2->1))
+    a = build_algebra(VERIFY_GRAPHS[name], field)
+    table = [list(r) for r in a.table]
+    rng = random.Random(name)
+    c1 = a.index(cycle(1))
+    c1_to_c1 = {c1 * a.dim + c1: field.one}
+    verdicts = []
+    for flavor in FLAVORS:
+        maps = [c1_to_c1]
+        for row in solve(a, flavor).rows:
+            j = rng.randrange(a.dim * a.dim)
+            bumped = dict(row)
+            bumped[j] = field.add(bumped.get(j, field.zero), field.one)
+            if bumped[j] == field.zero:
+                del bumped[j]
+            maps += [row, bumped]
+        for m in maps:
+            ok = verify_map(a, m, flavor)
+            assert ok == verify_literal(table, m, flavor, field.characteristic), (flavor, m)
+            verdicts.append(ok)
+        assert not verify_map(a, c1_to_c1, flavor)
+    assert True in verdicts and False in verdicts

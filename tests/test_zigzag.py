@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from bruteforce import associative_literal
 from zigzagalg.exactlin import PrimeField, span_equal
 from zigzagalg.quiver import Graph, path_graph, random_tree, star_graph
 from zigzagalg.zigzag import (
@@ -104,6 +106,41 @@ def test_associativity_detects_a_patched_table(edge_algebra):
     # redefine a12 * a21 := e1 instead of c1; the exhaustive scan must notice
     bad = with_patched_table(a, a.index(arrow(1, 2)), a.index(arrow(2, 1)), a.index(idem(1)))
     assert not check_associativity(bad)
+
+
+TRIANGLE = Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
+
+
+@pytest.mark.parametrize("graph", [path_graph(3), TRIANGLE], ids=["path3", "triangle"])
+def test_associativity_agrees_with_brute_force_on_every_patch(graph):
+    # every table entry set to -1 and to each other basis index in turn
+    a = build_algebra(graph)
+    verdicts = []
+    for p, q in product(range(a.dim), repeat=2):
+        for r in range(-1, a.dim):
+            if r == a.table[p][q]:
+                continue
+            bad = with_patched_table(a, p, q, r)
+            ok = check_associativity(bad)
+            assert ok == associative_literal([list(row) for row in bad.table]), (p, q, r)
+            verdicts.append(ok)
+    assert len(verdicts) == a.dim**3
+    assert True in verdicts and False in verdicts
+
+
+def test_products_are_the_nonzero_table_entries():
+    def nonzero_entries(a):
+        return [(p, q, r) for p, row in enumerate(a.table) for q, r in enumerate(row) if r >= 0]
+
+    a = build_algebra(path_graph(3))
+    assert list(a.products) == nonzero_entries(a)
+    assert len(a.products) == 9 * 3 - 6  # 9n - 6 on a tree
+    e1, a12, c1 = a.index(idem(1)), a.index(arrow(1, 2)), a.index(cycle(1))
+    for p, q, r in ((a12, e1, c1), (e1, a12, -1)):  # set a vanishing entry, clear a nonzero one
+        patched = with_patched_table(a, p, q, r)
+        assert list(patched.products) == nonzero_entries(patched)
+        assert patched.products != a.products
+    assert list(a.products) == nonzero_entries(a)
 
 
 def test_center_single_edge(edge_algebra):
