@@ -220,12 +220,20 @@ class Matrix:
 
     @classmethod
     def from_sparse(cls, field, nrows: int, ncols: int, rows: Sequence[dict]) -> "Matrix":
+        """Build from sparse rows whose entries already live in ``field``.
+
+        Raises ValueError for a column out of range or a stored entry that is
+        zero in the field (in GF(p), any multiple of p).
+        """
         if len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
-        for r in rows:
-            for j in r:
+        p = field.characteristic
+        for i, r in enumerate(rows):
+            for j, v in r.items():
                 if not 0 <= j < ncols:
                     raise ValueError(f"column index {j} out of range for {ncols} columns")
+                if not (v % p if p else v):
+                    raise ValueError(f"row {i}, column {j}: stored entry is zero in {field.name}")
         return cls(field, nrows, ncols, tuple(dict(r) for r in rows))
 
     def dense_rows(self) -> list:
@@ -292,8 +300,10 @@ def normalize_row(field, row: dict) -> dict:
 def _eliminate(field, rows: Iterable[dict]) -> dict:
     """Forward elimination into a pivot-column-keyed echelon dict.
 
-    Candidate rows are deduplicated (after canonical scaling, which takes a
-    single-entry row straight to ``{c: 1}``) and processed shortest-first,
+    Every stored entry must be nonzero.  A single-entry row is the pivot row
+    ``{c: 1}`` of its column: these are installed first, and their columns
+    are dropped from every other row before it is used.  The remaining rows
+    are deduplicated (after canonical scaling) and processed shortest-first,
     which keeps fill-in negligible on the near-diagonal systems this package
     generates.  The resulting reduced row space is order-independent anyway:
     the RREF is unique.
@@ -304,25 +314,29 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
     mul = field.mul
     one = field.one
 
-    seen = set()
-    cands = []
+    pivots: dict = {}
+    longer = []
     for r in rows:
-        if not r:
-            continue
         if len(r) == 1:
             [c] = r
-            nr = {c: one}
-            key = ((c, one),)
-        else:
-            nr = normalize_row(field, r)
-            key = tuple(sorted(nr.items()))
+            pivots[c] = {c: one}
+        elif r:
+            longer.append(r)
+
+    seen = set()
+    cands = []
+    for r in longer:
+        r = {j: v for j, v in r.items() if j not in pivots}
+        if not r:
+            continue
+        nr = normalize_row(field, r)
+        key = tuple(sorted(nr.items()))
         if key in seen:
             continue
         seen.add(key)
         cands.append((len(nr), key, nr))
     cands.sort(key=lambda t: t[:2])
 
-    pivots: dict = {}
     for _, _, row in cands:
         row = dict(row)
         while row:
@@ -426,7 +440,7 @@ def _as_matrix(vectors: Sequence, field) -> Matrix:
     if not kinds.pop():
         return _stack(vectors, field)
     ncols = 1 + max((j for v in vectors for j in v), default=-1)
-    return Matrix(field, len(vectors), ncols, tuple(vectors))
+    return Matrix.from_sparse(field, len(vectors), ncols, vectors)
 
 
 def span_dim(vectors: Sequence, field=RATIONALS) -> int:

@@ -163,6 +163,9 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
             "jordan flavor degenerates in characteristic 2: the symmetrized product is not usable"
         )
     inner, outer = FLAVOR_PRODUCTS[flavor]
+    # with both products symmetric (xy + yx) the equations at (q, r) and at
+    # (r, q) are the same, so each unordered pair is generated once
+    symmetric = set(inner) == set(outer) == {XY, YX}
     dim = a.dim
     table = a.table
     sides = _producer_tables(a)
@@ -175,7 +178,7 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     forced = set()  # columns of the single-unknown equations
     seen = {}
     for q in range(dim):
-        for r in range(dim):
+        for r in range(q if symmetric else 0, dim):
             # eqs[p][col]: integer coefficient of unknown col in coordinate p
             # of Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r)
             eqs: dict = {}
@@ -215,11 +218,13 @@ def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
 
     ``lin`` is a sparse flat-index map or a LinearMap.  This is the post-hoc
     audit of solver output; by bilinearity, holding on basis pairs is holding
-    everywhere.  Every term of the identity at (b_q, b_r) is Theta of b_q,
-    b_r, b_q b_r or b_r b_q, or a product with one of those, so the pair can
-    fail only if one of the four is a support column of the map.  Only those
-    pairs are visited (read off ``a.products``); the verdict is that of a walk
-    over all dim^2 pairs.
+    everywhere.  Every term of the identity at (b_q, b_r) is Theta of b_q b_r
+    or b_r b_q, or a product, in either order, of b_q with Theta(b_r) or of
+    b_r with Theta(b_q).  So the pair can fail only if b_q b_r or b_r b_q is a
+    support column of the map, or if one of q, r is a support column c and
+    the other has a nonzero product with some b_u, u in the support of column
+    c.  Only those pairs are visited (read off ``a.products``); the verdict is
+    that of a walk over all dim^2 pairs.
     """
     field = a.field
     zero = field.zero
@@ -232,16 +237,20 @@ def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
         p, q = divmod(j, dim)
         cols_nz[q].append((p, v))
 
-    # flat indices q*dim + r of the pairs that touch the support
-    pairs = set()
-    for q in range(dim):
-        if cols_nz[q]:
-            pairs.update(range(q * dim, q * dim + dim))
-            pairs.update(range(q, dim * dim, dim))
+    # partners[u]: the w with b_u b_w or b_w b_u nonzero
+    partners = [set() for _ in range(dim)]
+    pairs = set()  # flat indices q*dim + r of the pairs to visit
     for q, r, s in a.products:
+        partners[q].add(r)
+        partners[r].add(q)
         if cols_nz[s]:
             pairs.add(q * dim + r)
             pairs.add(r * dim + q)
+    for c, col in enumerate(cols_nz):
+        for u, _ in col:
+            for w in partners[u]:
+                pairs.add(c * dim + w)
+                pairs.add(w * dim + c)
 
     def plus_col(acc, s):
         for p, v in cols_nz[s]:
@@ -324,18 +333,16 @@ class DerivationParams:
 
 
 def _consistency_sums(a: ZigzagAlgebra, d: dict) -> dict:
+    """Vertex i -> d[(i, j)] + d[(j, i)], which must agree across the
+    neighbors j of i.  ``d`` holds every arrow in quiver order, sorted by
+    source, so one pass visits the neighbors of each vertex in turn."""
     sums = {}
-    for i in range(1, a.graph.n + 1):
-        vals = []
-        for j in a.graph.neighbors(i):
-            vals.append(a.field.add(d[(i, j)], d[(j, i)]))
-        if not vals:
-            continue
-        if any(v != vals[0] for v in vals[1:]):
+    for i, j in d:
+        v = a.field.add(d[(i, j)], d[(j, i)])
+        if sums.setdefault(i, v) != v:
             raise ValueError(
                 f"inconsistent parameters: cycle coefficients at vertex {i} disagree across neighbors"
             )
-        sums[i] = vals[0]
     return sums
 
 

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -224,3 +227,20 @@ def test_console_script_installed(tmp_path):
     proc = subprocess.run([exe, "analyze", g], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+def run_module(*argv):
+    """``python -m zigzagalg`` in a fresh interpreter, importing from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-m", "zigzagalg", *argv], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    proc = run_module("analyze", write(tmp_path, EDGE_FILE))
+    assert proc.returncode == 0, proc.stderr
+    assert "result: PASS" in proc.stdout
+    proc = run_module("analyze", str(tmp_path / "missing.txt"))
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import dense_rref
+from bruteforce import dense_nullspace, dense_rref
 from zigzagalg.exactlin import (
     RATIONALS,
     FieldMismatchError,
@@ -249,3 +249,55 @@ def test_scalar_invariants_hold_after_ops():
         for b in vals:
             for res in (gf11.add(a, b), gf11.mul(a, b), gf11.sub(a, b)):
                 assert 0 <= res < 11
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(5)], ids=lambda f: f.name)
+def test_explicit_zero_entries_in_sparse_input_are_rejected(field):
+    # a stored zero is not an equation: before, {0: 0} read as x0 = 0 and
+    # {0: 0, 1: 1} failed with ZeroDivisionError
+    zero_rows = [{0: Fraction(0)}, {0: 0, 1: 1}]
+    if field.characteristic:
+        zero_rows.append({0: 1, 1: field.characteristic})  # p is zero in GF(p)
+    for row in zero_rows:
+        with pytest.raises(ValueError, match=r"row 0, column \d+: stored entry is zero"):
+            Matrix.from_sparse(field, 1, 2, [row])
+        with pytest.raises(ValueError, match=r"row 0, column \d+: stored entry is zero"):
+            span_canonical_basis([row], field)
+    with pytest.raises(ValueError, match="row 1, column 0"):
+        span_dim([{1: field.one}, {0: field.zero}], field)
+
+
+def singleton_heavy_rows(rng, ncols):
+    """Sparse rows over Q, most of them single entries (values other than 1
+    and duplicated columns among them), plus rows that vanish, and rows that
+    shrink to one entry, once the singleton columns are dropped."""
+    values = [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 5) for d in (1, 2, 7)]
+    singles = rng.sample(range(ncols), rng.randint(2, ncols - 2))
+    others = [c for c in range(ncols) if c not in singles]
+
+    def row(support):
+        return {c: rng.choice(values) for c in support}
+
+    rows = [row([c]) for c in singles]
+    rows += [row([c]) for c in rng.choices(singles, k=2)]
+    rows += [row(rng.sample(singles, rng.randint(2, len(singles)))) for _ in range(2)]
+    rows += [row(rng.sample(singles, rng.randint(1, len(singles))) + [rng.choice(others)]) for _ in range(2)]
+    rows += [row(rng.sample(range(ncols), rng.randint(2, min(4, ncols)))) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(rows)
+    return rows
+
+
+def test_singleton_heavy_elimination_matches_dense_reference():
+    rng = random.Random(2024)
+    for _ in range(150):
+        ncols = rng.randint(4, 9)
+        rows = singleton_heavy_rows(rng, ncols)
+        m = Matrix.from_sparse(RATIONALS, len(rows), ncols, rows)
+        dense = m.dense_rows()
+        reduced, pivots = dense_rref(dense)
+        got = rref(m)
+        assert got.reduced.dense_rows() == reduced
+        assert list(got.pivot_cols) == pivots
+        kernel = dense_nullspace(dense, ncols)
+        assert nullspace_basis(m) == kernel
+        assert [tuple(v.get(j, 0) for j in range(ncols)) for v in nullspace_basis(m, sparse=True)] == kernel

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from zigzagalg.exactlin import (
     RATIONALS,
     PrimeField,
     nullspace_basis,
+    parse_field,
     span_canonical_basis,
     span_dim,
     span_equal,
@@ -357,3 +359,75 @@ def test_verify_map_agrees_with_literal_identity(name, field):
             verdicts.append(ok)
         assert not verify_map(a, c1_to_c1, flavor)
     assert True in verdicts and False in verdicts
+
+
+DIGEST_GRAPHS = {f"tree{n}-{s}": random_tree(n, s * 100 + n) for n in range(2, 9) for s in (1, 2)}
+DIGEST_GRAPHS["cycle3"] = ORACLE_GRAPHS["triangle"]
+DIGEST_GRAPHS["cycle4"] = REFERENCE_GRAPHS["cycle4"]
+
+# sha256 over every system and solved canonical basis, each row hashed as its
+# sorted items in row order, pinned so that a change to generation or
+# elimination must keep both identical
+PINNED_SOLVE_DIGESTS = {
+    "rat": "4879f9ad3331dcd9a4ce0eb90656248aad44a03f1129e6abfda97125663db813",
+    "gf:101": "e0f1fd9639c928cf3094558317a6fc045ba909832afca6c6aa722edde2da04e2",
+    "gf:3": "c482218a69d065e5de9522de2f28233a0df0dd742ef57bf101a5ec9a88b5178a",
+    "gf:2": "1520437e3a6c3e1cd7b069086d50e60b4b3f8c65b0a0736e3254b17ee4e88523",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_SOLVE_DIGESTS))
+def test_systems_and_solutions_match_pinned_digest(spec):
+    field = parse_field(spec)
+    h = hashlib.sha256()
+    for name in sorted(DIGEST_GRAPHS):
+        a = build_algebra(DIGEST_GRAPHS[name], field)
+        for flavor in FLAVORS:
+            if flavor == "jordan" and field.characteristic == 2:
+                continue
+            system = leibniz_system(a, flavor)
+            h.update(f"{name} {flavor} {system.nrows} {system.ncols}\n".encode())
+            for rows in (system.rows, solve(a, flavor).rows):
+                for row in rows:
+                    h.update(f"{sorted(row.items())}\n".encode())
+                h.update(b"--\n")
+    assert h.hexdigest() == PINNED_SOLVE_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(3)], ids=lambda f: f.name)
+@pytest.mark.parametrize("graph", [star_graph(5), random_tree(7, 707)], ids=["star5", "tree7"])
+def test_verify_map_agrees_with_literal_identity_on_larger_graphs(graph, field):
+    # sampled derivations, each also with one random entry bumped, audited
+    # under every flavor: the audit visits only the pairs a term can reach
+    a = build_algebra(graph, field)
+    table = [list(r) for r in a.table]
+    rng = random.Random(a.dim)
+    maps = []
+    for row in rng.sample(solve(a, "derivation").rows, 4):
+        j = rng.randrange(a.dim * a.dim)
+        bumped = dict(row)
+        bumped[j] = field.add(bumped.get(j, field.zero), field.one)
+        if bumped[j] == field.zero:
+            del bumped[j]
+        maps += [row, bumped]
+    verdicts = set()
+    for flavor in FLAVORS:
+        for m in maps:
+            ok = verify_map(a, m, flavor)
+            assert ok == verify_literal(table, m, flavor, field.characteristic), (flavor, m)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_verify_map_agrees_with_literal_identity_on_single_entry_maps(name):
+    # no map Theta(b_q) = b_p satisfies any flavor, but many fail on only a
+    # few pairs (those where b_p has a nonzero product with the other basis
+    # element in one order), so the audit must reach one of those
+    a = build_algebra(ORACLE_GRAPHS[name])
+    table = [list(r) for r in a.table]
+    for flavor in FLAVORS:
+        for j in range(a.dim * a.dim):
+            m = {j: RATIONALS.one}
+            assert not verify_literal(table, m, flavor)
+            assert not verify_map(a, m, flavor), (flavor, divmod(j, a.dim))
