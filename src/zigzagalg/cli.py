@@ -261,6 +261,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    try:
+        return _sweep(args)
+    finally:
+        if args.timings is not None:
+            args.timings.close()
+
+
+def _sweep(args) -> int:
     field = _parse_field_flag(args)
     if field is None:
         return 1
@@ -284,6 +292,9 @@ def cmd_sweep(args) -> int:
             return 2
         for w in warnings:
             print(f"warning: tree #{k}: {w}", file=sys.stderr)
+        if args.timings is not None:
+            record = {"index": k, "tree_seed": tree_seed, "n": n, "timings_ms": report.timings_ms}
+            print(json.dumps(record), file=args.timings)
         ok = report.all_pass()
         results.append((k, tree_seed, report))
         if not ok:
@@ -412,6 +423,12 @@ def main(argv=None) -> int:
     p_sw.add_argument("--n-min", type=int, default=2)
     p_sw.add_argument("--n-max", type=int, default=12)
     p_sw.add_argument("--seed", type=int, default=0)
+    p_sw.add_argument(
+        "--timings",
+        type=argparse.FileType("w", encoding="utf-8"),
+        metavar="FILE",
+        help="write each graph's stage timings to FILE, one JSON object per line",
+    )
     common(p_sw)
     p_sw.set_defaults(fn=cmd_sweep)
 

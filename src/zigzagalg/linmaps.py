@@ -9,12 +9,16 @@ for an inner product * and an outer product . (:data:`FLAVOR_PRODUCTS`):
     anti         * = xy,       . = yx        Theta(xy) = y Theta(x) + Theta(y) x
 
 Two independent routes produce derivation spaces and are kept independent on
-purpose: :func:`solve` builds the full Leibniz constraint system over the
-dim^2 matrix coefficients of Theta and takes its kernel, while
-:func:`structured_space` materializes the closed parametric form (one ``t``
-and one ``d`` parameter per arrow, tied by antisymmetry and per-vertex
-consistency).  Agreement between the two is checked by callers, never
-assumed here.
+purpose: :func:`solve` takes the kernel of the Leibniz constraint system over
+the dim^2 matrix coefficients of Theta, while :func:`structured_space`
+materializes the closed parametric form (one ``t`` and one ``d`` parameter
+per arrow, tied by antisymmetry and per-vertex consistency).  Agreement
+between the two is checked by callers, never assumed here.
+
+The outer terms of the identity are precomputed per basis element, and most
+pairs (q, r) only shift them.  :func:`solve` eliminates just the unknowns that
+no single-entry equation forces to zero; :func:`leibniz_system` is the full
+system, kept for the oracles.
 
 Maps are kept sparse: a map is a dict from the flat index p*dim + q to the
 nonzero coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases,
@@ -133,27 +137,13 @@ class MapSpace:
         return f"MapSpace({self.flavor!r}, dim={self.dimension})"
 
 
-def _producer_tables(a: ZigzagAlgebra):
-    """Producer lists indexed by order o: the o-th list at y holds (u, p) with
-    b_p the product of b_u and b_y in order o (b_u b_y for XY, b_y b_u for YX)."""
-    left = [[] for _ in range(a.dim)]
-    right = [[] for _ in range(a.dim)]
-    for u, v, p in a.products:
-        left[v].append((u, p))
-        right[u].append((v, p))
-    return left, right
-
-
-def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
-    """Constraint matrix over the dim^2 coefficients x[p, q] of Theta.
-
-    One equation per basis pair (q, r) and output coordinate p, generated from
-    :data:`FLAVOR_PRODUCTS` in small-int coefficients; zero rows are dropped
-    and duplicates (after canonical rescaling) removed, and the rows come
-    sorted by their canonical key.  Most equations force a single unknown to
-    zero: those only mark their column, and become one ``{col: 1}`` row each
-    at the end, with no rescaling or key per equation.  The kernel is the
-    flavor's solution space.
+def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
+    """(forced columns, canonical longer rows) of the flavor's equations over
+    the dim^2 coefficients x[p, q] of Theta: one per basis pair (q, r) and
+    output p, from :data:`FLAVOR_PRODUCTS` in small-int coefficients.  A row
+    is kept as the sorted (column, int) pairs of its :func:`normalize_row`.
+    A pair with no inner term whose outer terms reach disjoint outputs has
+    exactly their precomputed equations, shifted by q and by r.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -167,50 +157,92 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     # (r, q) are the same, so each unordered pair is generated once
     symmetric = set(inner) == set(outer) == {XY, YX}
     dim = a.dim
-    table = a.table
-    sides = _producer_tables(a)
     # a coefficient sums at most len(inner) terms +1 and 2 * len(outer) terms -1;
     # zero is tested on the int, against the coefficients that survive
     # conversion into the field (-2 vanishes in GF(2))
     scalar = {c: field.convert(c) for c in range(-2 * len(outer), len(inner) + 1)}
     nonzero = {c for c, v in scalar.items() if v != field.zero}
 
-    forced = set()  # columns of the single-unknown equations
-    seen = {}
+    def split(rows):  # -> (forced columns, canonical longer rows)
+        singles, longs = [], []
+        for row in rows:
+            clean = {j: scalar[c] for j, c in row.items() if c in nonzero}
+            if len(clean) > 1:
+                longs.append(tuple(sorted([(j, int(v)) for j, v in normalize_row(field, clean).items()])))
+            else:
+                singles.extend(clean)
+        return singles, longs
+
+    # Theta(b_q) . b_y (right[y]) and b_y . Theta(b_r) (left[y]), as
+    # p -> {u*dim: coefficient} of x[u, q] and of x[u, r]
+    right, left = [{} for _ in range(dim)], [{} for _ in range(dim)]
+    for x, y, p in a.products:  # b_x b_y = b_p
+        for o in outer:
+            # in order YX, Theta(b_q) . b_x is b_x Theta(b_q), and
+            # b_y . Theta(b_r) is Theta(b_r) b_y
+            terms = ((right, y, x), (left, x, y)) if o == XY else ((right, x, y), (left, y, x))
+            for side, at, u in terms:
+                row = side[at].setdefault(p, {})
+                row[u * dim] = row.get(u * dim, 0) - 1
+    right_parts = [split(m.values()) for m in right]
+    left_parts = [split(m.values()) for m in left]
+    # inner_at[q][r]: s -> count of the terms Theta(b_s) of the pair (q, r)
+    inner_at = [{} for _ in range(dim)]
+    for x, y, s in a.products:
+        for o in inner:
+            q, r = (x, y) if o == XY else (y, x)
+            at = inner_at[q].setdefault(r, {})
+            at[s] = at.get(s, 0) + 1
+
+    forced = set()
+    longer = set()
     for q in range(dim):
+        left_q, inner_q = left[q], inner_at[q]
+        lsingles, llongs = left_parts[q]
         for r in range(q if symmetric else 0, dim):
+            right_r = right[r]
+            inner_terms = inner_q.get(r)
+            if inner_terms is None and right_r.keys().isdisjoint(left_q):
+                rsingles, rlongs = right_parts[r]
+                forced.update([b + q for b in rsingles])
+                forced.update([b + r for b in lsingles])
+                if rlongs:
+                    longer.update([tuple([(j + q, c) for j, c in key]) for key in rlongs])
+                if llongs:
+                    longer.update([tuple([(j + r, c) for j, c in key]) for key in llongs])
+                continue
             # eqs[p][col]: integer coefficient of unknown col in coordinate p
             # of Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r)
-            eqs: dict = {}
-            for o in inner:
-                s = table[q][r] if o == XY else table[r][q]
-                if s >= 0:
-                    for p in range(dim):
-                        row = eqs.setdefault(p, {})
-                        row[p * dim + s] = row.get(p * dim + s, 0) + 1
-            for o in outer:
-                # Theta(b_q) . b_r sums x[u, q] b_u . b_r; b_q . Theta(b_r) sums x[u, r] b_q . b_u
-                for producers, col in ((sides[o][r], q), (sides[1 - o][q], r)):
-                    for u, p in producers:
-                        row = eqs.setdefault(p, {})
-                        row[u * dim + col] = row.get(u * dim + col, 0) - 1
-            for row in eqs.values():
-                if len(row) == 1:
-                    [(j, c)] = row.items()
-                    if c in nonzero:
-                        forced.add(j)
-                    continue
-                clean = {j: scalar[c] for j, c in row.items() if c in nonzero}
-                if len(clean) > 1:
-                    nr = normalize_row(field, clean)
-                    seen.setdefault(tuple(sorted(nr.items())), nr)
-                else:  # at most one coefficient survived conversion
-                    forced.update(clean)
-    one = field.one
-    for j in forced:
-        seen[((j, one),)] = {j: one}
-    ordered = [seen[k] for k in sorted(seen)]
-    return Matrix.from_sparse(field, len(ordered), dim * dim, ordered)
+            eqs = {p: {j + q: c for j, c in row.items()} for p, row in right_r.items()}
+            for p, row in left_q.items():
+                eq = eqs.setdefault(p, {})
+                for j, c in row.items():
+                    eq[j + r] = eq.get(j + r, 0) + c
+            if inner_terms:
+                # coordinates with no outer term see only Theta(b_s), at p*dim + s
+                rest = [p * dim for p in range(dim) if p not in eqs]
+                isingles, ilongs = split([inner_terms])
+                forced.update([s + o for s in isingles for o in rest])
+                longer.update([tuple([(j + o, c) for j, c in key]) for key in ilongs for o in rest])
+                for p, eq in eqs.items():
+                    for s, k in inner_terms.items():
+                        eq[p * dim + s] = eq.get(p * dim + s, 0) + k
+            singles, longs = split(eqs.values())
+            forced.update(singles)
+            longer.update(longs)
+    return forced, longer
+
+
+def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
+    """Constraint matrix over the dim^2 coefficients x[p, q] of Theta: the
+    equations of :func:`_leibniz_equations`, one ``{col: 1}`` row per forced
+    column, sorted by canonical key.  Its kernel is the flavor's solution
+    space; :func:`solve` finds it without this matrix, which oracles use."""
+    forced, longer = _leibniz_equations(a, flavor)
+    field = a.field
+    keys = sorted(longer.union([((j, 1),) for j in forced]))
+    rows = [{j: field.convert(c) for j, c in key} for key in keys]
+    return Matrix.from_sparse(field, len(rows), a.dim * a.dim, rows)
 
 
 def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
@@ -304,12 +336,23 @@ def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
 def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     """Kernel of the flavor's constraint system, as a canonical MapSpace.
 
-    Every basis map of the result is re-verified against the defining
-    identity on all basis pairs; a failure there is a solver bug, reported as
-    InternalInvariantError rather than a wrong answer.
+    Forced columns are pivots, so only the others are eliminated, relabelled
+    in increasing order, and the kernel mapped back is that of
+    :func:`leibniz_system`.  Every basis map of the result is re-verified
+    against the defining identity on all basis pairs; a failure there is a
+    solver bug, reported as InternalInvariantError rather than a wrong answer.
     """
-    system = leibniz_system(a, flavor)
-    kernel = nullspace_basis(system, sparse=True)
+    forced, longer = _leibniz_equations(a, flavor)
+    field = a.field
+    live = [j for j in range(a.dim * a.dim) if j not in forced]
+    label = {j: k for k, j in enumerate(live)}
+    rows = []
+    for key in longer:
+        row = {label[j]: field.convert(c) for j, c in key if j in label}
+        if row:
+            rows.append(row)
+    system = Matrix.from_sparse(field, len(rows), len(live), rows)
+    kernel = [{live[k]: v for k, v in vec.items()} for vec in nullspace_basis(system, sparse=True)]
     space = MapSpace.from_generators(flavor, a, kernel)
     for row in space.rows:
         if not verify_map(a, row, flavor):
@@ -332,33 +375,33 @@ class DerivationParams:
     d: dict
 
 
-def _consistency_sums(a: ZigzagAlgebra, d: dict) -> dict:
-    """Vertex i -> d[(i, j)] + d[(j, i)], which must agree across the
-    neighbors j of i.  ``d`` holds every arrow in quiver order, sorted by
-    source, so one pass visits the neighbors of each vertex in turn."""
-    sums = {}
-    for i, j in d:
-        v = a.field.add(d[(i, j)], d[(j, i)])
-        if sums.setdefault(i, v) != v:
-            raise ValueError(
-                f"inconsistent parameters: cycle coefficients at vertex {i} disagree across neighbors"
-            )
-    return sums
+def _arrow_layout(a: ZigzagAlgebra):
+    """(a_at, e_at, c_at, nbrs): the basis index of each arrow, in quiver
+    order, of each trivial path and of each cycle, and each vertex's
+    neighbors in increasing order."""
+    n = a.graph.n
+    a_at = {(ar.source, ar.target): a.index(arrow(ar.source, ar.target)) for ar in a.quiver.arrows}
+    e_at = {i: a.index(idem(i)) for i in range(1, n + 1)}
+    c_at = {i: a.index(cycle(i)) for i in range(1, n + 1)}
+    nbrs: dict = {i: [] for i in range(1, n + 1)}
+    for u, v in a_at:  # sorted by (source, target)
+        nbrs[u].append(v)
+    return a_at, e_at, c_at, nbrs
 
 
-def _parameter_entries(a: ZigzagAlgebra, params: DerivationParams) -> dict:
-    """The sparse flat-index map the parameters describe.  Raises ValueError
-    if the parameters mention a non-arrow or violate per-vertex consistency."""
+def _parameter_entries(a: ZigzagAlgebra, params: DerivationParams, layout=None) -> dict:
+    """The sparse flat-index map the parameters describe, built from their
+    nonzeros (``layout`` is :func:`_arrow_layout`, computed if not given).
+    Raises ValueError if the parameters mention a non-arrow or violate
+    per-vertex consistency."""
     field = a.field
     zero = field.zero
-    arrows = [(ar.source, ar.target) for ar in a.quiver.arrows]
-    arrow_set = set(arrows)
+    a_at, e_at, c_at, nbrs = layout or _arrow_layout(a)
     for key in list(params.t) + list(params.d):
-        if key not in arrow_set:
+        if key not in a_at:
             raise ValueError(f"parameter for non-arrow {key}")
-    t = {ar: params.t.get(ar, zero) for ar in arrows}
-    d = {ar: params.d.get(ar, zero) for ar in arrows}
-    sums = _consistency_sums(a, d)
+    t = {ar: v for ar, v in params.t.items() if v != zero}
+    d = {ar: v for ar, v in params.d.items() if v != zero}
 
     dim = a.dim
     out: dict = {}
@@ -371,24 +414,23 @@ def _parameter_entries(a: ZigzagAlgebra, params: DerivationParams) -> dict:
         else:
             out[j] = x
 
-    e_at = {i: a.index(idem(i)) for i in range(1, a.graph.n + 1)}
-    c_at = {i: a.index(cycle(i)) for i in range(1, a.graph.n + 1)}
-    a_at = {(u, v): a.index(arrow(u, v)) for (u, v) in arrows}
-
     for (u, v), tv in t.items():
-        if tv != zero:
-            row = a_at[(u, v)]
-            put(row, e_at[v], tv)
-            put(row, e_at[u], field.neg(tv))
-    for (u, v), dv in d.items():
-        if dv != zero:
-            put(a_at[(u, v)], a_at[(u, v)], dv)
-    for (u, v) in arrows:
-        rv = t[(v, u)]
-        if rv != zero:
-            put(c_at[u], a_at[(u, v)], field.neg(rv))
-            put(c_at[v], a_at[(u, v)], rv)
-    for i, sm in sums.items():
+        row = a_at[(u, v)]
+        put(row, e_at[v], tv)
+        put(row, e_at[u], field.neg(tv))
+        # a(v->u) maps to -t[(u, v)] c(v) + t[(u, v)] c(u)
+        put(c_at[v], a_at[(v, u)], field.neg(tv))
+        put(c_at[u], a_at[(v, u)], tv)
+    for ar, dv in d.items():
+        put(a_at[ar], a_at[ar], dv)
+    # c(i) maps to (d[(i, j)] + d[(j, i)]) c(i), the same for every neighbor j
+    for i in sorted({x for ar in d for x in ar}):
+        sums = {field.add(d.get((i, j), zero), d.get((j, i), zero)) for j in nbrs[i]}
+        if len(sums) > 1:
+            raise ValueError(
+                f"inconsistent parameters: cycle coefficients at vertex {i} disagree across neighbors"
+            )
+        sm = sums.pop()
         if sm != zero:
             put(c_at[i], c_at[i], sm)
     return out
@@ -407,17 +449,17 @@ def structured_parameter_basis(a: ZigzagAlgebra) -> list:
     order; the per-vertex cycle-consistency conditions are solved exactly.
     """
     field = a.field
-    arrows = [(ar.source, ar.target) for ar in a.quiver.arrows]
+    a_at, _, _, nbrs = _arrow_layout(a)
+    arrows = list(a_at)
     m = len(arrows)
     pos = {ar: k for k, ar in enumerate(arrows)}
     one = field.one
     rows = []
-    for i in range(1, a.graph.n + 1):
-        nbrs = a.graph.neighbors(i)
-        if len(nbrs) < 2:
+    for i, nb in nbrs.items():
+        if len(nb) < 2:
             continue
-        j0 = nbrs[0]
-        for j in nbrs[1:]:
+        j0 = nb[0]
+        for j in nb[1:]:
             row = {
                 m + pos[(i, j0)]: one,
                 m + pos[(j0, i)]: one,
@@ -427,16 +469,18 @@ def structured_parameter_basis(a: ZigzagAlgebra) -> list:
             rows.append(row)
     system = Matrix.from_sparse(field, len(rows), 2 * m, rows)
     out = []
-    for vec in nullspace_basis(system):
-        t = {ar: vec[pos[ar]] for ar in arrows if vec[pos[ar]] != field.zero}
-        d = {ar: vec[m + pos[ar]] for ar in arrows if vec[m + pos[ar]] != field.zero}
+    for vec in nullspace_basis(system, sparse=True):
+        coords = sorted(vec.items())
+        t = {arrows[k]: v for k, v in coords if k < m}
+        d = {arrows[k - m]: v for k, v in coords if k >= m}
         out.append(DerivationParams(t=t, d=d))
     return out
 
 
 def structured_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of the materialized parameter basis, as a canonical MapSpace."""
-    maps = [_parameter_entries(a, p) for p in structured_parameter_basis(a)]
+    layout = _arrow_layout(a)
+    maps = [_parameter_entries(a, p, layout) for p in structured_parameter_basis(a)]
     return MapSpace.from_generators("derivation", a, maps)
 
 

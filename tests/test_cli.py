@@ -219,6 +219,30 @@ def test_output_matches_pinned_digest(tmp_path, capsys, name):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_sweep_timings_file_leaves_stdout_unchanged(tmp_path, capsys):
+    _, argv, digest = PINNED_OUTPUTS["sweep"]
+    path = tmp_path / "timings.jsonl"
+    assert main(argv + ["--timings", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    results = json.loads(out)["results"]
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    assert [(r["index"], r["tree_seed"], r["n"]) for r in records] == [
+        (r["index"], r["tree_seed"], r["n"]) for r in results
+    ]
+    for r in records:
+        stages = r["timings_ms"]
+        # stage bounds come off one microsecond clock, so compare in whole microseconds
+        total = round(stages.pop("total") * 1000)
+        assert set(stages) >= {"build", "derivation", "checks"}
+        assert sum(round(v * 1000) for v in stages.values()) <= total
+
+
+def test_sweep_timings_file_that_cannot_be_opened_exits_1(tmp_path, capsys):
+    assert main(["sweep", "--count", "1", "--timings", str(tmp_path / "missing" / "t.jsonl")]) == 1
+    assert "error" in capsys.readouterr().err
+
+
 def test_console_script_installed(tmp_path):
     exe = shutil.which("zigzagalg")
     if exe is None:

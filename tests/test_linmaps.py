@@ -33,7 +33,7 @@ from zigzagalg.linmaps import (
     verify_map,
 )
 from zigzagalg.quiver import Graph, path_graph, random_tree, star_graph
-from zigzagalg.zigzag import arrow, build_algebra, center, cycle, idem
+from zigzagalg.zigzag import arrow, build_algebra, center, cycle, idem, with_patched_table
 
 EDGE = Graph(2, frozenset({(1, 2)}))
 
@@ -431,3 +431,91 @@ def test_verify_map_agrees_with_literal_identity_on_single_entry_maps(name):
             m = {j: RATIONALS.one}
             assert not verify_literal(table, m, flavor)
             assert not verify_map(a, m, flavor), (flavor, divmod(j, a.dim))
+
+
+def seeded_patches(a, count, seed):
+    """``count`` single-entry patches (x, y, s) of the table, setting
+    b_x b_y = b_s (s = -1: zero).  The first two make a product land on a b_p
+    that another pair already gives, once in a column (b_u b_y = b_p for two
+    u) and once in a row (b_y b_u = b_p for two u); the rest are random."""
+    rng = random.Random(seed)
+    table = a.table
+    u, y, p = rng.choice(a.products)
+    u2 = rng.choice([w for w in range(a.dim) if table[w][y] < 0])
+    x, w, s = rng.choice(a.products)
+    w2 = rng.choice([v for v in range(a.dim) if table[x][v] < 0])
+    patches = [(u2, y, p), (x, w2, s)]
+    while len(patches) < count:
+        patches.append((rng.randrange(a.dim), rng.randrange(a.dim), rng.randrange(-1, a.dim)))
+    return patches
+
+
+PATCHES = {
+    name: seeded_patches(build_algebra(ORACLE_GRAPHS[name]), count, name)
+    for name, count in (("edge", 6), ("path3", 4))
+}
+
+
+def patched_table(name, patch):
+    return [list(r) for r in with_patched_table(build_algebra(ORACLE_GRAPHS[name]), *patch).table]
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+@pytest.mark.parametrize("name", sorted(PATCHES))
+def test_generator_matches_literal_oracle_on_patched_tables(name, flavor):
+    # the oracle writes each identity out from the plain patched table; both
+    # the reduced solve and the full system must give its kernel
+    a = build_algebra(ORACLE_GRAPHS[name])
+    for patch in PATCHES[name]:
+        b = with_patched_table(a, *patch)
+        rows = leibniz_rows(patched_table(name, patch), flavor)
+        reference = span_canonical_basis(dense_nullspace(rows, b.dim * b.dim), RATIONALS)
+        assert solve(b, flavor).flat_basis(RATIONALS) == reference, patch
+        full = span_canonical_basis(nullspace_basis(leibniz_system(b, flavor)), RATIONALS)
+        assert full == reference, patch
+
+
+def test_patched_tables_reach_every_generator_path():
+    # a derivation pair (q, r) takes the bulk path when b_q b_r = 0 and no
+    # b_p is both some b_u b_r and some b_q b_u; the generic path otherwise.
+    # A product hit by two u gives a longer row in the precomputed terms.
+    bulk = generic = column_hits = row_hits = 0
+    for name, patches in PATCHES.items():
+        for patch in patches:
+            table = patched_table(name, patch)
+            dim = len(table)
+            cols = [[table[u][y] for u in range(dim) if table[u][y] >= 0] for y in range(dim)]
+            rows = [[p for p in table[y] if p >= 0] for y in range(dim)]
+            column_hits += any(len(c) > len(set(c)) for c in cols)
+            row_hits += any(len(r) > len(set(r)) for r in rows)
+            for q in range(dim):
+                for r in range(dim):
+                    if table[q][r] < 0 and not set(cols[r]) & set(rows[q]):
+                        bulk += 1
+                    else:
+                        generic += 1
+    assert bulk and generic and column_hits and row_hits
+
+
+OFF_TREE_GRAPHS = {
+    "cycle5": Graph(5, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)})),
+    "K4": Graph(4, frozenset((i, j) for i in range(1, 5) for j in range(i + 1, 5))),
+    "K5": Graph(5, frozenset((i, j) for i in range(1, 6) for j in range(i + 1, 6))),
+    # three paths of lengths 1, 2 and 3 between vertices 1 and 2
+    "theta": Graph(5, frozenset({(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (2, 5)})),
+    "star6": star_graph(6),
+}
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:101"])
+@pytest.mark.parametrize("name", sorted(OFF_TREE_GRAPHS))
+def test_reduced_solve_equals_full_system_kernel_off_trees(name, spec):
+    # solve eliminates only the columns no single-entry row forces; its rows
+    # must be the canonical kernel of the full dim^2 system
+    field = parse_field(spec)
+    a = build_algebra(OFF_TREE_GRAPHS[name], field)
+    for flavor in FLAVORS:
+        if flavor == "jordan" and field.characteristic == 2:
+            continue
+        full = nullspace_basis(leibniz_system(a, flavor), sparse=True)
+        assert solve(a, flavor).rows == span_canonical_basis(full, field), flavor
