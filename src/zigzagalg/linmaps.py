@@ -15,10 +15,9 @@ materializes the closed parametric form (one ``t`` and one ``d`` parameter
 per arrow, tied by antisymmetry and per-vertex consistency).  Agreement
 between the two is checked by callers, never assumed here.
 
-The outer terms of the identity are precomputed per basis element, and most
-pairs (q, r) only shift them.  :func:`solve` eliminates just the unknowns that
-no single-entry equation forces to zero; :func:`leibniz_system` is the full
-system, kept for the oracles.
+:func:`solve` builds and eliminates only the equations that touch a live
+unknown (one no single-entry equation forces to zero), so its cost follows
+those; :func:`leibniz_system` is the full system, for the oracles.
 
 Maps are kept sparse: a map is a dict from the flat index p*dim + q to the
 nonzero coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases,
@@ -138,12 +137,14 @@ class MapSpace:
 
 
 def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
-    """(forced columns, canonical longer rows) of the flavor's equations over
-    the dim^2 coefficients x[p, q] of Theta: one per basis pair (q, r) and
-    output p, from :data:`FLAVOR_PRODUCTS` in small-int coefficients.  A row
-    is kept as the sorted (column, int) pairs of its :func:`normalize_row`.
-    A pair with no inner term whose outer terms reach disjoint outputs has
-    exactly their precomputed equations, shifted by q and by r.
+    """(eq, touching, live): the flavor's equations over the dim^2
+    coefficients x[u, q] of Theta (column u*dim + q), from ``a.products`` and
+    :data:`FLAVOR_PRODUCTS` in small-int coefficients.  ``eq((q, r, p))`` is
+    coordinate p of Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r) as
+    ``{column: int}``, with only the coefficients that survive in the field
+    (-2 vanishes in GF(2)); ``touching(j)`` lists every triple whose equation
+    can mention column j; ``live`` the columns, in increasing order, that no
+    one-entry equation forces to zero.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -153,96 +154,115 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
             "jordan flavor degenerates in characteristic 2: the symmetrized product is not usable"
         )
     inner, outer = FLAVOR_PRODUCTS[flavor]
-    # with both products symmetric (xy + yx) the equations at (q, r) and at
-    # (r, q) are the same, so each unordered pair is generated once
+    # with both products xy + yx the equations at (q, r) and (r, q) are the
+    # same, so a pair is kept in the order q <= r
     symmetric = set(inner) == set(outer) == {XY, YX}
     dim = a.dim
-    # a coefficient sums at most len(inner) terms +1 and 2 * len(outer) terms -1;
-    # zero is tested on the int, against the coefficients that survive
-    # conversion into the field (-2 vanishes in GF(2))
-    scalar = {c: field.convert(c) for c in range(-2 * len(outer), len(inner) + 1)}
-    nonzero = {c for c, v in scalar.items() if v != field.zero}
+    # a coefficient sums at most len(inner) terms +1 and 2 * len(outer) terms -1
+    nonzero = {c for c in range(-2 * len(outer), len(inner) + 1) if field.convert(c) != field.zero}
 
-    def split(rows):  # -> (forced columns, canonical longer rows)
-        singles, longs = [], []
-        for row in rows:
-            clean = {j: scalar[c] for j, c in row.items() if c in nonzero}
-            if len(clean) > 1:
-                longs.append(tuple(sorted([(j, int(v)) for j, v in normalize_row(field, clean).items()])))
-            else:
-                singles.extend(clean)
-        return singles, longs
-
-    # Theta(b_q) . b_y (right[y]) and b_y . Theta(b_r) (left[y]), as
-    # p -> {u*dim: coefficient} of x[u, q] and of x[u, r]
-    right, left = [{} for _ in range(dim)], [{} for _ in range(dim)]
+    # right[y] / left[y]: p -> {u: c}, c the coefficient of x[u, q] in
+    # coordinate p of Theta(b_q) . b_y / of x[u, r] in b_y . Theta(b_r);
+    # inner_at[q][r]: s -> count of the terms Theta(b_s) of the pair (q, r)
+    right, left, inner_at = ([{} for _ in range(dim)] for _ in range(3))
     for x, y, p in a.products:  # b_x b_y = b_p
         for o in outer:
             # in order YX, Theta(b_q) . b_x is b_x Theta(b_q), and
             # b_y . Theta(b_r) is Theta(b_r) b_y
-            terms = ((right, y, x), (left, x, y)) if o == XY else ((right, x, y), (left, y, x))
-            for side, at, u in terms:
+            for side, at, u in ((right, y, x), (left, x, y)) if o == XY else ((right, x, y), (left, y, x)):
                 row = side[at].setdefault(p, {})
-                row[u * dim] = row.get(u * dim, 0) - 1
-    right_parts = [split(m.values()) for m in right]
-    left_parts = [split(m.values()) for m in left]
-    # inner_at[q][r]: s -> count of the terms Theta(b_s) of the pair (q, r)
-    inner_at = [{} for _ in range(dim)]
-    for x, y, s in a.products:
+                row[u] = row.get(u, 0) - 1
         for o in inner:
-            q, r = (x, y) if o == XY else (y, x)
-            at = inner_at[q].setdefault(r, {})
-            at[s] = at.get(s, 0) + 1
+            at = inner_at[x if o == XY else y].setdefault(y if o == XY else x, {})
+            at[p] = at.get(p, 0) + 1
+    # reverse indices: u -> (y, p), p -> {y} per side; s -> (q, r), r -> {q}
+    right_by, left_by, inner_by = ([[] for _ in range(dim)] for _ in range(3))
+    right_ys, left_ys, inner_qs = ([set() for _ in range(dim)] for _ in range(3))
+    for side, by, ys in ((right, right_by, right_ys), (left, left_by, left_ys)):
+        for y, rows in enumerate(side):
+            for p, row in rows.items():
+                ys[p].add(y)
+                for u in row:
+                    by[u].append((y, p))
+    for q, at in enumerate(inner_at):
+        for r, terms in at.items():
+            inner_qs[r].add(q)
+            for s in terms:
+                inner_by[s].append((q, r))
 
-    forced = set()
-    longer = set()
-    for q in range(dim):
-        left_q, inner_q = left[q], inner_at[q]
-        lsingles, llongs = left_parts[q]
-        for r in range(q if symmetric else 0, dim):
-            right_r = right[r]
-            inner_terms = inner_q.get(r)
-            if inner_terms is None and right_r.keys().isdisjoint(left_q):
-                rsingles, rlongs = right_parts[r]
-                forced.update([b + q for b in rsingles])
-                forced.update([b + r for b in lsingles])
-                if rlongs:
-                    longer.update([tuple([(j + q, c) for j, c in key]) for key in rlongs])
-                if llongs:
-                    longer.update([tuple([(j + r, c) for j, c in key]) for key in llongs])
-                continue
-            # eqs[p][col]: integer coefficient of unknown col in coordinate p
-            # of Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r)
-            eqs = {p: {j + q: c for j, c in row.items()} for p, row in right_r.items()}
-            for p, row in left_q.items():
-                eq = eqs.setdefault(p, {})
-                for j, c in row.items():
-                    eq[j + r] = eq.get(j + r, 0) + c
-            if inner_terms:
-                # coordinates with no outer term see only Theta(b_s), at p*dim + s
-                rest = [p * dim for p in range(dim) if p not in eqs]
-                isingles, ilongs = split([inner_terms])
-                forced.update([s + o for s in isingles for o in rest])
-                longer.update([tuple([(j + o, c) for j, c in key]) for key in ilongs for o in rest])
-                for p, eq in eqs.items():
-                    for s, k in inner_terms.items():
-                        eq[p * dim + s] = eq.get(p * dim + s, 0) + k
-            singles, longs = split(eqs.values())
-            forced.update(singles)
-            longer.update(longs)
-    return forced, longer
+    memo: dict = {}
+
+    def eq(t):
+        row = memo.get(t)
+        if row is None:
+            q, r, p = t
+            row = {u * dim + q: c for u, c in right[r].get(p, {}).items()}
+            for u, c in left[q].get(p, {}).items():
+                row[u * dim + r] = row.get(u * dim + r, 0) + c
+            for s, k in inner_at[q].get(r, {}).items():
+                row[p * dim + s] = row.get(p * dim + s, 0) + k
+            row = memo[t] = {j: c for j, c in row.items() if c in nonzero}
+        return row
+
+    def touching(j):
+        u, c = divmod(j, dim)
+        out = [(c, r, p) for r, p in right_by[u]]
+        out += [(q, c, p) for q, p in left_by[u]]
+        out += [(q, r, u) for q, r in inner_by[c]]
+        return [(r, q, p) if r < q else (q, r, p) for q, r, p in out] if symmetric else out
+
+    # A one-entry right[r][p] = {u: c} forces x[u, q] for every q with no
+    # inner term at (q, r) and p not in left[q]; a one-entry left[q][p] forces
+    # x[u, r] likewise; a single inner term s at (q, r) forces x[p, s] for
+    # every p in neither right[r] nor left[q] (c is +-1 or +-2, nonzero where
+    # the flavor is defined).  A family is the pair of sets its exceptions lie
+    # in; row u and column s of X keep the exceptions common to all their
+    # families, or every index (None) if they have none.
+    row_fams, col_fams = ([[] for _ in range(dim)] for _ in range(2))
+    for y in range(dim):
+        for side, fams, ys in ((right, inner_qs[y], left_ys), (left, inner_at[y], right_ys)):
+            for p, row in side[y].items():
+                if len(row) == 1:
+                    row_fams[min(row)].append((fams, ys[p]))
+        for r, terms in inner_at[y].items():
+            if len(terms) == 1:
+                col_fams[min(terms)].append((right[r], left[y]))
+
+    def common(fams):
+        if not fams:
+            return None
+        fams.sort(key=lambda f: len(f[0]) + len(f[1]))
+        return {k for f in fams[0] for k in f if all(k in e or k in f2 for e, f2 in fams[1:])}
+
+    cols_ok = [common(f) for f in col_fams]
+    pool = [
+        u * dim + q
+        for u, ok in enumerate(map(common, row_fams))
+        for q in (range(dim) if ok is None else ok)
+        if cols_ok[q] is None or u in cols_ok[q]
+    ]
+    live = sorted(j for j in pool if all(eq(t).keys() != {j} for t in touching(j)))
+    return eq, touching, live
 
 
 def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
-    """Constraint matrix over the dim^2 coefficients x[p, q] of Theta: the
-    equations of :func:`_leibniz_equations`, one ``{col: 1}`` row per forced
-    column, sorted by canonical key.  Its kernel is the flavor's solution
-    space; :func:`solve` finds it without this matrix, which oracles use."""
-    forced, longer = _leibniz_equations(a, flavor)
+    """Constraint matrix over the dim^2 coefficients x[p, q] of Theta: every
+    nonempty equation of :func:`_leibniz_equations`, normalized, deduplicated
+    and sorted.  Its kernel is the flavor's solution space; only oracles
+    build it."""
+    eq, touching, _ = _leibniz_equations(a, flavor)
     field = a.field
-    keys = sorted(longer.union([((j, 1),) for j in forced]))
-    rows = [{j: field.convert(c) for j, c in key} for key in keys]
-    return Matrix.from_sparse(field, len(rows), a.dim * a.dim, rows)
+    ncols = a.dim * a.dim
+    keys = set()
+    for t in {t for j in range(ncols) for t in touching(j)}:
+        row = eq(t)
+        if len(row) > 1:
+            row = normalize_row(field, {j: field.convert(c) for j, c in row.items()})
+            keys.add(tuple(sorted([(j, int(v)) for j, v in row.items()])))
+        elif row:
+            keys.add(((*row, 1),))
+    rows = [{j: field.convert(c) for j, c in key} for key in sorted(keys)]
+    return Matrix.from_sparse(field, len(rows), ncols, rows)
 
 
 def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
@@ -254,9 +274,9 @@ def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
     or b_r b_q, or a product, in either order, of b_q with Theta(b_r) or of
     b_r with Theta(b_q).  So the pair can fail only if b_q b_r or b_r b_q is a
     support column of the map, or if one of q, r is a support column c and
-    the other has a nonzero product with some b_u, u in the support of column
-    c.  Only those pairs are visited (read off ``a.products``); the verdict is
-    that of a walk over all dim^2 pairs.
+    the other is a partner of some b_u, u in the support of column c.  Only
+    those pairs are visited (read off ``a.factors`` and ``a.partners``); the
+    verdict is that of a walk over all dim^2 pairs.
     """
     field = a.field
     zero = field.zero
@@ -264,70 +284,37 @@ def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
     table = a.table
     dim = a.dim
     entries = lin if isinstance(lin, dict) else lin.entries(field)
-    cols_nz = [[] for _ in range(dim)]
+    cols_nz: dict = {}
     for j, v in entries.items():
         p, q = divmod(j, dim)
-        cols_nz[q].append((p, v))
+        cols_nz.setdefault(q, []).append((p, v))
 
-    # partners[u]: the w with b_u b_w or b_w b_u nonzero
-    partners = [set() for _ in range(dim)]
     pairs = set()  # flat indices q*dim + r of the pairs to visit
-    for q, r, s in a.products:
-        partners[q].add(r)
-        partners[r].add(q)
-        if cols_nz[s]:
+    for c, col in cols_nz.items():
+        for q, r in a.factors[c]:
             pairs.add(q * dim + r)
             pairs.add(r * dim + q)
-    for c, col in enumerate(cols_nz):
         for u, _ in col:
-            for w in partners[u]:
+            for w in a.partners[u]:
                 pairs.add(c * dim + w)
                 pairs.add(w * dim + c)
 
-    def plus_col(acc, s):
-        for p, v in cols_nz[s]:
-            acc[p] = add(acc.get(p, zero), v)
-
-    def minus_rmul(acc, src, r):
-        # Theta(b_src) * b_r
-        for u, x in cols_nz[src]:
-            p = table[u][r]
-            if p >= 0:
-                acc[p] = sub(acc.get(p, zero), x)
-
-    def minus_lmul(acc, q, src):
-        # b_q * Theta(b_src)
-        row = table[q]
-        for u, x in cols_nz[src]:
-            p = row[u]
-            if p >= 0:
-                acc[p] = sub(acc.get(p, zero), x)
-
     for k in pairs:
         q, r = divmod(k, dim)
+        # derivation: Theta(qr) - Theta(q) r - q Theta(r); anti: Theta(qr) -
+        # Theta(r) q - r Theta(q); jordan: derivation at (q, r) plus at (r, q)
+        ins = [(q, r), (r, q)] if flavor == "jordan" else [(q, r)]
         acc: dict = {}
-        if flavor == "derivation":
-            s = table[q][r]
-            if s >= 0:
-                plus_col(acc, s)
-            minus_rmul(acc, q, r)
-            minus_lmul(acc, q, r)
-        elif flavor == "anti":
-            s = table[q][r]
-            if s >= 0:
-                plus_col(acc, s)
-            minus_rmul(acc, r, q)
-            minus_lmul(acc, r, q)
-        else:  # jordan
-            s1, s2 = table[q][r], table[r][q]
-            if s1 >= 0:
-                plus_col(acc, s1)
-            if s2 >= 0:
-                plus_col(acc, s2)
-            minus_rmul(acc, q, r)
-            minus_lmul(acc, r, q)
-            minus_lmul(acc, q, r)
-            minus_rmul(acc, r, q)
+        for x, y in ins:
+            for p, v in cols_nz.get(table[x][y], ()):
+                acc[p] = add(acc.get(p, zero), v)
+        for x, y in [(r, q)] if flavor == "anti" else ins:
+            for u, v in cols_nz.get(x, ()):  # Theta(b_x) b_y
+                if (p := table[u][y]) >= 0:
+                    acc[p] = sub(acc.get(p, zero), v)
+            for u, v in cols_nz.get(y, ()):  # b_x Theta(b_y)
+                if (p := table[x][u]) >= 0:
+                    acc[p] = sub(acc.get(p, zero), v)
         if any(v != zero for v in acc.values()):
             return False
     return True
@@ -336,22 +323,22 @@ def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
 def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     """Kernel of the flavor's constraint system, as a canonical MapSpace.
 
-    Forced columns are pivots, so only the others are eliminated, relabelled
-    in increasing order, and the kernel mapped back is that of
-    :func:`leibniz_system`.  Every basis map of the result is re-verified
-    against the defining identity on all basis pairs; a failure there is a
-    solver bug, reported as InternalInvariantError rather than a wrong answer.
+    Only the live columns are eliminated, relabelled in increasing order,
+    from the equations that touch them; forced columns are pivots, so the
+    kernel mapped back is that of :func:`leibniz_system`.  Every basis map of
+    the result is re-verified against the defining identity on all basis
+    pairs; a failure there is a solver bug, reported as InternalInvariantError
+    rather than a wrong answer.
     """
-    forced, longer = _leibniz_equations(a, flavor)
-    field = a.field
-    live = [j for j in range(a.dim * a.dim) if j not in forced]
+    eq, touching, live = _leibniz_equations(a, flavor)
+    convert = a.field.convert
     label = {j: k for k, j in enumerate(live)}
     rows = []
-    for key in longer:
-        row = {label[j]: field.convert(c) for j, c in key if j in label}
+    for t in {t for j in live for t in touching(j)}:
+        row = {label[j]: convert(c) for j, c in eq(t).items() if j in label}
         if row:
             rows.append(row)
-    system = Matrix.from_sparse(field, len(rows), len(live), rows)
+    system = Matrix.from_sparse(a.field, len(rows), len(live), rows)
     kernel = [{live[k]: v for k, v in vec.items()} for vec in nullspace_basis(system, sparse=True)]
     space = MapSpace.from_generators(flavor, a, kernel)
     for row in space.rows:
@@ -491,7 +478,7 @@ def _ad_entries(a: ZigzagAlgebra, k: int) -> dict:
     dim = a.dim
     table = a.table
     out = {}
-    for q in range(dim):
+    for q in a.partners[k]:  # the q with a nonzero product with b_k
         p, p2 = table[k][q], table[q][k]
         if p == p2:  # b_k b_q = b_q b_k: the column vanishes
             continue

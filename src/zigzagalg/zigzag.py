@@ -62,7 +62,9 @@ class ZigzagAlgebra:
     ``products`` lists the nonzero entries as triples (p, q, table[p][q]) in
     row-major order: about 9 per vertex on a tree, against dim^2 table
     entries, so the checks and systems built from them follow the nonzeros.
-    Treat instances as immutable.
+    ``partners[u]`` holds the w with b_u b_w or b_w b_u nonzero, and
+    ``factors[s]`` the (p, q) with b_p b_q = b_s.  Treat instances as
+    immutable.
     """
 
     def __init__(self, graph: Graph, quiver, field, basis: tuple, table: tuple) -> None:
@@ -75,6 +77,12 @@ class ZigzagAlgebra:
         self.products = tuple(
             (p, q, r) for p, row in enumerate(self.table) for q, r in enumerate(row) if r >= 0
         )
+        self.partners = [set() for _ in self.basis]
+        self.factors = [[] for _ in self.basis]
+        for p, q, r in self.products:
+            self.partners[p].add(q)
+            self.partners[q].add(p)
+            self.factors[r].append((p, q))
         self._pos = {b: k for k, b in enumerate(self.basis)}
 
     def index(self, b: BasisElement) -> int:
@@ -161,22 +169,23 @@ def multiply(a: ZigzagAlgebra, x: tuple, y: tuple) -> tuple:
 def check_associativity(a: ZigzagAlgebra) -> bool:
     """Check (bp bq) br == bp (bq br) over all basis triples.
 
-    Exhaustive, but visits only the triples where bp bq or bq br is nonzero:
-    when both vanish, so do both sides.  That is O(nnz * dim) table reads.
+    Exhaustive, but visits only the triples where bp bq or bq br is nonzero
+    (when both vanish, so do both sides), there only partners of their
+    factors: O(nnz * max degree) table reads.
     """
     table = a.table
-    dim = a.dim
-    # bp bq = b_pq: compare (b_pq) br with bp (bq br) for every r
+    partners = a.partners
+    # bp bq = b_pq: both sides vanish unless br partners b_pq or bq
     for p, q, pq in a.products:
         rowp, rowq, row_pq = table[p], table[q], table[pq]
-        for r in range(dim):
+        for r in partners[pq] | partners[q]:
             qr = rowq[r]
             if row_pq[r] != (rowp[qr] if qr >= 0 else -1):
                 return False
     # bq br = b_qr and bp bq = 0: the left side vanishes, so bp b_qr must too
     for q, r, qr in a.products:
-        for rowp in table:
-            if rowp[q] < 0 and rowp[qr] >= 0:
+        for p in partners[qr]:
+            if table[p][q] < 0 and table[p][qr] >= 0:
                 return False
     return True
 
@@ -189,8 +198,9 @@ def with_patched_table(a: ZigzagAlgebra, p: int, q: int, r: int) -> ZigzagAlgebr
 
 
 class CenterResult(NamedTuple):
-    basis: list
+    basis: list  # dense tuples
     dimension: int
+    rows: list  # the basis as sparse dicts
 
 
 def center(a: ZigzagAlgebra) -> CenterResult:
@@ -215,5 +225,5 @@ def center(a: ZigzagAlgebra) -> CenterResult:
         if row:
             sparse.append(row)
     m = Matrix.from_sparse(field, len(sparse), dim, sparse)
-    vecs = nullspace_basis(m)
-    return CenterResult(vecs, len(vecs))
+    vecs = nullspace_basis(m, sparse=True)
+    return CenterResult([tuple(v.get(j, field.zero) for j in range(dim)) for v in vecs], len(vecs), vecs)

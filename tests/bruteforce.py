@@ -153,6 +153,18 @@ def verify_literal(table, entries, flavor, modulus=0):
     return True
 
 
+def commutator_literal(table, k):
+    """The map Theta(b_q) = b_k b_q - b_q b_k of a plain list-of-lists table,
+    as p*dim + q -> nonzero integer coefficient, one basis pair at a time."""
+    dim = len(table)
+    out = {}
+    for q in range(dim):
+        for p, sign in ((table[k][q], 1), (table[q][k], -1)):
+            if p >= 0:
+                out[p * dim + q] = out.get(p * dim + q, 0) + sign
+    return {j: c for j, c in out.items() if c}
+
+
 def associative_literal(table):
     """Whether (b_x b_y) b_z == b_x (b_y b_z) for all dim^3 basis triples of
     a plain list-of-lists table (-1 for a vanishing product)."""

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from zigzagalg.cli import CHECK_KEYS, NA, PASS, Report, main
+from zigzagalg.cli import CHECK_KEYS, NA, PASS, Report, analyze_graph, main
+from zigzagalg.exactlin import RATIONALS
+from zigzagalg.quiver import random_tree
 
 EDGE_FILE = "vertices 2\nedge 1 2\n"
 PATH3_FILE = "vertices 3\nedge 1 2\nedge 2 3\n"
@@ -268,3 +270,12 @@ def test_module_entry_point_exit_codes(tmp_path):
     proc = run_module("analyze", str(tmp_path / "missing.txt"))
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+def test_paper_claims_hold_on_a_200_vertex_tree():
+    # every check, jordan = der and structured = solver included, on a tree
+    # with 636,804 Theta coefficients
+    report, warnings = analyze_graph(random_tree(200, 12345), RATIONALS)
+    assert report.formula_checks == {k: PASS for k in CHECK_KEYS}
+    assert (report.dim_der, report.dim_jordan, report.dim_anti, report.hh1) == (598, 598, 0, 1)
+    assert warnings == []

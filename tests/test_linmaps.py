@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import dense_nullspace, edge_derivation_family, leibniz_rows, verify_literal
+from bruteforce import commutator_literal, dense_nullspace, edge_derivation_family, leibniz_rows, verify_literal
 from zigzagalg.exactlin import (
     RATIONALS,
     PrimeField,
@@ -21,6 +21,7 @@ from zigzagalg.linmaps import (
     CharacteristicTwoError,
     DerivationParams,
     LinearMap,
+    _leibniz_equations,
     ad_map,
     check_structure,
     hh_dims,
@@ -519,3 +520,88 @@ def test_reduced_solve_equals_full_system_kernel_off_trees(name, spec):
             continue
         full = nullspace_basis(leibniz_system(a, flavor), sparse=True)
         assert solve(a, flavor).rows == span_canonical_basis(full, field), flavor
+
+
+def chained_patches(a, seed):
+    """A seeded chain of patches on ``a``: every product of one element u
+    vanishes, every product landing on one element s is moved to -1 or to
+    another element, then two random patches follow."""
+    rng = random.Random(seed)
+    u, s = rng.randrange(a.dim), rng.randrange(a.dim)
+    for x, y, _ in list(a.products):
+        if u in (x, y):
+            a = with_patched_table(a, x, y, -1)
+    for x, y, p in list(a.products):
+        if p == s:
+            a = with_patched_table(a, x, y, rng.choice([-1, (s + 1) % a.dim]))
+    for _ in range(2):
+        a = with_patched_table(a, rng.randrange(a.dim), rng.randrange(a.dim), rng.randrange(-1, a.dim))
+    return a
+
+
+CHAINED = {name: [f"{name}-{k}" for k in range(5)] for name in ("edge", "path3")}
+
+
+def assert_live_columns_match_full_system(a, flavor):
+    # the live columns are those without a {j: 1} row in the full system,
+    # and the reduced solve gives the full system's kernel
+    system = leibniz_system(a, flavor)
+    forced = {j for row in system.rows for j in row if row == {j: a.field.one}}
+    _, _, live = _leibniz_equations(a, flavor)
+    assert live == [j for j in range(a.dim * a.dim) if j not in forced], flavor
+    full = nullspace_basis(system, sparse=True)
+    assert solve(a, flavor).rows == span_canonical_basis(full, a.field), flavor
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:3"])
+@pytest.mark.parametrize("name", sorted(CHAINED))
+def test_live_columns_match_full_system_on_patched_tables(name, spec):
+    base = build_algebra(ORACLE_GRAPHS[name], parse_field(spec))
+    cases = [with_patched_table(base, *patch) for patch in PATCHES[name]]
+    cases += [chained_patches(base, seed) for seed in CHAINED[name]]
+    for a in cases:
+        for flavor in FLAVORS:
+            assert_live_columns_match_full_system(a, flavor)
+
+
+def test_chained_patches_reach_both_fallbacks():
+    # read off the plain derivation table: an element in no one-entry outer
+    # row (right[y][p] = {u: b_u b_y = b_p}, left[y][p] = {u: b_y b_u = b_p})
+    # keeps every column of its row of X, and an element that is no product
+    # (no single inner term) every row of its column
+    no_row = no_col = 0
+    for name, seeds in CHAINED.items():
+        for seed in seeds:
+            table = [list(r) for r in chained_patches(build_algebra(ORACLE_GRAPHS[name]), seed).table]
+            dim = len(table)
+            singles = set()
+            for y in range(dim):
+                for p in range(dim):
+                    for us in ([u for u in range(dim) if table[u][y] == p], [u for u in range(dim) if table[y][u] == p]):
+                        if len(us) == 1:
+                            singles.update(us)
+            no_row += len(singles) < dim
+            no_col += len({s for row in table for s in row} - {-1}) < dim
+    assert no_row and no_col
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:101"])
+@pytest.mark.parametrize("name", sorted(OFF_TREE_GRAPHS))
+def test_live_columns_match_full_system_off_trees(name, spec):
+    a = build_algebra(OFF_TREE_GRAPHS[name], parse_field(spec))
+    for flavor in FLAVORS:
+        if flavor != "jordan" or a.field.characteristic != 2:
+            assert_live_columns_match_full_system(a, flavor)
+
+
+@pytest.mark.parametrize("name", sorted(CHAINED))
+def test_inner_space_matches_literal_commutators_on_patched_tables(name):
+    base = build_algebra(ORACLE_GRAPHS[name])
+    cases = [with_patched_table(base, *patch) for patch in PATCHES[name]]
+    cases += [chained_patches(base, seed) for seed in CHAINED[name]]
+    for a in cases:
+        table = [list(r) for r in a.table]
+        literal = [{j: Fraction(c) for j, c in commutator_literal(table, k).items()} for k in range(a.dim)]
+        for k, entries in enumerate(literal):
+            assert ad_map(a, k).entries(RATIONALS) == entries, k
+        assert inner_space(a).rows == span_canonical_basis(literal, RATIONALS)

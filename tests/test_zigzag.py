@@ -177,3 +177,28 @@ def test_center_elements_commute(edge_algebra):
 def test_center_mod_p():
     a = build_algebra(path_graph(4), PrimeField(3))
     assert center(a).dimension == 5
+
+
+# multi-entry patches (x, y, s) whose one non-associative triple (p, q, r)
+# has b_p b_q nonzero, (b_p b_q) b_r = 0 with b_r no partner of b_p b_q, and
+# b_p (b_q b_r) nonzero, so only the partners of b_q reach it (found by a
+# seeded search over chained patches)
+REACHED_ONLY_THROUGH_Q = [
+    (Graph(2, frozenset({(1, 2)})), [(0, 4, -1), (1, 3, -1), (2, 3, -1), (3, 0, -1), (3, 2, -1), (4, 0, 3)]),
+    (Graph(2, frozenset({(1, 2)})), [(0, 4, -1), (1, 1, -1), (1, 3, 4), (1, 5, -1), (2, 1, -1), (2, 3, -1), (4, 0, -1), (5, 1, -1)]),
+    (
+        path_graph(3),
+        [(0, 7, -1), (1, 1, -1), (1, 4, -1), (1, 5, -1), (1, 8, -1), (3, 1, -1), (3, 4, -1), (6, 1, -1), (7, 0, -1), (7, 2, 1), (8, 1, -1)],
+    ),
+]
+
+
+@pytest.mark.parametrize("case", range(len(REACHED_ONLY_THROUGH_Q)))
+def test_associativity_reaches_triples_only_through_the_middle_factor(case):
+    graph, patches = REACHED_ONLY_THROUGH_Q[case]
+    a = build_algebra(graph)
+    for patch in patches:
+        a = with_patched_table(a, *patch)
+    table = [list(row) for row in a.table]
+    assert not associative_literal(table)
+    assert not check_associativity(a)
