@@ -24,10 +24,8 @@ from .linmaps import (
     CharacteristicTwoError,
     DerivationParams,
     InternalInvariantError,
-    LinearMap,
     MapSpace,
     ad_map,
-    check_structure,
     hh_dims,
     inner_space,
     leibniz_system,

@@ -124,9 +124,8 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
     checks = {k: NA for k in CHECK_KEYS}
     rational = field.characteristic == 0
 
-    def expected_center_span():  # the identity and the cycles, sparse
-        one = field.one
-        return [dict.fromkeys(range(n), one)] + [{algebra.index(cycle(i)): one} for i in range(1, n + 1)]
+    def expected_center_span():  # the identity and the cycles
+        return [algebra.identity()] + [{algebra.index(cycle(i)): field.one} for i in range(1, n + 1)]
 
     # the tree formulas: checks over the rationals, warnings over gf:p
     tree_formulas = [
@@ -174,12 +173,11 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
     return report, warnings
 
 
-def _format_element(algebra, vec) -> str:
+def _format_element(algebra, col: dict) -> str:
+    """A sparse element as a signed sum of basis names, in basis order."""
     field = algebra.field
     terms = []
-    for p, v in enumerate(vec):
-        if v == field.zero:
-            continue
+    for p, v in sorted(col.items()):
         name = str(algebra.basis[p])
         if v == field.one:
             terms.append(name)
@@ -187,8 +185,6 @@ def _format_element(algebra, vec) -> str:
             terms.append(f"-{name}")
         else:
             terms.append(f"{v}*{name}")
-    if not terms:
-        return "0"
     out = terms[0]
     for t in terms[1:]:
         out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
@@ -344,11 +340,12 @@ def cmd_dump(args) -> int:
             params = structured_parameter_basis(algebra)
             maps = [(p, materialize(algebra, p)) for p in params]
         else:
-            maps = [(None, m) for m in solve(algebra, "derivation").basis]
+            maps = [(None, m) for m in solve(algebra, "derivation").rows]
     except InternalInvariantError as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return 2
 
+    dim = algebra.dim
     if args.json:
         doc = {
             "n": g.n,
@@ -366,8 +363,8 @@ def cmd_dump(args) -> int:
                     "d": {f"{u}->{v}": str(c) for (u, v), c in sorted(p.d.items())},
                 },
                 "matrix": [
-                    [str(m.columns[q][p_]) for q in range(algebra.dim)]
-                    for p_ in range(algebra.dim)
+                    [str(m.get(p_ * dim + q, field.zero)) for q in range(dim)]
+                    for p_ in range(dim)
                 ],
             }
             doc["maps"].append(entry)
@@ -382,10 +379,12 @@ def cmd_dump(args) -> int:
             else:
                 print(f"map {idx}:")
             if not args.quiet:
-                for q, b in enumerate(algebra.basis):
-                    col = m.columns[q]
-                    if any(v != field.zero for v in col):
-                        print(f"  D({b}) = {_format_element(algebra, col)}")
+                cols: dict = {}  # q -> the nonzero coefficients of D(b_q)
+                for j, v in m.items():
+                    p_, q = divmod(j, dim)
+                    cols.setdefault(q, {})[p_] = v
+                for q in sorted(cols):
+                    print(f"  D({algebra.basis[q]}) = {_format_element(algebra, cols[q])}")
     return 0
 
 

@@ -19,12 +19,10 @@ Canonical conventions, relied on by callers and tests:
 * ``span_dim`` / ``span_equal`` canonicalize via RREF, so their results do not
   depend on generator order or scaling.
 
-Vectors come in two forms.  A dense vector is a sequence of scalars of one
-common length; its entries are converted into the field.  A sparse vector is
-a dict index -> nonzero scalar already in the field, which is what the
-derivation pipeline passes around (dim^2 coordinates, a few nonzero).  The
-``span_*`` functions accept either form per argument and answer in the form
-they were given.
+A vector is a sparse dict index -> nonzero scalar already in the field,
+which is what the derivation pipeline passes around (dim^2 coordinates, a few
+nonzero).  Kernels, canonical bases and span checks all take and return this
+form; :meth:`Matrix.from_sparse` validates rows that come from outside.
 """
 
 from __future__ import annotations
@@ -197,62 +195,25 @@ class Matrix:
     rows: tuple
 
     @classmethod
-    def from_rows(cls, field, rows: Iterable[Iterable]) -> "Matrix":
-        """Build from dense rows; entries are converted into ``field``.
-
-        Raises FieldMismatchError for entries the field cannot hold (floats,
-        fractions with denominator divisible by p, ...), ValueError for ragged
-        input.
-        """
-        dense = [list(r) for r in rows]
-        ncols = len(dense[0]) if dense else 0
-        sparse = []
-        for r in dense:
-            if len(r) != ncols:
-                raise ValueError(f"ragged rows: expected {ncols} columns, got {len(r)}")
-            row = {}
-            for j, x in enumerate(r):
-                v = field.convert(x)
-                if v != field.zero:
-                    row[j] = v
-            sparse.append(row)
-        return cls(field, len(dense), ncols, tuple(sparse))
-
-    @classmethod
     def from_sparse(cls, field, nrows: int, ncols: int, rows: Sequence[dict]) -> "Matrix":
         """Build from sparse rows whose entries already live in ``field``.
 
-        Raises ValueError for a column out of range or a stored entry that is
-        zero in the field (in GF(p), any multiple of p).
+        Raises TypeError for a row that is not a dict, ValueError for a column
+        out of range or a stored entry that is zero in the field (in GF(p),
+        any multiple of p).
         """
         if len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
         p = field.characteristic
         for i, r in enumerate(rows):
+            if not isinstance(r, dict):
+                raise TypeError(f"row {i} is a {type(r).__name__}, not a dict column -> scalar")
             for j, v in r.items():
                 if not 0 <= j < ncols:
                     raise ValueError(f"column index {j} out of range for {ncols} columns")
                 if not (v % p if p else v):
                     raise ValueError(f"row {i}, column {j}: stored entry is zero in {field.name}")
         return cls(field, nrows, ncols, tuple(dict(r) for r in rows))
-
-    def dense_rows(self) -> list:
-        zero = self.field.zero
-        return [[r.get(j, zero) for j in range(self.ncols)] for r in self.rows]
-
-    def mul_vector(self, v: Sequence) -> tuple:
-        """Matrix-vector product; ``v`` must already live in the field."""
-        if len(v) != self.ncols:
-            raise ValueError(f"length mismatch: {self.ncols} columns vs vector of length {len(v)}")
-        zero = self.field.zero
-        add, mul = self.field.add, self.field.mul
-        out = []
-        for r in self.rows:
-            acc = zero
-            for j, a in r.items():
-                acc = add(acc, mul(a, v[j]))
-            out.append(acc)
-        return tuple(out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -392,12 +353,9 @@ def rref(m: Matrix) -> RrefResult:
     return RrefResult(reduced, pivot_cols, len(pivot_cols))
 
 
-def nullspace_basis(m: Matrix, sparse: bool = False) -> list:
-    """Canonical kernel basis: one vector per free column, free variable 1.
-
-    Dense tuples by default; with ``sparse`` the same vectors as dicts
-    column -> nonzero scalar.
-    """
+def nullspace_basis(m: Matrix) -> list:
+    """Canonical kernel basis: one vector per free column, free variable 1,
+    each a dict column -> nonzero scalar."""
     red, pivot_cols, rank = rref(m)
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(m.ncols) if c not in pivot_set]
@@ -407,74 +365,38 @@ def nullspace_basis(m: Matrix, sparse: bool = False) -> list:
         for j, a in row.items():
             if j != c and j in vecs:
                 vecs[j][c] = neg(a)
-    out = [vecs[f] for f in free_cols]
-    if sparse:
-        return out
-    zero = m.field.zero
-    return [tuple(v.get(j, zero) for j in range(m.ncols)) for v in out]
+    return [vecs[f] for f in free_cols]
 
 
-def _stack(vectors: Sequence[Sequence], field) -> Matrix:
-    if not vectors:
-        return Matrix(field, 0, 0, ())
-    n = len(vectors[0])
-    rows = []
-    for v in vectors:
-        if len(v) != n:
-            raise ValueError(f"length mismatch: vectors of length {n} and {len(v)}")
-        row = {}
-        for j, x in enumerate(v):
-            x = field.convert(x)
-            if x != field.zero:
-                row[j] = x
-        rows.append(row)
-    return Matrix(field, len(rows), n, tuple(rows))
-
-
-def _as_matrix(vectors: Sequence, field) -> Matrix:
-    """Non-empty ``vectors`` as matrix rows: dense ones converted into
-    ``field``, sparse ones as they are.  Mixing the two forms is an error."""
-    kinds = {isinstance(v, dict) for v in vectors}
-    if len(kinds) > 1:
-        raise ValueError("mixed dense and sparse vectors in one argument")
-    if not kinds.pop():
-        return _stack(vectors, field)
+def _as_matrix(vectors: Sequence[dict], field) -> Matrix:
+    """Non-empty sparse ``vectors`` as matrix rows, validated by
+    :meth:`Matrix.from_sparse`."""
     ncols = 1 + max((j for v in vectors for j in v), default=-1)
     return Matrix.from_sparse(field, len(vectors), ncols, vectors)
 
 
 def span_dim(vectors: Sequence, field=RATIONALS) -> int:
-    """Dimension of the span of ``vectors`` (dense or sparse)."""
+    """Dimension of the span of sparse ``vectors``."""
     if not vectors:
         return 0
     return rref(_as_matrix(vectors, field)).rank
 
 
 def span_canonical_basis(vectors: Sequence, field=RATIONALS) -> list:
-    """Canonical basis of the span: the nonzero rows of its RREF, in pivot
-    order.  Dense tuples for dense input, sparse dicts for sparse input."""
+    """Canonical basis of the span of sparse ``vectors``: the nonzero rows
+    of its RREF, in pivot order."""
     if not vectors:
         return []
-    m = _as_matrix(vectors, field)
-    pivots = _eliminate(field, m.rows)
-    rows = [pivots[c] for c in sorted(pivots)]
-    if isinstance(vectors[0], dict):
-        return rows
-    zero = field.zero
-    return [tuple(row.get(j, zero) for j in range(m.ncols)) for row in rows]
+    pivots = _eliminate(field, _as_matrix(vectors, field).rows)
+    return [pivots[c] for c in sorted(pivots)]
 
 
 def span_equal(a: Sequence, b: Sequence, field=RATIONALS) -> bool:
-    """Whether two generating sets (each dense or sparse) span the same subspace.
+    """Whether two sets of sparse vectors span the same subspace.
 
     Compares the canonical (RREF) bases of the two spans, so it is an exact
     equivalence, not a mutual-containment heuristic.
     """
-    if not a and not b:
-        return True
-    dense = a and b and not isinstance(a[0], dict) and not isinstance(b[0], dict)
-    if dense and len(a[0]) != len(b[0]):
-        raise ValueError(f"length mismatch: vectors of length {len(a[0])} and {len(b[0])}")
     ra = _eliminate(field, _as_matrix(a, field).rows) if a else {}
     rb = _eliminate(field, _as_matrix(b, field).rows) if b else {}
     return ra == rb

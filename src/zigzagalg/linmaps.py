@@ -19,21 +19,19 @@ between the two is checked by callers, never assumed here.
 unknown (one no single-entry equation forces to zero), so its cost follows
 those; :func:`leibniz_system` is the full system, for the oracles.
 
-Maps are kept sparse: a map is a dict from the flat index p*dim + q to the
-nonzero coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases,
-span checks and the audit all work on these dicts.  :class:`LinearMap` is the
-dense column-wise form (``columns[q]`` is the coefficient vector of
-Theta(b_q)), built only at the edges, for callers that print or inspect maps.
+A map is a sparse dict from the flat index p*dim + q to the nonzero
+coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
+checks, the generators of the structured and inner spaces and the audit all
+work on these dicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .exactlin import Matrix, in_rref_span, normalize_row, nullspace_basis, span_canonical_basis
-from .zigzag import ARROW, IDEM, ZigzagAlgebra, arrow, center, cycle, idem
+from .zigzag import ZigzagAlgebra, arrow, center, cycle, idem
 
 # flavor -> (inner, outer): the orders (xy, yx) of the algebra's product that
 # each of the two products of the flavor identity sums
@@ -52,48 +50,6 @@ class CharacteristicTwoError(ValueError):
 
 class InternalInvariantError(RuntimeError):
     """A cross-check that must hold for any correct run failed; this is a bug."""
-
-
-def _flat(entries: dict, dim: int, field) -> tuple:
-    """Dense flattened form (length dim^2) of a sparse flat-index map."""
-    out = [field.zero] * (dim * dim)
-    for j, v in entries.items():
-        out[j] = v
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """A linear endomorphism of the algebra in dense form, column q = image of basis q."""
-
-    dim: int
-    columns: tuple
-
-    @classmethod
-    def from_entries(cls, field, dim: int, entries: dict) -> "LinearMap":
-        """Dense form of a sparse flat-index map."""
-        cols = [[field.zero] * dim for _ in range(dim)]
-        for j, v in entries.items():
-            p, q = divmod(j, dim)
-            cols[q][p] = v
-        return cls(dim, tuple(tuple(c) for c in cols))
-
-    def entries(self, field) -> dict:
-        """Sparse flat-index form: p*dim + q -> nonzero coefficient."""
-        zero = field.zero
-        dim = self.dim
-        return {
-            p * dim + q: v
-            for q, col in enumerate(self.columns)
-            for p, v in enumerate(col)
-            if v != zero
-        }
-
-    def flatten(self, field) -> tuple:
-        return _flat(self.entries(field), self.dim, field)
-
-    def is_zero(self, field) -> bool:
-        return not self.entries(field)
 
 
 class MapSpace:
@@ -118,15 +74,6 @@ class MapSpace:
             raise ValueError(f"unknown flavor {flavor!r}")
         field = algebra.field
         return cls(flavor, field, algebra.dim, span_canonical_basis(generators, field))
-
-    @cached_property
-    def basis(self) -> tuple:
-        """The canonical basis as dense LinearMaps."""
-        return tuple(LinearMap.from_entries(self.field, self.dim, r) for r in self.rows)
-
-    def flat_basis(self, field) -> list:
-        """The canonical basis as dense flattened tuples (index p*dim + q)."""
-        return [_flat(r, self.dim, field) for r in self.rows]
 
     def contains(self, maps) -> bool:
         """Whether every sparse flat-index map in ``maps`` lies in this space."""
@@ -265,27 +212,31 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     return Matrix.from_sparse(field, len(rows), ncols, rows)
 
 
-def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
-    """Check the flavor identity for one map on every ordered basis pair.
+def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
+    """Check the flavor identity for one sparse flat-index map on every
+    ordered basis pair.
 
-    ``lin`` is a sparse flat-index map or a LinearMap.  This is the post-hoc
-    audit of solver output; by bilinearity, holding on basis pairs is holding
-    everywhere.  Every term of the identity at (b_q, b_r) is Theta of b_q b_r
-    or b_r b_q, or a product, in either order, of b_q with Theta(b_r) or of
-    b_r with Theta(b_q).  So the pair can fail only if b_q b_r or b_r b_q is a
-    support column of the map, or if one of q, r is a support column c and
-    the other is a partner of some b_u, u in the support of column c.  Only
-    those pairs are visited (read off ``a.factors`` and ``a.partners``); the
-    verdict is that of a walk over all dim^2 pairs.
+    This is the post-hoc audit of solver output; by bilinearity, holding on
+    basis pairs is holding everywhere.  Only the pairs where the identity can
+    fail are visited, read off ``a.factors`` and ``a.partners``, so the
+    verdict is that of a walk over all dim^2 pairs:
+
+    * the outer terms at (b_q, b_r) are products, in either order, of b_q
+      with Theta(b_r) or of b_r with Theta(b_q); they vanish unless one of
+      q, r is a support column c and the other a partner of some b_u, u in
+      the support of column c, and such pairs are visited in both orders;
+    * the inner term is Theta(b_q b_r), nonzero only if b_q b_r is a support
+      column, and those (q, r) are visited; jordan adds Theta(b_r b_q), but
+      its equations at (q, r) and (r, q) are the same, so visiting (r, q)
+      decides (q, r).
     """
     field = a.field
     zero = field.zero
     add, sub = field.add, field.sub
     table = a.table
     dim = a.dim
-    entries = lin if isinstance(lin, dict) else lin.entries(field)
     cols_nz: dict = {}
-    for j, v in entries.items():
+    for j, v in lin.items():
         p, q = divmod(j, dim)
         cols_nz.setdefault(q, []).append((p, v))
 
@@ -293,7 +244,6 @@ def verify_map(a: ZigzagAlgebra, lin: dict | LinearMap, flavor: str) -> bool:
     for c, col in cols_nz.items():
         for q, r in a.factors[c]:
             pairs.add(q * dim + r)
-            pairs.add(r * dim + q)
         for u, _ in col:
             for w in a.partners[u]:
                 pairs.add(c * dim + w)
@@ -339,7 +289,7 @@ def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
         if row:
             rows.append(row)
     system = Matrix.from_sparse(a.field, len(rows), len(live), rows)
-    kernel = [{live[k]: v for k, v in vec.items()} for vec in nullspace_basis(system, sparse=True)]
+    kernel = [{live[k]: v for k, v in vec.items()} for vec in nullspace_basis(system)]
     space = MapSpace.from_generators(flavor, a, kernel)
     for row in space.rows:
         if not verify_map(a, row, flavor):
@@ -376,7 +326,7 @@ def _arrow_layout(a: ZigzagAlgebra):
     return a_at, e_at, c_at, nbrs
 
 
-def _parameter_entries(a: ZigzagAlgebra, params: DerivationParams, layout=None) -> dict:
+def materialize(a: ZigzagAlgebra, params: DerivationParams, layout=None) -> dict:
     """The sparse flat-index map the parameters describe, built from their
     nonzeros (``layout`` is :func:`_arrow_layout`, computed if not given).
     Raises ValueError if the parameters mention a non-arrow or violate
@@ -423,12 +373,6 @@ def _parameter_entries(a: ZigzagAlgebra, params: DerivationParams, layout=None) 
     return out
 
 
-def materialize(a: ZigzagAlgebra, params: DerivationParams) -> LinearMap:
-    """Build the map the parameters describe.  Raises ValueError if the
-    parameters mention a non-arrow or violate per-vertex consistency."""
-    return LinearMap.from_entries(a.field, a.dim, _parameter_entries(a, params))
-
-
 def structured_parameter_basis(a: ZigzagAlgebra) -> list:
     """Canonical basis of the parameter space (t_a, d_a) modulo consistency.
 
@@ -456,7 +400,7 @@ def structured_parameter_basis(a: ZigzagAlgebra) -> list:
             rows.append(row)
     system = Matrix.from_sparse(field, len(rows), 2 * m, rows)
     out = []
-    for vec in nullspace_basis(system, sparse=True):
+    for vec in nullspace_basis(system):
         coords = sorted(vec.items())
         t = {arrows[k]: v for k, v in coords if k < m}
         d = {arrows[k - m]: v for k, v in coords if k >= m}
@@ -467,11 +411,11 @@ def structured_parameter_basis(a: ZigzagAlgebra) -> list:
 def structured_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of the materialized parameter basis, as a canonical MapSpace."""
     layout = _arrow_layout(a)
-    maps = [_parameter_entries(a, p, layout) for p in structured_parameter_basis(a)]
+    maps = [materialize(a, p, layout) for p in structured_parameter_basis(a)]
     return MapSpace.from_generators("derivation", a, maps)
 
 
-def _ad_entries(a: ZigzagAlgebra, k: int) -> dict:
+def ad_map(a: ZigzagAlgebra, k: int) -> dict:
     """The commutator map [b_k, -] as a sparse flat-index map."""
     field = a.field
     one, neg_one = field.one, field.neg(field.one)
@@ -489,14 +433,9 @@ def _ad_entries(a: ZigzagAlgebra, k: int) -> dict:
     return out
 
 
-def ad_map(a: ZigzagAlgebra, k: int) -> LinearMap:
-    """The commutator map [b_k, -]."""
-    return LinearMap.from_entries(a.field, a.dim, _ad_entries(a, k))
-
-
 def inner_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of all commutator maps [b_k, -], as a canonical MapSpace."""
-    return MapSpace.from_generators("derivation", a, [_ad_entries(a, k) for k in range(a.dim)])
+    return MapSpace.from_generators("derivation", a, [ad_map(a, k) for k in range(a.dim)])
 
 
 class HochschildDims(NamedTuple):
@@ -523,28 +462,3 @@ def hh_dims(a: ZigzagAlgebra) -> HochschildDims:
     """Dimensions of the center and of (derivations mod inner derivations)."""
     return _hochschild_dims(a, center(a), solve(a, "derivation"), inner_space(a))
 
-
-def check_structure(a: ZigzagAlgebra, lin: LinearMap) -> bool:
-    """Zero-pattern audit for derivation maps.
-
-    Image of e(i) only on arrows incident to i; image of a(i->j) only on
-    a(i->j), c(i), c(j); image of c(i) only on c(i).
-    """
-    field = a.field
-    zero = field.zero
-    for q, b in enumerate(a.basis):
-        col = lin.columns[q]
-        support = {p for p, v in enumerate(col) if v != zero}
-        if b.kind == IDEM:
-            allowed = {
-                p
-                for p, bb in enumerate(a.basis)
-                if bb.kind == ARROW and b.at in (bb.at, bb.to)
-            }
-        elif b.kind == ARROW:
-            allowed = {q, a.index(cycle(b.at)), a.index(cycle(b.to))}
-        else:
-            allowed = {q}
-        if not support <= allowed:
-            return False
-    return True

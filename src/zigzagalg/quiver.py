@@ -54,15 +54,6 @@ class Graph:
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
-    def neighbors(self, v: int) -> list:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
-
 
 def parse_graph(text) -> Graph:
     """Parse the graph file format; see the module docstring."""
@@ -151,10 +142,6 @@ class Quiver:
     def __init__(self, n: int, arrows: tuple) -> None:
         self.n = n
         self.arrows = tuple(arrows)
-        self._index = {(a.source, a.target): k for k, a in enumerate(self.arrows)}
-
-    def arrow_index(self, source: int, target: int) -> int:
-        return self._index[(source, target)]
 
     def __repr__(self) -> str:
         return f"Quiver(n={self.n}, arrows={self.arrows!r})"

@@ -12,7 +12,8 @@ are identified into a single element.  A canonical basis is
 so the dimension is 2n + (number of arrows).  All structure constants are 0
 or 1, which is what makes the exhaustive checks downstream cheap.
 
-Elements are plain coefficient tuples against ``algebra.basis``.
+Elements are sparse dicts basis index -> nonzero scalar, against
+``algebra.basis``.
 """
 
 from __future__ import annotations
@@ -88,15 +89,9 @@ class ZigzagAlgebra:
     def index(self, b: BasisElement) -> int:
         return self._pos[b]
 
-    def basis_vector(self, k: int) -> tuple:
-        zero, one = self.field.zero, self.field.one
-        return tuple(one if i == k else zero for i in range(self.dim))
-
-    def identity(self) -> tuple:
-        """Sum of the trivial paths."""
-        zero, one = self.field.zero, self.field.one
-        n = self.graph.n
-        return tuple(one if i < n else zero for i in range(self.dim))
+    def identity(self) -> dict:
+        """Sum of the trivial paths, the first n basis elements."""
+        return dict.fromkeys(range(self.graph.n), self.field.one)
 
     def __repr__(self) -> str:
         return f"ZigzagAlgebra(n={self.graph.n}, dim={self.dim}, field={self.field.name})"
@@ -146,24 +141,27 @@ def build_algebra(g: Graph, field=RATIONALS) -> ZigzagAlgebra:
     return ZigzagAlgebra(g, q, field, tuple(basis), table)
 
 
-def multiply(a: ZigzagAlgebra, x: tuple, y: tuple) -> tuple:
-    """Bilinear extension of the basis product table."""
-    if len(x) != a.dim or len(y) != a.dim:
-        raise ValueError(f"length mismatch: elements must have {a.dim} coordinates")
+def multiply(a: ZigzagAlgebra, x: dict, y: dict) -> dict:
+    """Bilinear extension of the basis product table to sparse elements.
+
+    Raises ValueError for an index outside 0..dim-1, which would otherwise
+    read the wrong table entry (a negative one from the end).
+    """
+    for p in (*x, *y):
+        if not 0 <= p < a.dim:
+            raise ValueError(f"basis index {p} out of range for dimension {a.dim}")
     field = a.field
     zero = field.zero
     add, mul = field.add, field.mul
-    out = [zero] * a.dim
+    out: dict = {}
     table = a.table
-    xs = [(p, v) for p, v in enumerate(x) if v != zero]
-    ys = [(q, v) for q, v in enumerate(y) if v != zero]
-    for p, xv in xs:
+    for p, xv in x.items():
         row = table[p]
-        for q, yv in ys:
+        for q, yv in y.items():
             r = row[q]
             if r >= 0:
-                out[r] = add(out[r], mul(xv, yv))
-    return tuple(out)
+                out[r] = add(out.get(r, zero), mul(xv, yv))
+    return {r: v for r, v in out.items() if v != zero}
 
 
 def check_associativity(a: ZigzagAlgebra) -> bool:
@@ -198,9 +196,8 @@ def with_patched_table(a: ZigzagAlgebra, p: int, q: int, r: int) -> ZigzagAlgebr
 
 
 class CenterResult(NamedTuple):
-    basis: list  # dense tuples
+    rows: list  # the canonical basis, sparse
     dimension: int
-    rows: list  # the basis as sparse dicts
 
 
 def center(a: ZigzagAlgebra) -> CenterResult:
@@ -225,5 +222,5 @@ def center(a: ZigzagAlgebra) -> CenterResult:
         if row:
             sparse.append(row)
     m = Matrix.from_sparse(field, len(sparse), dim, sparse)
-    vecs = nullspace_basis(m, sparse=True)
-    return CenterResult([tuple(v.get(j, field.zero) for j in range(dim)) for v in vecs], len(vecs), vecs)
+    vecs = nullspace_basis(m)
+    return CenterResult(vecs, len(vecs))

@@ -5,6 +5,8 @@ single-edge algebra is written out by hand, elimination is a dense
 textbook Gauss-Jordan over Fraction, and the flavor identities and
 associativity are checked pair by pair (triple by triple) from a plain table.  These are deliberately dumb so they can
 arbitrate when the real solver and the closed-form generator disagree.
+Oracle results are dense; :func:`sparse_vectors` turns them into the dicts
+the package takes.
 """
 
 from fractions import Fraction
@@ -174,6 +176,33 @@ def associative_literal(table):
         return table[x][y] if x >= 0 and y >= 0 else -1
 
     return all(prod(prod(x, y), z) == prod(x, prod(y, z)) for x, y, z in product(range(dim), repeat=3))
+
+
+def sparse_vectors(vectors):
+    """Dense vectors as dicts index -> nonzero entry, the one vector form the
+    package takes."""
+    return [{j: x for j, x in enumerate(v) if x} for v in vectors]
+
+
+def check_structure(basis, entries):
+    """Zero-pattern audit of a derivation map given as p*dim + q -> nonzero
+    coefficient of b_p in Theta(b_q): the image of e(i) lies on arrows
+    incident to i, that of a(i->j) on a(i->j), c(i) and c(j), and that of
+    c(i) on c(i).  ``basis`` holds elements with ``kind`` ('e', 'a' or 'c'),
+    ``at`` and ``to`` (the arrow target), as the package's basis does."""
+    dim = len(basis)
+    for j in entries:
+        p, q = divmod(j, dim)
+        out, src = basis[p], basis[q]
+        if src.kind == "e":
+            ok = out.kind == "a" and src.at in (out.at, out.to)
+        elif src.kind == "a":
+            ok = p == q or (out.kind == "c" and out.at in (src.at, src.to))
+        else:
+            ok = p == q
+        if not ok:
+            return False
+    return True
 
 
 def edge_leibniz_rows():

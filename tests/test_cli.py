@@ -208,6 +208,26 @@ PINNED_OUTPUTS = {
         ["dump-derivations", "--json"],
         "596798cb08c205864f6bab021f92488ac043573c1bd5f10e453b111b1d2458a4",
     ),
+    "dump-path3-text-rat": (
+        PATH3_FILE,
+        ["dump-derivations"],
+        "28f766024e669f1402e63ad060f8c30662ac86f1b00e7e71fdd0a4200f8668d1",
+    ),
+    "dump-path3-text-gf3": (
+        PATH3_FILE,
+        ["dump-derivations", "--field", "gf:3"],
+        "1fddf5444363c648209093f19e87158ee57e1f28b63df5afcfadb85b055faf3a",
+    ),
+    "dump-triangle-text-rat": (
+        TRIANGLE_FILE,
+        ["dump-derivations"],
+        "b0b207f9fccdc11d48fbfcb69ad76e56ad25423f029b579252569d500d38df95",
+    ),
+    "dump-triangle-text-gf3": (
+        TRIANGLE_FILE,
+        ["dump-derivations", "--field", "gf:3"],
+        "f9acd71d5a055cd636f072c634e5e12ff9f85729877bd71d45aee9ed2300550d",
+    ),
 }
 
 

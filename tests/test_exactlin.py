@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bruteforce import dense_nullspace, dense_rref
+from bruteforce import dense_nullspace, dense_rref, sparse_vectors
 from zigzagalg.exactlin import (
     RATIONALS,
     FieldMismatchError,
@@ -25,8 +25,16 @@ from zigzagalg.exactlin import (
 )
 
 
-def qq(rows):
-    return Matrix.from_rows(RATIONALS, rows)
+def qq(rows, field=RATIONALS):
+    """Dense test rows, converted into ``field``, as a sparse Matrix."""
+    ncols = len(rows[0]) if rows else 0
+    sparse = [{j: v for j, x in enumerate(r) if (v := field.convert(x)) != field.zero} for r in rows]
+    return Matrix.from_sparse(field, len(rows), ncols, sparse)
+
+
+def dense(m):
+    """The rows of ``m`` as dense lists."""
+    return [[r.get(j, m.field.zero) for j in range(m.ncols)] for r in m.rows]
 
 
 def test_rref_identity_is_fixed():
@@ -39,7 +47,7 @@ def test_rref_identity_is_fixed():
 
 def test_rref_proportional_rows():
     red, pivots, rank = rref(qq([[1, 2], [2, 4]]))
-    assert red.dense_rows() == [[1, 2], [0, 0]]
+    assert dense(red) == [[1, 2], [0, 0]]
     assert pivots == (0,)
     assert rank == 1
 
@@ -62,21 +70,21 @@ def test_rref_six_by_six_hand_elimination():
     red, pivots, rank = rref(qq(HAND_MATRIX))
     assert rank == 4
     assert pivots == (0, 2, 3, 4)
-    dense, dense_pivots = dense_rref(HAND_MATRIX)
-    nonzero = [row for row in dense if any(row)]
-    assert red.dense_rows()[:4] == nonzero
-    assert list(pivots) == dense_pivots
+    reference, reference_pivots = dense_rref(HAND_MATRIX)
+    nonzero = [row for row in reference if any(row)]
+    assert dense(red)[:4] == nonzero
+    assert list(pivots) == reference_pivots
 
 
 def test_nullspace_one_row():
     vecs = nullspace_basis(qq([[1, 1]]))
-    assert vecs == [(Fraction(-1), Fraction(1))]
+    assert vecs == [{0: Fraction(-1), 1: Fraction(1)}]
 
 
 def test_nullspace_free_variable_convention():
     # x0 + 2 x2 = 0, x1 - x2 = 0; single free column 2
     vecs = nullspace_basis(qq([[1, 0, 2], [0, 1, -1]]))
-    assert vecs == [(Fraction(-2), Fraction(1), Fraction(1))]
+    assert vecs == [{0: Fraction(-2), 1: Fraction(1), 2: Fraction(1)}]
 
 
 def test_nullspace_of_full_rank_matrix_is_empty():
@@ -89,7 +97,7 @@ def test_zero_rows_and_duplicates_do_not_change_anything():
     ra = rref(a)
     rb = rref(b)
     assert ra.rank == rb.rank == 1
-    assert ra.reduced.dense_rows()[0] == rb.reduced.dense_rows()[0]
+    assert ra.reduced.rows[0] == rb.reduced.rows[0]
 
 
 def test_rref_row_order_invariance():
@@ -127,9 +135,8 @@ def test_rank_nullity_and_exact_kernel(rows):
     _, _, rank = rref(m)
     kernel = nullspace_basis(m)
     assert rank + len(kernel) == m.ncols
-    zero = tuple(Fraction(0) for _ in range(m.nrows))
     for v in kernel:
-        assert m.mul_vector(v) == zero
+        assert all(sum(a * v.get(j, 0) for j, a in row.items()) == 0 for row in m.rows)
     if kernel:
         assert span_dim(kernel) == len(kernel)
 
@@ -139,67 +146,75 @@ def test_rank_nullity_and_exact_kernel(rows):
 def test_rational_and_large_prime_agree_on_rank(rows):
     # a big prime sees the same rank as the rationals for these tiny entries
     gf = PrimeField(1000003)
-    assert rref(qq(rows)).rank == rref(Matrix.from_rows(gf, rows)).rank
+    assert rref(qq(rows)).rank == rref(qq(rows, gf)).rank
+
+
+def vecs(*dense_vectors):
+    return sparse_vectors([[Fraction(x) for x in v] for v in dense_vectors])
 
 
 def test_span_dim_examples():
     assert span_dim([]) == 0
-    assert span_dim([(0, 0)]) == 0
-    assert span_dim([(1, 0), (0, 1), (1, 1)]) == 2
+    assert span_dim(vecs((0, 0))) == 0
+    assert span_dim(vecs((1, 0), (0, 1), (1, 1))) == 2
 
 
 def test_span_equal_is_an_equivalence_up_to_generators():
-    a = [(1, 2, 0), (0, 1, 1)]
-    doubled = [(2, 4, 0), (0, 1, 1), (1, 3, 1)]
+    a = vecs((1, 2, 0), (0, 1, 1))
+    doubled = vecs((2, 4, 0), (0, 1, 1), (1, 3, 1))
     assert span_equal(a, a)
     assert span_equal(a, doubled)
     assert span_equal(doubled, a)
-    assert not span_equal(a, [(1, 0, 0)])
+    assert not span_equal(a, vecs((1, 0, 0)))
     assert span_equal([], [])
-    assert span_equal([(0, 0)], [])
+    assert span_equal(vecs((0, 0)), [])
 
 
 def test_span_canonical_basis_is_canonical():
-    b1 = span_canonical_basis([(2, 4), (1, 3)])
-    b2 = span_canonical_basis([(1, 3), (3, 7), (2, 4)])
+    b1 = span_canonical_basis(vecs((2, 4), (1, 3)))
+    b2 = span_canonical_basis(vecs((1, 3), (3, 7), (2, 4)))
     assert b1 == b2
-    assert b1 == [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    assert b1 == [{0: Fraction(1)}, {1: Fraction(1)}]
 
 
 def test_span_functions_answer_sparse_input_in_sparse_form():
     q = Fraction
-    dense = [(2, 4, 0), (1, 3, 1)]
     sparse = [{0: q(2), 1: q(4)}, {0: q(1), 1: q(3), 2: q(1)}]
     canon = span_canonical_basis(sparse)
     assert canon == [{0: 1, 2: -2}, {1: 1, 2: 1}]
-    assert [tuple(r.get(j, 0) for j in range(3)) for r in canon] == span_canonical_basis(dense)
+    assert [[r.get(j, 0) for j in range(3)] for r in canon] == dense_rref([(2, 4, 0), (1, 3, 1)])[0]
     assert span_dim(sparse) == 2
-    assert span_equal(sparse, dense) and not span_equal(sparse, [{2: q(1)}])
+    assert span_equal(sparse, canon) and not span_equal(sparse, [{2: q(1)}])
     assert in_rref_span(canon, [{0: q(1), 1: q(2)}], RATIONALS)
     assert not in_rref_span(canon, [{0: q(1)}], RATIONALS)
-    with pytest.raises(ValueError, match="mixed"):
-        span_dim([{0: q(1)}, (1, 0)])
-    assert nullspace_basis(qq([[1, 0, 2], [0, 1, -1]]), sparse=True) == [{2: 1, 0: -2, 1: 1}]
+    assert nullspace_basis(qq([[1, 0, 2], [0, 1, -1]])) == [{2: 1, 0: -2, 1: 1}]
 
 
-def test_span_length_mismatch_raises():
-    with pytest.raises(ValueError, match="length mismatch"):
-        span_equal([(1, 0)], [(1, 0, 0)])
-    with pytest.raises(ValueError, match="length mismatch"):
-        span_dim([(1, 0), (1, 0, 0)])
+def test_dense_vectors_are_rejected():
+    # a dense tuple is no sparse row: rejected by name, not read as a dict
+    q = Fraction
+    with pytest.raises(TypeError, match="row 0 is a tuple, not a dict"):
+        Matrix.from_sparse(RATIONALS, 1, 2, [(q(1), q(0))])
+    for bad in ([(q(1), q(0))], [{0: q(1)}, (q(1), q(0))]):
+        with pytest.raises(TypeError, match="not a dict"):
+            span_dim(bad)
+        with pytest.raises(TypeError, match="not a dict"):
+            span_canonical_basis(bad)
+        with pytest.raises(TypeError, match="not a dict"):
+            span_equal([{0: q(1)}], bad)
 
 
 def test_float_entries_are_rejected():
     with pytest.raises(FieldMismatchError):
-        qq([[0.5]])
+        RATIONALS.convert(0.5)
     with pytest.raises(FieldMismatchError):
-        Matrix.from_rows(PrimeField(5), [[1.0]])
+        PrimeField(5).convert(1.0)
 
 
 def test_fraction_with_bad_denominator_rejected_mod_p():
     gf5 = PrimeField(5)
     with pytest.raises(FieldMismatchError):
-        Matrix.from_rows(gf5, [[Fraction(1, 5)]])
+        gf5.convert(Fraction(1, 5))
     assert gf5.convert(Fraction(1, 3)) == 2  # 3 * 2 = 6 = 1 mod 5
 
 
@@ -235,7 +250,7 @@ def test_normalize_row_is_primitive_integer_over_rationals():
 
 def test_matrix_equality_includes_field():
     a = qq([[1, 2]])
-    b = Matrix.from_rows(PrimeField(5), [[1, 2]])
+    b = qq([[1, 2]], PrimeField(5))
     assert a != b
 
 
@@ -293,11 +308,9 @@ def test_singleton_heavy_elimination_matches_dense_reference():
         ncols = rng.randint(4, 9)
         rows = singleton_heavy_rows(rng, ncols)
         m = Matrix.from_sparse(RATIONALS, len(rows), ncols, rows)
-        dense = m.dense_rows()
-        reduced, pivots = dense_rref(dense)
+        reduced, pivots = dense_rref(dense(m))
         got = rref(m)
-        assert got.reduced.dense_rows() == reduced
+        assert dense(got.reduced) == reduced
         assert list(got.pivot_cols) == pivots
-        kernel = dense_nullspace(dense, ncols)
-        assert nullspace_basis(m) == kernel
-        assert [tuple(v.get(j, 0) for j in range(ncols)) for v in nullspace_basis(m, sparse=True)] == kernel
+        kernel = dense_nullspace(dense(m), ncols)
+        assert [tuple(v.get(j, 0) for j in range(ncols)) for v in nullspace_basis(m)] == kernel

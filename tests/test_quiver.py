@@ -82,7 +82,6 @@ def test_graph_rejects_bad_edges():
 def test_double_quiver_order():
     q = double_quiver(path_graph(3))
     assert [(a.source, a.target) for a in q.arrows] == [(1, 2), (2, 1), (2, 3), (3, 2)]
-    assert q.arrow_index(2, 3) == 2
 
 
 def test_star_and_path_shapes():
