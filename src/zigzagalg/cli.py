@@ -1,5 +1,7 @@
 """Command-line front end: analyze one graph, sweep random trees, dump bases.
 
+``analyze`` and ``sweep`` print the reports of :mod:`zigzagalg.analysis`.
+
 Exit codes: 0 all applicable checks pass, 1 invalid input (bad file, bad
 flags, unusable graph), 2 a formula check or an internal invariant failed.
 """
@@ -9,168 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
-from .exactlin import RATIONALS, parse_field, span_equal
-from .linmaps import (
-    InternalInvariantError,
-    _hochschild_dims,
-    inner_space,
-    materialize,
-    solve,
-    structured_parameter_basis,
-    structured_space,
-)
-from .quiver import Graph, Xorshift64Star, parse_graph, random_tree, serialize_graph, validate
-from .zigzag import build_algebra, center, check_associativity, cycle
-
-CHECK_KEYS = (
-    "dim_algebra_formula",
-    "center_formula",
-    "der_formula",
-    "inner_formula",
-    "hh1_is_one",
-    "jordan_eq_der",
-    "anti_is_zero",
-    "structured_eq_solver",
-)
-
-PASS = "pass"
-FAIL = "fail"
-NA = "not-applicable"
-
-
-@dataclass
-class Report:
-    """Everything one analysis run produced, JSON-serializable and comparable."""
-
-    n: int
-    edges: list
-    is_tree: bool
-    field: str
-    dim_algebra: int
-    dim_center: int
-    dim_der: int
-    dim_jordan: object  # int, or None when the flavor was skipped
-    dim_anti: int
-    dim_inner: int
-    hh0: int
-    hh1: int
-    formula_checks: dict
-    timings_ms: dict = dc_field(default_factory=dict)
-
-    def to_dict(self, include_timings: bool = True) -> dict:
-        d = asdict(self)
-        d["edges"] = [list(e) for e in self.edges]
-        if not include_timings:
-            del d["timings_ms"]
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Report":
-        report = cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
-        report.edges = [tuple(e) for e in report.edges]
-        return report
-
-    def all_pass(self) -> bool:
-        return all(v != FAIL for v in self.formula_checks.values())
-
-
-def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
-    """Full pipeline on an in-memory graph.
-
-    Returns (report, warnings).  Formula checks are asserted over the
-    rationals; under gf:p they are recorded not-applicable and tree-formula
-    mismatches come back as warnings.  Internal invariants raise
-    InternalInvariantError in any field.
-    """
-    timings: dict = {}
-    warnings: list = []
-    t_start = time.perf_counter()
-
-    def elapsed_us() -> int:
-        return round((time.perf_counter() - t_start) * 1e6)
-
-    # stage bounds are read off one rounded clock, so the stages never sum to
-    # more than the total
-    def stage(name, fn):
-        t0 = elapsed_us()
-        out = fn()
-        timings[name] = (elapsed_us() - t0) / 1000
-        return out
-
-    connected, is_tree = validate(g)
-    algebra = stage("build", lambda: build_algebra(g, field))
-    if not stage("associativity", lambda: check_associativity(algebra)):
-        raise InternalInvariantError("multiplication table is not associative")
-    cen = stage("center", lambda: center(algebra))
-    der = stage("derivation", lambda: solve(algebra, "derivation"))
-    if skip_jordan:
-        jor = None
-    else:
-        jor = stage("jordan", lambda: solve(algebra, "jordan"))
-    anti = stage("anti", lambda: solve(algebra, "anti"))
-    struct = stage("structured", lambda: structured_space(algebra))
-    inner = stage("inner", lambda: inner_space(algebra))
-
-    t_checks = elapsed_us()
-    hh0, hh1 = _hochschild_dims(algebra, cen, der, inner)
-
-    n = g.n
-    n_arrows = len(algebra.quiver.arrows)
-
-    checks = {k: NA for k in CHECK_KEYS}
-    rational = field.characteristic == 0
-
-    def expected_center_span():  # the identity and the cycles
-        return [algebra.identity()] + [{algebra.index(cycle(i)): field.one} for i in range(1, n + 1)]
-
-    # the tree formulas: checks over the rationals, warnings over gf:p
-    tree_formulas = [
-        ("der_formula", "derivation dimension", der.dimension, 3 * n - 2),
-        ("inner_formula", "inner dimension", inner.dimension, n + n_arrows - 1),
-        ("center_formula", "center dimension", cen.dimension, n + 1),
-        ("hh1_is_one", "hh1", hh1, 1),
-    ] if is_tree else []
-    if rational:
-        checks["dim_algebra_formula"] = PASS if algebra.dim == 2 * n + n_arrows else FAIL
-        for key, _, got, want in tree_formulas:
-            checks[key] = PASS if got == want else FAIL
-        if is_tree:
-            if checks["center_formula"] == PASS and not span_equal(cen.rows, expected_center_span(), field):
-                checks["center_formula"] = FAIL
-            if jor is not None:
-                checks["jordan_eq_der"] = PASS if jor.rows == der.rows else FAIL
-            checks["anti_is_zero"] = PASS if anti.dimension == 0 else FAIL
-            checks["structured_eq_solver"] = PASS if struct.rows == der.rows else FAIL
-    else:
-        for _, label, got, want in tree_formulas:
-            if got != want:
-                warnings.append(
-                    f"informational ({field.name}): {label} is {got}, rational-baseline formula gives {want}"
-                )
-
-    timings["checks"] = (elapsed_us() - t_checks) / 1000
-    timings["total"] = elapsed_us() / 1000
-    report = Report(
-        n=n,
-        edges=[tuple(e) for e in sorted(g.edges)],
-        is_tree=is_tree,
-        field=field.name,
-        dim_algebra=algebra.dim,
-        dim_center=cen.dimension,
-        dim_der=der.dimension,
-        dim_jordan=None if jor is None else jor.dimension,
-        dim_anti=anti.dimension,
-        dim_inner=inner.dimension,
-        hh0=hh0,
-        hh1=hh1,
-        formula_checks=checks,
-        timings_ms=timings,
-    )
-    return report, warnings
+from .analysis import CHECK_KEYS, Report, analyze_graph
+from .exactlin import parse_field
+from .linmaps import InternalInvariantError, materialize, solve, structured_parameter_basis
+from .quiver import Xorshift64Star, parse_graph, random_tree, serialize_graph, validate
+from .zigzag import build_algebra
 
 
 def _format_element(algebra, col: dict) -> str:

@@ -200,29 +200,25 @@ class Matrix:
 
         Raises TypeError for a row that is not a dict, ValueError for a column
         out of range or a stored entry that is zero in the field (in GF(p),
-        any multiple of p).
+        any multiple of p), and FieldMismatchError for any other entry that is
+        not an element of the field: an ``int`` or ``Fraction`` over the
+        rationals, an ``int`` in 1..p-1 in GF(p).
         """
         if len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
         p = field.characteristic
+        scalars = int if p else (int, Fraction)
         for i, r in enumerate(rows):
             if not isinstance(r, dict):
                 raise TypeError(f"row {i} is a {type(r).__name__}, not a dict column -> scalar")
             for j, v in r.items():
                 if not 0 <= j < ncols:
                     raise ValueError(f"column index {j} out of range for {ncols} columns")
-                if not (v % p if p else v):
-                    raise ValueError(f"row {i}, column {j}: stored entry is zero in {field.name}")
+                if not (isinstance(v, scalars) and (0 < v < p if p else v)):
+                    if isinstance(v, (int, Fraction)) and not (v % p if p else v):
+                        raise ValueError(f"row {i}, column {j}: stored entry is zero in {field.name}")
+                    raise FieldMismatchError(f"row {i}, column {j}: {v!r} is not an element of {field.name}")
         return cls(field, nrows, ncols, tuple(dict(r) for r in rows))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.rows == other.rows
-        )
 
 
 class RrefResult(NamedTuple):

@@ -13,7 +13,8 @@ purpose: :func:`solve` takes the kernel of the Leibniz constraint system over
 the dim^2 matrix coefficients of Theta, while :func:`structured_space`
 materializes the closed parametric form (one ``t`` and one ``d`` parameter
 per arrow, tied by antisymmetry and per-vertex consistency).  Agreement
-between the two is checked by callers, never assumed here.
+between the two, and HH^0 / HH^1, are left to :mod:`zigzagalg.analysis`,
+never assumed here.
 
 :func:`solve` builds and eliminates only the equations that touch a live
 unknown (one no single-entry equation forces to zero), so its cost follows
@@ -28,10 +29,9 @@ work on these dicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .exactlin import Matrix, in_rref_span, normalize_row, nullspace_basis, span_canonical_basis
-from .zigzag import ZigzagAlgebra, arrow, center, cycle, idem
+from .zigzag import ZigzagAlgebra, arrow, cycle, idem
 
 # flavor -> (inner, outer): the orders (xy, yx) of the algebra's product that
 # each of the two products of the flavor identity sums
@@ -436,29 +436,4 @@ def ad_map(a: ZigzagAlgebra, k: int) -> dict:
 def inner_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of all commutator maps [b_k, -], as a canonical MapSpace."""
     return MapSpace.from_generators("derivation", a, [ad_map(a, k) for k in range(a.dim)])
-
-
-class HochschildDims(NamedTuple):
-    hh0: int
-    hh1: int
-
-
-def _hochschild_dims(a: ZigzagAlgebra, cen, der: MapSpace, inner: MapSpace) -> HochschildDims:
-    """HH^0 and HH^1 from the center, Der and Inner, after the cross-checks
-    that must hold in any field, and whose failure means a bug, not a
-    property of the input: the inner dimension computed as an ad-span rank
-    must equal dim A - dim center, and the inner span must sit inside the
-    solved derivation span."""
-    if inner.dimension != a.dim - cen.dimension:
-        raise InternalInvariantError(
-            f"inner dimension {inner.dimension} != dim algebra {a.dim} - dim center {cen.dimension}"
-        )
-    if not der.contains(inner.rows):
-        raise InternalInvariantError("inner derivations do not sit inside the solved derivation space")
-    return HochschildDims(cen.dimension, der.dimension - inner.dimension)
-
-
-def hh_dims(a: ZigzagAlgebra) -> HochschildDims:
-    """Dimensions of the center and of (derivations mod inner derivations)."""
-    return _hochschild_dims(a, center(a), solve(a, "derivation"), inner_space(a))
 

@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from zigzagalg.cli import CHECK_KEYS, NA, PASS, Report, analyze_graph, main
-from zigzagalg.exactlin import RATIONALS
-from zigzagalg.quiver import random_tree
+import zigzagalg
+from zigzagalg import analysis, cli
+from zigzagalg.analysis import CHECK_KEYS, NA, PASS, Report, analyze_graph
+from zigzagalg.cli import main
+from zigzagalg.exactlin import RATIONALS, parse_field
+from zigzagalg.quiver import Graph, path_graph, random_tree, star_graph
 
 EDGE_FILE = "vertices 2\nedge 1 2\n"
 PATH3_FILE = "vertices 3\nedge 1 2\nedge 2 3\n"
@@ -239,6 +242,48 @@ def test_output_matches_pinned_digest(tmp_path, capsys, name):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+# the analyses behind `analyze` beyond the pinned sweep: gf:p reports, gf:2
+# without jordan, and graphs with cycles, where the tree checks are
+# not-applicable; digests of the reports and warnings of all six graphs
+ANALYZE_GRAPHS = [
+    Graph(2, frozenset({(1, 2)})),
+    path_graph(3),
+    star_graph(5),
+    random_tree(7, 707),
+    Graph(3, frozenset({(1, 2), (2, 3), (1, 3)})),
+    Graph(4, frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})),
+]
+PINNED_ANALYSES = {
+    ("rat", False): "2a6794419f764f0e7b60345448a4d06a4c6ae06807cff21424ca1f1d6b093e69",
+    ("gf:3", False): "74e90031e21aeaa32b12f000dbc90dcc81bf61734528947691524b116278728b",
+    ("gf:2", True): "96559e256d84cdc751962205580da4f7a79e9b8904684419fe2fdbc735ad3e59",
+}
+
+
+@pytest.mark.parametrize("spec, skip_jordan", sorted(PINNED_ANALYSES), ids=str)
+def test_analyses_match_pinned_digest(spec, skip_jordan):
+    digest = hashlib.sha256()
+    for g in ANALYZE_GRAPHS:
+        report, warnings = analyze_graph(g, parse_field(spec), skip_jordan)
+        digest.update(json.dumps(report.to_dict(include_timings=False), sort_keys=True).encode())
+        digest.update(json.dumps(warnings).encode())
+    assert digest.hexdigest() == PINNED_ANALYSES[(spec, skip_jordan)]
+
+
+def test_sweep_calls_analyze_graph_through_the_cli_module(monkeypatch, capsys):
+    # timing harnesses swap cli.analyze_graph to time each analysis of a sweep
+    assert cli.analyze_graph is analysis.analyze_graph is zigzagalg.analyze_graph
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return analysis.analyze_graph(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_graph", counting)
+    assert main(["sweep", "--count", "3", "--n-max", "4", "--quiet"]) == 0
+    assert len(calls) == 3
 
 
 def test_sweep_timings_file_leaves_stdout_unchanged(tmp_path, capsys):

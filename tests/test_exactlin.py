@@ -282,6 +282,20 @@ def test_explicit_zero_entries_in_sparse_input_are_rejected(field):
         span_dim([{1: field.one}, {0: field.zero}], field)
 
 
+def test_entries_outside_the_field_are_rejected():
+    gf5 = PrimeField(5)
+    cases = [(RATIONALS, {0: 1, 1: 0.5}), (RATIONALS, {0: 1, 1: "2"}), (gf5, {0: 7, 1: 4}),
+             (gf5, {0: 1, 1: -1}), (gf5, {0: 1, 1: Fraction(1, 2)}), (gf5, {0: 1, 1: 2.0})]
+    for field, row in cases:
+        with pytest.raises(FieldMismatchError, match=r"row 0, column \d+: .* is not an element of"):
+            Matrix.from_sparse(field, 1, 2, [row])
+        with pytest.raises(FieldMismatchError, match=r"row 0, column \d+"):
+            span_canonical_basis([row], field)
+    # elements of the field pass: ints and Fractions over Q, 1..p-1 in GF(p)
+    assert span_canonical_basis([{0: 2, 1: Fraction(1, 2)}]) == [{0: 1, 1: Fraction(1, 4)}]
+    assert Matrix.from_sparse(gf5, 1, 2, [{0: 1, 1: 4}]).rows == ({0: 1, 1: 4},)
+
+
 def singleton_heavy_rows(rng, ncols):
     """Sparse rows over Q, most of them single entries (values other than 1
     and duplicated columns among them), plus rows that vanish, and rows that
