@@ -96,7 +96,7 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
     rational = field.characteristic == 0
     algebra = stage("build", lambda: build_algebra(g, field))
     if not stage("associativity", lambda: check_associativity(algebra)):
-        raise InternalInvariantError("multiplication table is not associative")
+        raise InternalInvariantError("the basis products are not associative")
     cen = stage("center", lambda: center(algebra))
     spaces = {f: stage(f, lambda: solve(algebra, f)) for f in FLAVORS if not (skip_jordan and f == "jordan")}
     der, jor, anti = spaces["derivation"], spaces.get("jordan"), spaces["anti"]

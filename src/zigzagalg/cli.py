@@ -137,10 +137,10 @@ def _sweep(args) -> int:
         if args.timings is not None:
             record = {"index": k, "tree_seed": tree_seed, "n": n, "timings_ms": report.timings_ms}
             print(json.dumps(record), file=args.timings)
-        ok = report.all_pass()
         results.append((k, tree_seed, report))
-        if not ok:
+        if not report.all_pass():
             failures.append((k, g, report))
+    passed = len(results) - len(failures)
 
     if args.json:
         doc = {
@@ -153,7 +153,7 @@ def _sweep(args) -> int:
                 {"index": k, "tree_seed": seed, **r.to_dict(include_timings=False)}
                 for k, seed, r in results
             ],
-            "pass_count": sum(1 for _, _, r in results if r.all_pass()),
+            "pass_count": passed,
             "all_pass": not failures,
         }
         print(json.dumps(doc, indent=2))
@@ -163,7 +163,6 @@ def _sweep(args) -> int:
             for k, _, r in results:
                 verdict = "pass" if r.all_pass() else "FAIL"
                 print(f"{k:>4} {r.n:>3} {r.dim_der:>8} {r.dim_inner:>10} {r.hh1:>4}  {verdict}")
-        passed = sum(1 for _, _, r in results if r.all_pass())
         print(f"sweep: {passed}/{len(results)} pass")
     if failures:
         for k, g, _ in failures:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -37,19 +37,22 @@ class FieldMismatchError(ValueError):
     """An entry or operand does not belong to the expected coefficient field."""
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981  # the least strong pseudoprime to all of _MR_BASES
+
+
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3 * 10^24."""
+    """Deterministic Miller-Rabin, exact for n < PRIME_BOUND (about 3.3 * 10^24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
+    d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -75,9 +78,7 @@ class Rationals:
     def convert(self, x) -> Fraction:
         if isinstance(x, float):
             raise FieldMismatchError(f"floating point entry {x!r} rejected: exact arithmetic only")
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if isinstance(x, str):
+        if isinstance(x, (int, Fraction, str)):
             return Fraction(x)
         raise FieldMismatchError(f"cannot interpret {x!r} as a rational")
 
@@ -120,6 +121,8 @@ class PrimeField:
     """GF(p) for a prime p. Elements are ints in [0, p)."""
 
     def __init__(self, p: int) -> None:
+        if p >= PRIME_BOUND:
+            raise ValueError(f"{p} >= {PRIME_BOUND}: primality cannot be certified there")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -239,14 +242,9 @@ def normalize_row(field, row: dict) -> dict:
         return row
     lead = min(row)
     if field.characteristic == 0:
-        denom_lcm = 1
-        for v in row.values():
-            d = v.denominator
-            denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
+        denom_lcm = lcm(*(v.denominator for v in row.values()))
         nums = {j: v.numerator * (denom_lcm // v.denominator) for j, v in row.items()}
-        g = 0
-        for v in nums.values():
-            g = gcd(g, v)
+        g = gcd(*nums.values())
         if nums[lead] < 0:
             g = -g
         return {j: Fraction(v // g) for j, v in nums.items()}

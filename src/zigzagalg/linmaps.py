@@ -112,7 +112,7 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
     # coordinate p of Theta(b_q) . b_y / of x[u, r] in b_y . Theta(b_r);
     # inner_at[q][r]: s -> count of the terms Theta(b_s) of the pair (q, r)
     right, left, inner_at = ([{} for _ in range(dim)] for _ in range(3))
-    for x, y, p in a.products:  # b_x b_y = b_p
+    for (x, y), p in a.products.items():  # b_x b_y = b_p
         for o in outer:
             # in order YX, Theta(b_q) . b_x is b_x Theta(b_q), and
             # b_y . Theta(b_r) is Theta(b_r) b_y
@@ -233,37 +233,35 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
     field = a.field
     zero = field.zero
     add, sub = field.add, field.sub
-    table = a.table
+    times = a.products.get  # (x, y) -> index of b_x b_y, or None
     dim = a.dim
     cols_nz: dict = {}
     for j, v in lin.items():
         p, q = divmod(j, dim)
         cols_nz.setdefault(q, []).append((p, v))
 
-    pairs = set()  # flat indices q*dim + r of the pairs to visit
+    pairs = set()  # the pairs (q, r) to visit
     for c, col in cols_nz.items():
-        for q, r in a.factors[c]:
-            pairs.add(q * dim + r)
+        pairs.update(a.factors[c])
         for u, _ in col:
             for w in a.partners[u]:
-                pairs.add(c * dim + w)
-                pairs.add(w * dim + c)
+                pairs.add((c, w))
+                pairs.add((w, c))
 
-    for k in pairs:
-        q, r = divmod(k, dim)
+    for q, r in pairs:
         # derivation: Theta(qr) - Theta(q) r - q Theta(r); anti: Theta(qr) -
         # Theta(r) q - r Theta(q); jordan: derivation at (q, r) plus at (r, q)
         ins = [(q, r), (r, q)] if flavor == "jordan" else [(q, r)]
         acc: dict = {}
         for x, y in ins:
-            for p, v in cols_nz.get(table[x][y], ()):
+            for p, v in cols_nz.get(times((x, y)), ()):
                 acc[p] = add(acc.get(p, zero), v)
         for x, y in [(r, q)] if flavor == "anti" else ins:
             for u, v in cols_nz.get(x, ()):  # Theta(b_x) b_y
-                if (p := table[u][y]) >= 0:
+                if (p := times((u, y))) is not None:
                     acc[p] = sub(acc.get(p, zero), v)
             for u, v in cols_nz.get(y, ()):  # b_x Theta(b_y)
-                if (p := table[x][u]) >= 0:
+                if (p := times((x, u))) is not None:
                     acc[p] = sub(acc.get(p, zero), v)
         if any(v != zero for v in acc.values()):
             return False
@@ -420,15 +418,15 @@ def ad_map(a: ZigzagAlgebra, k: int) -> dict:
     field = a.field
     one, neg_one = field.one, field.neg(field.one)
     dim = a.dim
-    table = a.table
+    times = a.products.get
     out = {}
     for q in a.partners[k]:  # the q with a nonzero product with b_k
-        p, p2 = table[k][q], table[q][k]
+        p, p2 = times((k, q)), times((q, k))
         if p == p2:  # b_k b_q = b_q b_k: the column vanishes
             continue
-        if p >= 0:
+        if p is not None:
             out[p * dim + q] = one
-        if p2 >= 0:
+        if p2 is not None:
             out[p2 * dim + q] = neg_one
     return out
 

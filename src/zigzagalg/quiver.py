@@ -109,7 +109,7 @@ class ValidationResult(NamedTuple):
 
 def validate(g: Graph) -> ValidationResult:
     """Connectivity via breadth-first search; a tree is connected with n-1 edges."""
-    if g.n == 0:
+    if g.n == 0 or len(g.edges) < g.n - 1:  # too few edges to connect
         return ValidationResult(False, False)
     adj = {v: [] for v in range(1, g.n + 1)}
     for u, v in g.edges:

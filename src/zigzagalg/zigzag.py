@@ -10,7 +10,8 @@ are identified into a single element.  A canonical basis is
     cycles c(i), one per vertex
 
 so the dimension is 2n + (number of arrows).  All structure constants are 0
-or 1, which is what makes the exhaustive checks downstream cheap.
+or 1, so the algebra is its nonzero basis products, which is what makes the
+exhaustive checks downstream cheap.
 
 Elements are sparse dicts basis index -> nonzero scalar, against
 ``algebra.basis``.
@@ -56,31 +57,25 @@ def cycle(i: int) -> BasisElement:
 
 
 class ZigzagAlgebra:
-    """Basis-indexed multiplication table of the zigzag algebra of a graph.
+    """The zigzag algebra of a graph, as its nonzero basis products.
 
-    ``table[p][q]`` is the basis index of the product of basis elements p and
-    q, or -1 when the product vanishes (structure constants are all 0 or 1).
-    ``products`` lists the nonzero entries as triples (p, q, table[p][q]) in
-    row-major order: about 9 per vertex on a tree, against dim^2 table
-    entries, so the checks and systems built from them follow the nonzeros.
-    ``partners[u]`` holds the w with b_u b_w or b_w b_u nonzero, and
-    ``factors[s]`` the (p, q) with b_p b_q = b_s.  Treat instances as
-    immutable.
+    ``products`` maps (p, q) to r with b_p b_q = b_r, in row-major order; a
+    missing pair is a vanishing product.  That is about 9 entries per vertex
+    on a tree, against dim^2 pairs.  Derived from it, ``partners[u]`` holds
+    the w with b_u b_w or b_w b_u nonzero, and ``factors[s]`` the (p, q) with
+    b_p b_q = b_s.  Treat instances as immutable.
     """
 
-    def __init__(self, graph: Graph, quiver, field, basis: tuple, table: tuple) -> None:
+    def __init__(self, graph: Graph, quiver, field, basis: tuple, products: dict) -> None:
         self.graph = graph
         self.quiver = quiver
         self.field = field
         self.basis = tuple(basis)
-        self.table = tuple(tuple(row) for row in table)
         self.dim = len(self.basis)
-        self.products = tuple(
-            (p, q, r) for p, row in enumerate(self.table) for q, r in enumerate(row) if r >= 0
-        )
+        self.products = dict(sorted(products.items()))
         self.partners = [set() for _ in self.basis]
         self.factors = [[] for _ in self.basis]
-        for p, q, r in self.products:
+        for (p, q), r in self.products.items():
             self.partners[p].add(q)
             self.partners[q].add(p)
             self.factors[r].append((p, q))
@@ -116,36 +111,35 @@ def build_algebra(g: Graph, field=RATIONALS) -> ZigzagAlgebra:
     basis = [idem(i) for i in range(1, n + 1)]
     basis.extend(arrow(a.source, a.target) for a in q.arrows)
     basis.extend(cycle(i) for i in range(1, n + 1))
-    dim = len(basis)
 
     e_at = {i: i - 1 for i in range(1, n + 1)}
     c_at = {i: n + len(q.arrows) + i - 1 for i in range(1, n + 1)}
     a_at = {(a.source, a.target): n + k for k, a in enumerate(q.arrows)}
 
-    table = [[-1] * dim for _ in range(dim)]
+    products: dict = {}
 
     def put(p: int, qq: int, r: int) -> None:
-        if table[p][qq] != -1:
-            raise AssertionError(f"table entry ({p}, {qq}) set twice")
-        table[p][qq] = r
+        if (p, qq) in products:
+            raise AssertionError(f"product ({p}, {qq}) set twice")
+        products[p, qq] = r
 
     for i in range(1, n + 1):
         put(e_at[i], e_at[i], e_at[i])
         put(e_at[i], c_at[i], c_at[i])
         put(c_at[i], e_at[i], c_at[i])
-    for (u, v), k in sorted(a_at.items()):
+    for (u, v), k in a_at.items():
         put(e_at[u], k, k)
         put(k, e_at[v], k)
         put(k, a_at[(v, u)], c_at[u])
 
-    return ZigzagAlgebra(g, q, field, tuple(basis), table)
+    return ZigzagAlgebra(g, q, field, tuple(basis), products)
 
 
 def multiply(a: ZigzagAlgebra, x: dict, y: dict) -> dict:
-    """Bilinear extension of the basis product table to sparse elements.
+    """Bilinear extension of the basis products to sparse elements.
 
     Raises ValueError for an index outside 0..dim-1, which would otherwise
-    read the wrong table entry (a negative one from the end).
+    miss every product and silently count as zero.
     """
     for p in (*x, *y):
         if not 0 <= p < a.dim:
@@ -154,12 +148,11 @@ def multiply(a: ZigzagAlgebra, x: dict, y: dict) -> dict:
     zero = field.zero
     add, mul = field.add, field.mul
     out: dict = {}
-    table = a.table
+    times = a.products.get
     for p, xv in x.items():
-        row = table[p]
         for q, yv in y.items():
-            r = row[q]
-            if r >= 0:
+            r = times((p, q))
+            if r is not None:
                 out[r] = add(out.get(r, zero), mul(xv, yv))
     return {r: v for r, v in out.items() if v != zero}
 
@@ -169,30 +162,34 @@ def check_associativity(a: ZigzagAlgebra) -> bool:
 
     Exhaustive, but visits only the triples where bp bq or bq br is nonzero
     (when both vanish, so do both sides), there only partners of their
-    factors: O(nnz * max degree) table reads.
+    factors: O(nnz * max degree) product lookups.
     """
-    table = a.table
+    prod = a.products
     partners = a.partners
-    # bp bq = b_pq: both sides vanish unless br partners b_pq or bq
-    for p, q, pq in a.products:
-        rowp, rowq, row_pq = table[p], table[q], table[pq]
+    # bp bq = b_pq: both sides vanish unless br partners b_pq or bq (a zero
+    # bq br is None, and (p, None) is no key)
+    for (p, q), pq in prod.items():
         for r in partners[pq] | partners[q]:
-            qr = rowq[r]
-            if row_pq[r] != (rowp[qr] if qr >= 0 else -1):
+            if prod.get((pq, r)) != prod.get((p, prod.get((q, r)))):
                 return False
     # bq br = b_qr and bp bq = 0: the left side vanishes, so bp b_qr must too
-    for q, r, qr in a.products:
+    for (q, r), qr in prod.items():
         for p in partners[qr]:
-            if table[p][q] < 0 and table[p][qr] >= 0:
+            if (p, q) not in prod and (p, qr) in prod:
                 return False
     return True
 
 
 def with_patched_table(a: ZigzagAlgebra, p: int, q: int, r: int) -> ZigzagAlgebra:
-    """Copy of the algebra with one table entry overridden (for negative tests)."""
-    table = [list(row) for row in a.table]
-    table[p][q] = r
-    return ZigzagAlgebra(a.graph, a.quiver, a.field, a.basis, table)
+    """Copy of the algebra with b_p b_q := b_r, or 0 for r = -1 (for negative
+    tests).  Raises ValueError unless 0 <= p, q < dim and -1 <= r < dim."""
+    if not (0 <= p < a.dim and 0 <= q < a.dim and -1 <= r < a.dim):
+        raise ValueError(f"patch ({p}, {q}) -> {r} out of range for dimension {a.dim}")
+    products = dict(a.products)
+    products.pop((p, q), None)
+    if r >= 0:
+        products[p, q] = r
+    return ZigzagAlgebra(a.graph, a.quiver, a.field, a.basis, products)
 
 
 class CenterResult(NamedTuple):
@@ -210,10 +207,10 @@ def center(a: ZigzagAlgebra) -> CenterResult:
     one = field.one
     dim = a.dim
     eqs = {}
-    for u, k, r in a.products:  # b_u b_k = b_r: x_u enters (x b_k)_r
+    for (u, k), r in a.products.items():  # b_u b_k = b_r: x_u enters (x b_k)_r
         row = eqs.setdefault((k, r), {})
         row[u] = field.add(row.get(u, field.zero), one)
-    for k, u, r in a.products:  # b_k b_u = b_r: x_u enters (b_k x)_r
+    for (k, u), r in a.products.items():  # b_k b_u = b_r: x_u enters (b_k x)_r
         row = eqs.setdefault((k, r), {})
         row[u] = field.sub(row.get(u, field.zero), one)
     sparse = []

@@ -3,8 +3,10 @@
 Nothing here imports the package under test: the multiplication table of the
 single-edge algebra is written out by hand, elimination is a dense
 textbook Gauss-Jordan over Fraction, and the flavor identities and
-associativity are checked pair by pair (triple by triple) from a plain table.  These are deliberately dumb so they can
-arbitrate when the real solver and the closed-form generator disagree.
+associativity are checked pair by pair (triple by triple) from a plain
+table, which :func:`dense_table` writes out from an algebra's products.
+These are deliberately dumb so they can arbitrate when the real solver and
+the closed-form generator disagree.
 Oracle results are dense; :func:`sparse_vectors` turns them into the dicts
 the package takes.
 """
@@ -27,6 +29,16 @@ EDGE_TABLE[1][5] = 5  # e2 c2 = c2
 EDGE_TABLE[5][1] = 5  # c2 e2 = c2
 EDGE_TABLE[2][3] = 4  # a12 a21 = c1
 EDGE_TABLE[3][2] = 5  # a21 a12 = c2
+
+
+def dense_table(algebra):
+    """The plain table of an algebra given as ``dim`` and ``products`` (pair
+    (p, q) -> r with b_p b_q = b_r): table[p][q] = r, or -1 when the product
+    vanishes."""
+    table = [[-1] * algebra.dim for _ in range(algebra.dim)]
+    for (p, q), r in algebra.products.items():
+        table[p][q] = r
+    return table
 
 
 def dense_rref(rows):

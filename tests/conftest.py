@@ -3,9 +3,43 @@
 pytest captures stdout at the file-descriptor level, so the per-criterion
 lines printed inside tests are only visible under -s. The terminal-summary
 hook below repeats them where every run can see them, including piped ones.
+The ``fresh_python`` fixture runs a new interpreter on the package in src/.
 """
 
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 ACCEPTANCE_VERDICTS: list = []
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture
+def fresh_python():
+    """``fresh_python(*args, max_bytes=None)`` runs ``python *args`` in a new
+    interpreter importing from src/, optionally under an address-space cap
+    of ``max_bytes``, where work that grows with a huge input ends in
+    MemoryError instead of exhausting the host."""
+
+    def run(*args, max_bytes=None):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (max_bytes, max_bytes))
+
+        return subprocess.run(
+            [sys.executable, *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            preexec_fn=limit if max_bytes else None,
+        )
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

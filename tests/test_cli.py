@@ -1,11 +1,8 @@
 import hashlib
 import json
-import os
 import re
 import shutil
 import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -320,21 +317,21 @@ def test_console_script_installed(tmp_path):
     assert "result: PASS" in proc.stdout
 
 
-def run_module(*argv):
-    """``python -m zigzagalg`` in a fresh interpreter, importing from src/."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run([sys.executable, "-m", "zigzagalg", *argv], capture_output=True, text=True, env=env)
-
-
-def test_module_entry_point_exit_codes(tmp_path):
-    proc = run_module("analyze", write(tmp_path, EDGE_FILE))
+def test_module_entry_point_exit_codes(tmp_path, fresh_python):
+    proc = fresh_python("-m", "zigzagalg", "analyze", write(tmp_path, EDGE_FILE))
     assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
-    proc = run_module("analyze", str(tmp_path / "missing.txt"))
+    proc = fresh_python("-m", "zigzagalg", "analyze", str(tmp_path / "missing.txt"))
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+def test_huge_edgeless_input_exits_1_without_running_out_of_memory(tmp_path, fresh_python):
+    # under a 1 GB cap, work per vertex would end in MemoryError instead
+    graph = write(tmp_path, "vertices 1000000000\n")
+    proc = fresh_python("-m", "zigzagalg", "analyze", graph, max_bytes=2**30)
+    assert proc.returncode == 1, proc.stderr
+    assert "not connected" in proc.stderr
 
 
 def test_paper_claims_hold_on_a_200_vertex_tree():

@@ -241,6 +241,21 @@ def test_parse_field():
         parse_field("real")
 
 
+def test_primes_are_certified_only_below_the_miller_rabin_bound():
+    # 318665857834031151167461 = 399165290221 * 798330580441 is a strong
+    # pseudoprime to every prime base up to 37; base 41 exposes it
+    with pytest.raises(ValueError, match="not prime"):
+        parse_field("gf:318665857834031151167461")
+    # the least strong pseudoprime to every prime base up to 41, and the
+    # prime 2^89 - 1 above it: no primality claim there can be certified
+    for p in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(ValueError, match="cannot be certified"):
+            parse_field(f"gf:{p}")
+        with pytest.raises(ValueError, match="cannot be certified"):
+            PrimeField(p)
+    assert parse_field(f"gf:{2**61 - 1}").p == 2**61 - 1
+
+
 def test_normalize_row_is_primitive_integer_over_rationals():
     row = {0: Fraction(-2, 3), 2: Fraction(4, 3)}
     assert normalize_row(RATIONALS, row) == {0: Fraction(1), 2: Fraction(-2)}

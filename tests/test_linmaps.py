@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from bruteforce import (
     check_structure,
     commutator_literal,
     dense_nullspace,
+    dense_table,
     edge_derivation_family,
     leibniz_rows,
     sparse_vectors,
@@ -316,7 +318,7 @@ ORACLE_GRAPHS = {
 def test_solver_matches_literal_identity_oracle(name, flavor):
     # the oracle sees only the plain product table, and writes each identity out
     a = build_algebra(ORACLE_GRAPHS[name])
-    family = dense_nullspace(leibniz_rows([list(r) for r in a.table], flavor), a.dim * a.dim)
+    family = dense_nullspace(leibniz_rows(dense_table(a), flavor), a.dim * a.dim)
     assert solve(a, flavor).rows == span_canonical_basis(sparse_vectors(family), RATIONALS)
 
 
@@ -341,7 +343,7 @@ def test_verify_map_agrees_with_literal_identity(name, field):
     # solved basis maps, each with one entry bumped, and Theta(c1) = c1, which
     # fails only on pairs whose product lands on c1 (e.g. a(1->2) a(2->1))
     a = build_algebra(VERIFY_GRAPHS[name], field)
-    table = [list(r) for r in a.table]
+    table = dense_table(a)
     rng = random.Random(name)
     c1 = a.index(cycle(1))
     c1_to_c1 = {c1 * a.dim + c1: field.one}
@@ -402,7 +404,7 @@ def test_verify_map_agrees_with_literal_identity_on_larger_graphs(graph, field):
     # sampled derivations, each also with one random entry bumped, audited
     # under every flavor: the audit visits only the pairs a term can reach
     a = build_algebra(graph, field)
-    table = [list(r) for r in a.table]
+    table = dense_table(a)
     rng = random.Random(a.dim)
     maps = []
     for row in rng.sample(solve(a, "derivation").rows, 4):
@@ -433,7 +435,7 @@ def test_verify_map_agrees_with_literal_identity_on_single_entry_maps(name):
     a = build_algebra(ORACLE_GRAPHS[name.removesuffix("-patched")])
     if patched:
         a = with_patched_table(a, a.index(arrow(1, 2)), a.index(arrow(2, 1)), -1)
-    table = [list(r) for r in a.table]
+    table = dense_table(a)
     verdicts = set()
     for flavor in FLAVORS:
         for j in range(a.dim * a.dim):
@@ -450,11 +452,11 @@ def seeded_patches(a, count, seed):
     that another pair already gives, once in a column (b_u b_y = b_p for two
     u) and once in a row (b_y b_u = b_p for two u); the rest are random."""
     rng = random.Random(seed)
-    table = a.table
-    u, y, p = rng.choice(a.products)
-    u2 = rng.choice([w for w in range(a.dim) if table[w][y] < 0])
-    x, w, s = rng.choice(a.products)
-    w2 = rng.choice([v for v in range(a.dim) if table[x][v] < 0])
+    products = [(p, q, r) for (p, q), r in a.products.items()]
+    u, y, p = rng.choice(products)
+    u2 = rng.choice([w for w in range(a.dim) if (w, y) not in a.products])
+    x, w, s = rng.choice(products)
+    w2 = rng.choice([v for v in range(a.dim) if (x, v) not in a.products])
     patches = [(u2, y, p), (x, w2, s)]
     while len(patches) < count:
         patches.append((rng.randrange(a.dim), rng.randrange(a.dim), rng.randrange(-1, a.dim)))
@@ -468,7 +470,7 @@ PATCHES = {
 
 
 def patched_table(name, patch):
-    return [list(r) for r in with_patched_table(build_algebra(ORACLE_GRAPHS[name]), *patch).table]
+    return dense_table(with_patched_table(build_algebra(ORACLE_GRAPHS[name]), *patch))
 
 
 @pytest.mark.parametrize("flavor", FLAVORS)
@@ -486,26 +488,17 @@ def test_generator_matches_literal_oracle_on_patched_tables(name, flavor):
         assert full == reference, patch
 
 
-def test_patched_tables_reach_every_generator_path():
-    # a derivation pair (q, r) takes the bulk path when b_q b_r = 0 and no
-    # b_p is both some b_u b_r and some b_q b_u; the generic path otherwise.
-    # A product hit by two u gives a longer row in the precomputed terms.
-    bulk = generic = column_hits = row_hits = 0
+def test_patched_tables_give_multi_entry_outer_rows():
+    # a product b_p hit by two u in a column (b_u b_y = b_p) or in a row
+    # (b_y b_u = b_p) gives a multi-entry outer row right[y][p] or left[y][p]
+    # of the generator, which a built algebra never has
+    column_hits = row_hits = 0
     for name, patches in PATCHES.items():
         for patch in patches:
-            table = patched_table(name, patch)
-            dim = len(table)
-            cols = [[table[u][y] for u in range(dim) if table[u][y] >= 0] for y in range(dim)]
-            rows = [[p for p in table[y] if p >= 0] for y in range(dim)]
-            column_hits += any(len(c) > len(set(c)) for c in cols)
-            row_hits += any(len(r) > len(set(r)) for r in rows)
-            for q in range(dim):
-                for r in range(dim):
-                    if table[q][r] < 0 and not set(cols[r]) & set(rows[q]):
-                        bulk += 1
-                    else:
-                        generic += 1
-    assert bulk and generic and column_hits and row_hits
+            products = with_patched_table(build_algebra(ORACLE_GRAPHS[name]), *patch).products
+            column_hits += max(Counter((y, p) for (_, y), p in products.items()).values()) > 1
+            row_hits += max(Counter((y, p) for (y, _), p in products.items()).values()) > 1
+    assert column_hits and row_hits
 
 
 OFF_TREE_GRAPHS = {
@@ -538,10 +531,10 @@ def chained_patches(a, seed):
     another element, then two random patches follow."""
     rng = random.Random(seed)
     u, s = rng.randrange(a.dim), rng.randrange(a.dim)
-    for x, y, _ in list(a.products):
+    for x, y in list(a.products):
         if u in (x, y):
             a = with_patched_table(a, x, y, -1)
-    for x, y, p in list(a.products):
+    for (x, y), p in list(a.products.items()):
         if p == s:
             a = with_patched_table(a, x, y, rng.choice([-1, (s + 1) % a.dim]))
     for _ in range(2):
@@ -582,7 +575,7 @@ def test_chained_patches_reach_both_fallbacks():
     no_row = no_col = 0
     for name, seeds in CHAINED.items():
         for seed in seeds:
-            table = [list(r) for r in chained_patches(build_algebra(ORACLE_GRAPHS[name]), seed).table]
+            table = dense_table(chained_patches(build_algebra(ORACLE_GRAPHS[name]), seed))
             dim = len(table)
             singles = set()
             for y in range(dim):
@@ -610,7 +603,7 @@ def test_inner_space_matches_literal_commutators_on_patched_tables(name):
     cases = [with_patched_table(base, *patch) for patch in PATCHES[name]]
     cases += [chained_patches(base, seed) for seed in CHAINED[name]]
     for a in cases:
-        table = [list(r) for r in a.table]
+        table = dense_table(a)
         literal = [{j: Fraction(c) for j, c in commutator_literal(table, k).items()} for k in range(a.dim)]
         for k, entries in enumerate(literal):
             assert ad_map(a, k) == entries, k

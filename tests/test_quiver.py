@@ -68,6 +68,21 @@ def test_validate():
     forest = Graph(4, frozenset({(1, 2), (3, 4)}))
     assert validate(forest) == (False, False)
     assert validate(Graph(1, frozenset())) == (True, True)
+    n_minus_1_edges = Graph(5, frozenset({(1, 2), (2, 3), (1, 3), (4, 5)}))
+    assert validate(n_minus_1_edges) == (False, False)
+
+
+def test_validate_answers_at_once_with_too_few_edges(fresh_python):
+    # under a 1 GB cap, work per vertex would end in MemoryError instead
+    code = (
+        "import time\n"
+        "from zigzagalg.quiver import Graph, validate\n"
+        "t0 = time.perf_counter()\n"
+        "assert validate(Graph(10**9, frozenset())) == (False, False)\n"
+        "assert time.perf_counter() - t0 < 0.1\n"
+    )
+    proc = fresh_python("-c", code, max_bytes=2**30)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_graph_rejects_bad_edges():

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from bruteforce import associative_literal
+from bruteforce import EDGE_TABLE, associative_literal, dense_table
 from zigzagalg.exactlin import PrimeField, span_equal
 from zigzagalg.quiver import Graph, path_graph, random_tree, star_graph
 from zigzagalg.zigzag import (
@@ -137,29 +137,44 @@ def test_associativity_agrees_with_brute_force_on_every_patch(graph):
     verdicts = []
     for p, q in product(range(a.dim), repeat=2):
         for r in range(-1, a.dim):
-            if r == a.table[p][q]:
+            if r == a.products.get((p, q), -1):
                 continue
             bad = with_patched_table(a, p, q, r)
             ok = check_associativity(bad)
-            assert ok == associative_literal([list(row) for row in bad.table]), (p, q, r)
+            assert ok == associative_literal(dense_table(bad)), (p, q, r)
             verdicts.append(ok)
     assert len(verdicts) == a.dim**3
     assert True in verdicts and False in verdicts
 
 
-def test_products_are_the_nonzero_table_entries():
-    def nonzero_entries(a):
-        return [(p, q, r) for p, row in enumerate(a.table) for q, r in enumerate(row) if r >= 0]
-
+def test_products_are_row_major_and_patches_change_one_entry(edge_algebra):
+    assert dense_table(edge_algebra) == EDGE_TABLE  # the hand-written table
     a = build_algebra(path_graph(3))
-    assert list(a.products) == nonzero_entries(a)
+    assert list(a.products) == sorted(a.products)
     assert len(a.products) == 9 * 3 - 6  # 9n - 6 on a tree
     e1, a12, c1 = a.index(idem(1)), a.index(arrow(1, 2)), a.index(cycle(1))
-    for p, q, r in ((a12, e1, c1), (e1, a12, -1)):  # set a vanishing entry, clear a nonzero one
+    before = dict(a.products)
+    # set a vanishing entry, clear a nonzero one, move a nonzero one
+    for p, q, r in ((a12, e1, c1), (e1, a12, -1), (e1, e1, c1)):
         patched = with_patched_table(a, p, q, r)
-        assert list(patched.products) == nonzero_entries(patched)
-        assert patched.products != a.products
-    assert list(a.products) == nonzero_entries(a)
+        assert list(patched.products) == sorted(patched.products)
+        expected = {k: v for k, v in before.items() if k != (p, q)}
+        if r >= 0:
+            expected[p, q] = r
+        assert patched.products == expected
+        assert [sorted(w) for w in patched.partners] == [
+            sorted({y for x, y in expected if x == u} | {x for x, y in expected if y == u}) for u in range(a.dim)
+        ]
+        assert patched.factors == [[k for k, v in sorted(expected.items()) if v == s] for s in range(a.dim)]
+    assert a.products == before
+
+
+def test_patches_out_of_range_are_rejected(edge_algebra):
+    a = edge_algebra
+    for patch in ((-1, 0, 0), (0, -1, 0), (a.dim, 0, 0), (0, a.dim, 0), (0, 0, a.dim), (0, 0, -2)):
+        with pytest.raises(ValueError, match="out of range"):
+            with_patched_table(a, *patch)
+    assert with_patched_table(a, a.dim - 1, a.dim - 1, -1).dim == a.dim
 
 
 def test_center_single_edge(edge_algebra):
@@ -214,6 +229,26 @@ def test_associativity_reaches_triples_only_through_the_middle_factor(case):
     a = build_algebra(graph)
     for patch in patches:
         a = with_patched_table(a, *patch)
-    table = [list(row) for row in a.table]
-    assert not associative_literal(table)
+    assert not associative_literal(dense_table(a))
     assert not check_associativity(a)
+
+
+N2000_SCRIPT = """
+import resource
+from zigzagalg.linmaps import inner_space, structured_space
+from zigzagalg.quiver import random_tree
+from zigzagalg.zigzag import build_algebra, center, check_associativity
+a = build_algebra(random_tree(2000, 12345))
+print(check_associativity(a), center(a).dimension, inner_space(a).dimension, structured_space(a).dimension)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+
+
+def test_layers_outside_the_literal_route_stay_small_on_a_2000_vertex_tree(fresh_python):
+    # dim 7998, so anything of size dim^2 (64M entries) would blow the bound;
+    # a fresh interpreter, so the peak RSS is this run's alone
+    proc = fresh_python("-c", N2000_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    dims, rss_mb = proc.stdout.splitlines()
+    assert dims == "True 2001 5997 5998"
+    assert int(rss_mb) < 200
