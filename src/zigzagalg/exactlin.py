@@ -15,7 +15,9 @@ Canonical conventions, relied on by callers and tests:
   columns cleared, rows ordered by pivot column, zero rows at the bottom).
 * ``nullspace_basis`` returns one vector per free column, ordered by the free
   column index, with the free variable set to 1 and the pivot coordinates
-  read off the RREF.
+  read off the RREF.  Every other coordinate of the vector of free column f
+  is a pivot column below f, so f is its largest column; read with the
+  column order reversed, the vectors are the kernel's own RREF.
 * ``span_dim`` / ``span_equal`` canonicalize via RREF, so their results do not
   depend on generator order or scaling.
 
@@ -260,16 +262,26 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
     are dropped from every other row before it is used.  The remaining rows
     are deduplicated (after canonical scaling) and processed shortest-first,
     which keeps fill-in negligible on the near-diagonal systems this package
-    generates.  The resulting reduced row space is order-independent anyway:
-    the RREF is unique.
+    generates; rows of one length go in decreasing order of their sorted
+    column tuples.  That matters at a hub: rows x_h - x_j sharing column h,
+    taken with j increasing, each reduce through the chain of all earlier
+    ones (x_j1 - x_j, then x_j2 - x_j, ...), O(degree^2) steps; taken with j
+    decreasing, each meets one earlier pivot and stops.  The reduced row
+    space is order-independent anyway: the RREF is unique.
     """
-    zero = field.zero
-    addmul = field.addmul
-    div = field.div
-    mul = field.mul
-    one = field.one
-
+    zero, one, neg, addmul = field.zero, field.one, field.neg, field.addmul
     pivots: dict = {}
+
+    def reduce(row, c):  # row -= row[c] * pivots[c], in place
+        nf = neg(row.pop(c))
+        for k, pv in pivots[c].items():
+            if k != c:
+                nv = addmul(row.get(k, zero), nf, pv)
+                if nv == zero:
+                    row.pop(k, None)
+                else:
+                    row[k] = nv
+
     longer = []
     for r in rows:
         if len(r) == 1:
@@ -289,51 +301,31 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
         if key in seen:
             continue
         seen.add(key)
-        cands.append((len(nr), key, nr))
-    cands.sort(key=lambda t: t[:2])
+        cands.append((len(nr), [-j for j, _ in key], key, nr))
+    cands.sort(key=lambda t: t[:3])
 
-    for _, _, row in cands:
+    for *_, row in cands:
         row = dict(row)
         while row:
             c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                lead = row.pop(c)
-                if lead != one:
-                    inv = div(one, lead)
-                    row = {k: mul(v, inv) for k, v in row.items()}
-                row[c] = one
-                pivots[c] = row
-                break
-            f = row.pop(c)
-            nf = field.neg(f)
-            for k, pv in prow.items():
-                if k == c:
-                    continue
-                nv = addmul(row.get(k, zero), nf, pv)
-                if nv == zero:
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
+            if c in pivots:
+                reduce(row, c)
+                continue
+            lead = row.pop(c)
+            if lead != one:
+                inv = field.div(one, lead)
+                row = {k: field.mul(v, inv) for k, v in row.items()}
+            row[c] = one
+            pivots[c] = row
+            break
 
     # back-substitution, descending pivot order: each row only ever pulls in
     # rows that are already fully reduced, so work stays proportional to the
     # actual nonzeros
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
-        hits = [k for k in row if k != c and k in pivots]
-        for k in sorted(hits):
-            f = row.pop(k)
-            nf = field.neg(f)
-            prow = pivots[k]
-            for k2, pv in prow.items():
-                if k2 == k:
-                    continue
-                nv = addmul(row.get(k2, zero), nf, pv)
-                if nv == zero:
-                    row.pop(k2, None)
-                else:
-                    row[k2] = nv
+        for k in sorted(k for k in row if k != c and k in pivots):
+            reduce(row, k)
     return pivots
 
 

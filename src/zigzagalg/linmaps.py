@@ -16,9 +16,10 @@ per arrow, tied by antisymmetry and per-vertex consistency).  Agreement
 between the two, and HH^0 / HH^1, are left to :mod:`zigzagalg.analysis`,
 never assumed here.
 
-:func:`solve` builds and eliminates only the equations that touch a live
-unknown (one no single-entry equation forces to zero), so its cost follows
-those; :func:`leibniz_system` is the full system, for the oracles.
+:func:`solve` builds, in one pass, only the equations that can mention a
+live unknown (one no single-entry equation forces to zero), and eliminates
+them once, so its cost follows those; :func:`leibniz_system` is the full
+system, for the oracles.  :func:`verify_map` audits in integers.
 
 A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
@@ -29,6 +30,7 @@ work on these dicts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .exactlin import Matrix, in_rref_span, normalize_row, nullspace_basis, span_canonical_basis
 from .zigzag import ZigzagAlgebra, arrow, cycle, idem
@@ -84,14 +86,15 @@ class MapSpace:
 
 
 def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
-    """(eq, touching, live): the flavor's equations over the dim^2
-    coefficients x[u, q] of Theta (column u*dim + q), from ``a.products`` and
-    :data:`FLAVOR_PRODUCTS` in small-int coefficients.  ``eq((q, r, p))`` is
-    coordinate p of Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r) as
-    ``{column: int}``, with only the coefficients that survive in the field
-    (-2 vanishes in GF(2)); ``touching(j)`` lists every triple whose equation
-    can mention column j; ``live`` the columns, in increasing order, that no
-    one-entry equation forces to zero.
+    """(eqs, full, live): the flavor's equations over the dim^2 coefficients
+    x[u, q] of Theta (column u*dim + q), from ``a.products`` and
+    :data:`FLAVOR_PRODUCTS`.  The equation at (q, r, p) is coordinate p of
+    Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r) as ``{column: c}``,
+    its small-int coefficients mapped into the field by one table, keeping
+    those nonzero there (-2 vanishes in GF(2)).  ``eqs`` lists once each the
+    nonempty equations that can mention a pool column (one no single-entry
+    family forces to zero), ``live`` the pool columns, increasing, that no
+    one-entry equation among them forces, ``full()`` the whole system.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -106,7 +109,7 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
     symmetric = set(inner) == set(outer) == {XY, YX}
     dim = a.dim
     # a coefficient sums at most len(inner) terms +1 and 2 * len(outer) terms -1
-    nonzero = {c for c in range(-2 * len(outer), len(inner) + 1) if field.convert(c) != field.zero}
+    conv = {c: v for c in range(-2 * len(outer), len(inner) + 1) if (v := field.convert(c)) != field.zero}
 
     # right[y] / left[y]: p -> {u: c}, c the coefficient of x[u, q] in
     # coordinate p of Theta(b_q) . b_y / of x[u, r] in b_y . Theta(b_r);
@@ -137,26 +140,25 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
             for s in terms:
                 inner_by[s].append((q, r))
 
-    memo: dict = {}
-
     def eq(t):
-        row = memo.get(t)
-        if row is None:
-            q, r, p = t
-            row = {u * dim + q: c for u, c in right[r].get(p, {}).items()}
-            for u, c in left[q].get(p, {}).items():
-                row[u * dim + r] = row.get(u * dim + r, 0) + c
-            for s, k in inner_at[q].get(r, {}).items():
-                row[p * dim + s] = row.get(p * dim + s, 0) + k
-            row = memo[t] = {j: c for j, c in row.items() if c in nonzero}
-        return row
+        q, r, p = t
+        row = {u * dim + q: c for u, c in right[r].get(p, {}).items()}
+        for u, c in left[q].get(p, {}).items():
+            row[u * dim + r] = row.get(u * dim + r, 0) + c
+        for s, k in inner_at[q].get(r, {}).items():
+            row[p * dim + s] = row.get(p * dim + s, 0) + k
+        return {j: conv[c] for j, c in row.items() if c in conv}
 
-    def touching(j):
-        u, c = divmod(j, dim)
-        out = [(c, r, p) for r, p in right_by[u]]
-        out += [(q, c, p) for q, p in left_by[u]]
-        out += [(q, r, u) for q, r in inner_by[c]]
-        return [(r, q, p) if r < q else (q, r, p) for q, r, p in out] if symmetric else out
+    def nonempty(triples):  # the nonempty equations, each triple once
+        triples = {(r, q, p) if symmetric and r < q else (q, r, p) for q, r, p in triples}
+        return [row for row in map(eq, triples) if row]
+
+    def full():
+        return nonempty(
+            [(q, r, p) for r, rows in enumerate(right) for p in rows for q in range(dim)]
+            + [(q, r, p) for q, rows in enumerate(left) for p in rows for r in range(dim)]
+            + [(q, r, p) for q, at in enumerate(inner_at) for r in at for p in range(dim)]
+        )
 
     # A one-entry right[r][p] = {u: c} forces x[u, q] for every q with no
     # inner term at (q, r) and p not in left[q]; a one-entry left[q][p] forces
@@ -188,8 +190,14 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
         for q in (range(dim) if ok is None else ok)
         if cols_ok[q] is None or u in cols_ok[q]
     ]
-    live = sorted(j for j in pool if all(eq(t).keys() != {j} for t in touching(j)))
-    return eq, touching, live
+    # every triple whose equation can mention pool column u*dim + c, once
+    eqs = nonempty(
+        [(c, r, p) for j in pool for u, c in [divmod(j, dim)] for r, p in right_by[u]]
+        + [(q, c, p) for j in pool for u, c in [divmod(j, dim)] for q, p in left_by[u]]
+        + [(q, r, u) for j in pool for u, c in [divmod(j, dim)] for q, r in inner_by[c]]
+    )
+    forced = {j for row in eqs if len(row) == 1 for j in row}
+    return eqs, full, sorted(j for j in pool if j not in forced)
 
 
 def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
@@ -197,29 +205,28 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     nonempty equation of :func:`_leibniz_equations`, normalized, deduplicated
     and sorted.  Its kernel is the flavor's solution space; only oracles
     build it."""
-    eq, touching, _ = _leibniz_equations(a, flavor)
+    _, full, _ = _leibniz_equations(a, flavor)
     field = a.field
-    ncols = a.dim * a.dim
     keys = set()
-    for t in {t for j in range(ncols) for t in touching(j)}:
-        row = eq(t)
+    for row in full():
         if len(row) > 1:
-            row = normalize_row(field, {j: field.convert(c) for j, c in row.items()})
-            keys.add(tuple(sorted([(j, int(v)) for j, v in row.items()])))
-        elif row:
+            keys.add(tuple(sorted([(j, int(v)) for j, v in normalize_row(field, row).items()])))
+        else:
             keys.add(((*row, 1),))
     rows = [{j: field.convert(c) for j, c in key} for key in sorted(keys)]
-    return Matrix.from_sparse(field, len(rows), ncols, rows)
+    return Matrix.from_sparse(field, len(rows), a.dim * a.dim, rows)
 
 
 def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
     """Check the flavor identity for one sparse flat-index map on every
-    ordered basis pair.
+    ordered basis pair, in integers.
 
     This is the post-hoc audit of solver output; by bilinearity, holding on
-    basis pairs is holding everywhere.  Only the pairs where the identity can
-    fail are visited, read off ``a.factors`` and ``a.partners``, so the
-    verdict is that of a walk over all dim^2 pairs:
+    basis pairs is holding everywhere.  The identity is homogeneous, so a
+    rational map is scaled by the lcm of its denominators; each coordinate
+    is then a sum of ints, tested for zero (mod p over GF(p)).  Only the
+    pairs where the identity can fail are visited, read off ``a.factors`` and
+    ``a.partners``, so the verdict is that of a walk over all dim^2 pairs:
 
     * the outer terms at (b_q, b_r) are products, in either order, of b_q
       with Theta(b_r) or of b_r with Theta(b_q); they vanish unless one of
@@ -230,15 +237,14 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
       its equations at (q, r) and (r, q) are the same, so visiting (r, q)
       decides (q, r).
     """
-    field = a.field
-    zero = field.zero
-    add, sub = field.add, field.sub
+    mod = a.field.characteristic
     times = a.products.get  # (x, y) -> index of b_x b_y, or None
     dim = a.dim
+    scale = lcm(*(v.denominator for v in lin.values()))
     cols_nz: dict = {}
     for j, v in lin.items():
         p, q = divmod(j, dim)
-        cols_nz.setdefault(q, []).append((p, v))
+        cols_nz.setdefault(q, []).append((p, v.numerator * (scale // v.denominator)))
 
     pairs = set()  # the pairs (q, r) to visit
     for c, col in cols_nz.items():
@@ -255,40 +261,38 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
         acc: dict = {}
         for x, y in ins:
             for p, v in cols_nz.get(times((x, y)), ()):
-                acc[p] = add(acc.get(p, zero), v)
+                acc[p] = acc.get(p, 0) + v
         for x, y in [(r, q)] if flavor == "anti" else ins:
             for u, v in cols_nz.get(x, ()):  # Theta(b_x) b_y
                 if (p := times((u, y))) is not None:
-                    acc[p] = sub(acc.get(p, zero), v)
+                    acc[p] = acc.get(p, 0) - v
             for u, v in cols_nz.get(y, ()):  # b_x Theta(b_y)
                 if (p := times((x, u))) is not None:
-                    acc[p] = sub(acc.get(p, zero), v)
-        if any(v != zero for v in acc.values()):
+                    acc[p] = acc.get(p, 0) - v
+        if any(v % mod for v in acc.values()) if mod else any(acc.values()):
             return False
     return True
 
 
 def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
-    """Kernel of the flavor's constraint system, as a canonical MapSpace.
+    """Kernel of the flavor's constraint system, as a canonical MapSpace, from
+    one pass over its equations and one elimination.
 
-    Only the live columns are eliminated, relabelled in increasing order,
-    from the equations that touch them; forced columns are pivots, so the
-    kernel mapped back is that of :func:`leibniz_system`.  Every basis map of
-    the result is re-verified against the defining identity on all basis
-    pairs; a failure there is a solver bug, reported as InternalInvariantError
-    rather than a wrong answer.
+    Only the live columns are eliminated; forced columns are pivots, so the
+    kernel mapped back is that of :func:`leibniz_system`.  Labelled in
+    decreasing order, the live columns make :func:`nullspace_basis` return
+    the kernel's RREF read backwards (see :mod:`exactlin`), so no second
+    elimination canonicalizes it.  Every basis map is re-verified against the
+    defining identity on all basis pairs; a failure there is a solver bug,
+    reported as InternalInvariantError rather than a wrong answer.
     """
-    eq, touching, live = _leibniz_equations(a, flavor)
-    convert = a.field.convert
-    label = {j: k for k, j in enumerate(live)}
-    rows = []
-    for t in {t for j in live for t in touching(j)}:
-        row = {label[j]: convert(c) for j, c in eq(t).items() if j in label}
-        if row:
-            rows.append(row)
-    system = Matrix.from_sparse(a.field, len(rows), len(live), rows)
-    kernel = [{live[k]: v for k, v in vec.items()} for vec in nullspace_basis(system)]
-    space = MapSpace.from_generators(flavor, a, kernel)
+    eqs, _, live = _leibniz_equations(a, flavor)
+    top = len(live) - 1
+    label = {j: top - k for k, j in enumerate(live)}
+    rows = [row for row in ({label[j]: v for j, v in eq.items() if j in label} for eq in eqs) if row]
+    system = Matrix(a.field, len(rows), len(live), tuple(rows))
+    kernel = [{live[top - k]: v for k, v in vec.items()} for vec in reversed(nullspace_basis(system))]
+    space = MapSpace(flavor, a.field, a.dim, kernel)
     for row in space.rows:
         if not verify_map(a, row, flavor):
             raise InternalInvariantError(f"solved {flavor} basis map fails the defining identity")

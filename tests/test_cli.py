@@ -7,7 +7,7 @@ import subprocess
 import pytest
 
 import zigzagalg
-from zigzagalg import analysis, cli
+from zigzagalg import analysis, cli, quiver, zigzag
 from zigzagalg.analysis import CHECK_KEYS, NA, PASS, Report, analyze_graph
 from zigzagalg.cli import main
 from zigzagalg.exactlin import RATIONALS, parse_field
@@ -267,6 +267,29 @@ def test_analyses_match_pinned_digest(spec, skip_jordan):
         digest.update(json.dumps(report.to_dict(include_timings=False), sort_keys=True).encode())
         digest.update(json.dumps(warnings).encode())
     assert digest.hexdigest() == PINNED_ANALYSES[(spec, skip_jordan)]
+
+
+def test_analyze_graph_walks_the_graph_once(monkeypatch):
+    # build_algebra's connectivity check is the only breadth-first search of
+    # one analysis, and a disconnected input still fails there
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return quiver.validate(g)
+
+    for mod in (analysis, zigzag):
+        monkeypatch.setattr(mod, "validate", counting, raising=False)
+    for g, is_tree in ((random_tree(6, 606), True), (Graph(3, frozenset({(1, 2), (2, 3), (1, 3)})), False)):
+        calls.clear()
+        report, _ = analyze_graph(g)
+        assert calls == [g] and report.is_tree == is_tree
+    # the second graph has n - 1 edges, so only the walk tells it from a tree
+    for edges in ({(1, 2), (3, 4)}, {(1, 2), (2, 3), (1, 3)}):
+        calls.clear()
+        with pytest.raises(ValueError, match="^graph on 4 vertices is not connected$"):
+            analyze_graph(Graph(4, frozenset(edges)))
+        assert len(calls) == 1
 
 
 def test_sweep_calls_analyze_graph_through_the_cli_module(monkeypatch, capsys):

@@ -17,10 +17,12 @@ from bruteforce import (
     sparse_vectors,
     verify_literal,
 )
+from zigzagalg import exactlin
 from zigzagalg.analysis import analyze_graph
 from zigzagalg.exactlin import (
     RATIONALS,
     PrimeField,
+    Rationals,
     nullspace_basis,
     parse_field,
     span_canonical_basis,
@@ -608,3 +610,108 @@ def test_inner_space_matches_literal_commutators_on_patched_tables(name):
         for k, entries in enumerate(literal):
             assert ad_map(a, k) == entries, k
         assert inner_space(a).rows == span_canonical_basis(literal, RATIONALS)
+
+
+AUDIT_GRAPHS = {"path3": path_graph(3), "star5": star_graph(5), "cycle4": REFERENCE_GRAPHS["cycle4"]}
+
+
+@pytest.mark.parametrize("name", sorted(AUDIT_GRAPHS))
+def test_integer_audit_agrees_with_literal_identity_on_mixed_denominators(name):
+    # the audit clears denominators before it sums; the maps mix 1/2, 1/3 and
+    # 1/6, and each is audited under every flavor
+    a = build_algebra(AUDIT_GRAPHS[name])
+    table = dense_table(a)
+    rng = random.Random(name)
+    rows = solve(a, "derivation").rows
+    third, half, sixth = Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)
+    maps = [{j: v * third for j, v in row.items()} for row in rows]
+    for _ in range(4):
+        r1, r2 = rng.sample(rows, 2)
+        mixed = {j: r1.get(j, 0) * half + r2.get(j, 0) * third for j in {*r1, *r2}}
+        mixed = {j: v for j, v in mixed.items() if v}
+        bumped = dict(mixed)
+        j = rng.choice([rng.randrange(a.dim * a.dim), *mixed])
+        bumped[j] = bumped.get(j, 0) + sixth
+        maps += [mixed, {j: v for j, v in bumped.items() if v}]
+    assert any(len({v.denominator for v in m.values()}) > 1 for m in maps)
+    verdicts = set()
+    for flavor in FLAVORS:
+        for m in maps:
+            ok = verify_map(a, m, flavor)
+            assert ok == verify_literal(table, m, flavor), (flavor, m)
+            verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("name", sorted(AUDIT_GRAPHS))
+def test_integer_audit_reduces_mod_p(name, p):
+    # over GF(p) the audit sums residues as plain ints; a map whose identity
+    # holds mod p but not over the integers makes some coordinate reach a
+    # nonzero multiple of p, which must still count as zero
+    field = PrimeField(p)
+    a = build_algebra(AUDIT_GRAPHS[name], field)
+    table = dense_table(a)
+    rng = random.Random(f"{name}-{p}")
+    rows = solve(a, "derivation").rows
+    maps = [{j: field.mul(v, p - 1) for j, v in row.items()} for row in rows]
+    for _ in range(6):
+        r1, r2 = rng.sample(rows, 2)
+        c1, c2 = rng.randrange(1, p), rng.randrange(1, p)
+        mixed = {j: field.add(field.mul(c1, r1.get(j, 0)), field.mul(c2, r2.get(j, 0))) for j in {*r1, *r2}}
+        maps.append({j: v for j, v in mixed.items() if v})
+        bumped = dict(maps[-1])
+        j = rng.randrange(a.dim * a.dim)
+        bumped[j] = field.add(bumped.get(j, 0), 1)
+        maps.append({j: v for j, v in bumped.items() if v})
+    wraps = verdicts = 0
+    for flavor in FLAVORS:
+        for m in maps:
+            ok = verify_map(a, m, flavor)
+            assert ok == verify_literal(table, m, flavor, p), (flavor, m)
+            wraps += ok and not verify_literal(table, m, flavor)
+            verdicts += ok
+    assert wraps and verdicts < 3 * len(maps)
+
+
+def test_a_hub_costs_no_more_row_work_than_a_random_tree(monkeypatch):
+    # row work as a count that does not depend on wall time: the field.addmul
+    # calls of each stage on star_graph(400) stay within twice those on a
+    # random tree of the same size (a hub once made them O(degree^2))
+    calls = Counter()
+
+    def addmul(x, f, y):
+        calls["addmul"] += 1
+        return x + f * y
+
+    monkeypatch.setattr(Rationals, "addmul", staticmethod(addmul))
+    stages = {"center": center, "derivation": lambda a: solve(a, "derivation"), "structured": structured_space}
+    work = {}
+    for graph, g in (("star", star_graph(400)), ("tree", random_tree(400, 12345))):
+        a = build_algebra(g)
+        for stage, run in stages.items():
+            before = calls["addmul"]
+            run(a)
+            work[graph, stage] = calls["addmul"] - before
+    for stage in stages:
+        assert 0 < work["star", stage] <= 2 * work["tree", stage], (stage, work)
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:3"])
+def test_solve_eliminates_once_per_call(monkeypatch, spec):
+    # the kernel read off with the live columns in decreasing order is already
+    # canonical, so no second elimination runs
+    calls = []
+    eliminate = exactlin._eliminate
+
+    def counting(field, rows):
+        calls.append(field)
+        return eliminate(field, rows)
+
+    monkeypatch.setattr(exactlin, "_eliminate", counting)
+    for g in (random_tree(9, 909), OFF_TREE_GRAPHS["K4"]):
+        a = build_algebra(g, parse_field(spec))
+        for flavor in FLAVORS:
+            calls.clear()
+            solve(a, flavor)
+            assert len(calls) == 1, flavor
