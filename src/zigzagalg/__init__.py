@@ -40,7 +40,6 @@ from .quiver import (
     Graph,
     GraphParseError,
     Xorshift64Star,
-    double_quiver,
     parse_graph,
     path_graph,
     random_tree,

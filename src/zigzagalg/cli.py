@@ -16,7 +16,7 @@ from pathlib import Path
 from .analysis import CHECK_KEYS, Report, analyze_graph
 from .exactlin import parse_field
 from .linmaps import InternalInvariantError, materialize, solve, structured_parameter_basis
-from .quiver import Xorshift64Star, parse_graph, random_tree, serialize_graph, validate
+from .quiver import Xorshift64Star, parse_graph, random_tree, serialize_graph
 from .zigzag import build_algebra
 
 
@@ -180,7 +180,7 @@ def cmd_dump(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _, is_tree = validate(g)
+    is_tree = algebra.is_tree
     try:
         if is_tree:
             params = structured_parameter_basis(algebra)

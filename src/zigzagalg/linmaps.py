@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .exactlin import Matrix, in_rref_span, normalize_row, nullspace_basis, span_canonical_basis
-from .zigzag import ZigzagAlgebra, arrow, cycle, idem
+from .zigzag import ZigzagAlgebra
 
 # flavor -> (inner, outer): the orders (xy, yx) of the algebra's product that
 # each of the two products of the flavor identity sums
@@ -314,81 +314,63 @@ class DerivationParams:
     d: dict
 
 
-def _arrow_layout(a: ZigzagAlgebra):
-    """(a_at, e_at, c_at, nbrs): the basis index of each arrow, in quiver
-    order, of each trivial path and of each cycle, and each vertex's
-    neighbors in increasing order."""
-    n = a.graph.n
-    a_at = {(ar.source, ar.target): a.index(arrow(ar.source, ar.target)) for ar in a.quiver.arrows}
-    e_at = {i: a.index(idem(i)) for i in range(1, n + 1)}
-    c_at = {i: a.index(cycle(i)) for i in range(1, n + 1)}
-    nbrs: dict = {i: [] for i in range(1, n + 1)}
-    for u, v in a_at:  # sorted by (source, target)
-        nbrs[u].append(v)
-    return a_at, e_at, c_at, nbrs
-
-
-def materialize(a: ZigzagAlgebra, params: DerivationParams, layout=None) -> dict:
+def materialize(a: ZigzagAlgebra, params: DerivationParams) -> dict:
     """The sparse flat-index map the parameters describe, built from their
-    nonzeros (``layout`` is :func:`_arrow_layout`, computed if not given).
-    Raises ValueError if the parameters mention a non-arrow or violate
-    per-vertex consistency."""
+    nonzeros, each converted into the field.  Raises ValueError if the
+    parameters mention a non-arrow or violate per-vertex consistency."""
     field = a.field
     zero = field.zero
-    a_at, e_at, c_at, nbrs = layout or _arrow_layout(a)
+    a_at, e_at, c_at = a.a_at, a.e_at, a.c_at
     for key in list(params.t) + list(params.d):
         if key not in a_at:
             raise ValueError(f"parameter for non-arrow {key}")
-    t = {ar: v for ar, v in params.t.items() if v != zero}
-    d = {ar: v for ar, v in params.d.items() if v != zero}
+    t = {ar: c for ar, v in params.t.items() if (c := field.convert(v)) != zero}
+    d = {ar: c for ar, v in params.d.items() if (c := field.convert(v)) != zero}
 
+    # no two terms below share a coordinate, so each entry is stored as is
     dim = a.dim
     out: dict = {}
-
-    def put(p: int, q: int, v) -> None:
-        j = p * dim + q
-        x = field.add(out.get(j, zero), v)
-        if x == zero:
-            out.pop(j, None)
-        else:
-            out[j] = x
-
     for (u, v), tv in t.items():
         row = a_at[(u, v)]
-        put(row, e_at[v], tv)
-        put(row, e_at[u], field.neg(tv))
+        out[row * dim + e_at[v]] = tv
+        out[row * dim + e_at[u]] = field.neg(tv)
         # a(v->u) maps to -t[(u, v)] c(v) + t[(u, v)] c(u)
-        put(c_at[v], a_at[(v, u)], field.neg(tv))
-        put(c_at[u], a_at[(v, u)], tv)
+        out[c_at[v] * dim + a_at[(v, u)]] = field.neg(tv)
+        out[c_at[u] * dim + a_at[(v, u)]] = tv
     for ar, dv in d.items():
-        put(a_at[ar], a_at[ar], dv)
-    # c(i) maps to (d[(i, j)] + d[(j, i)]) c(i), the same for every neighbor j
-    for i in sorted({x for ar in d for x in ar}):
-        sums = {field.add(d.get((i, j), zero), d.get((j, i), zero)) for j in nbrs[i]}
-        if len(sums) > 1:
+        out[a_at[ar] * dim + a_at[ar]] = dv
+    # c(i) maps to (d[(i, j)] + d[(j, i)]) c(i), the same for every neighbor
+    # j; each edge d touches gives its sum at both ends
+    sums: dict = {}
+    for u, v in {(min(ar), max(ar)) for ar in d}:
+        s = field.add(d.get((u, v), zero), d.get((v, u), zero))
+        for i in (u, v):
+            sums.setdefault(i, []).append(s)
+    for i, at_i in sorted(sums.items()):
+        if len(at_i) < len(a.nbrs[i]):  # an edge d does not touch gives zero
+            at_i.append(zero)
+        if len(set(at_i)) > 1:
             raise ValueError(
                 f"inconsistent parameters: cycle coefficients at vertex {i} disagree across neighbors"
             )
-        sm = sums.pop()
-        if sm != zero:
-            put(c_at[i], c_at[i], sm)
+        if at_i[0] != zero:
+            out[c_at[i] * dim + c_at[i]] = at_i[0]
     return out
 
 
 def structured_parameter_basis(a: ZigzagAlgebra) -> list:
     """Canonical basis of the parameter space (t_a, d_a) modulo consistency.
 
-    Free coordinates: one t per arrow, one d per arrow, in quiver arrow
-    order; the per-vertex cycle-consistency conditions are solved exactly.
+    Free coordinates: one t per arrow, one d per arrow, in ``a.arrows`` order;
+    the per-vertex cycle-consistency conditions are solved exactly.
     """
     field = a.field
-    a_at, _, _, nbrs = _arrow_layout(a)
-    arrows = list(a_at)
+    arrows = a.arrows
     m = len(arrows)
     pos = {ar: k for k, ar in enumerate(arrows)}
     one = field.one
     rows = []
-    for i, nb in nbrs.items():
+    for i, nb in a.nbrs.items():
         if len(nb) < 2:
             continue
         j0 = nb[0]
@@ -412,8 +394,7 @@ def structured_parameter_basis(a: ZigzagAlgebra) -> list:
 
 def structured_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of the materialized parameter basis, as a canonical MapSpace."""
-    layout = _arrow_layout(a)
-    maps = [materialize(a, p, layout) for p in structured_parameter_basis(a)]
+    maps = [materialize(a, p) for p in structured_parameter_basis(a)]
     return MapSpace.from_generators("derivation", a, maps)
 
 

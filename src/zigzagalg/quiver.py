@@ -1,4 +1,4 @@
-"""Simple graphs, their doubled quivers, and seeded random labeled trees.
+"""Simple graphs, their text format, connectivity, and seeded random labeled trees.
 
 The text format accepted by :func:`parse_graph` is line-oriented UTF-8:
 
@@ -125,36 +125,6 @@ def validate(g: Graph) -> ValidationResult:
                 queue.append(y)
     connected = len(seen) == g.n
     return ValidationResult(connected, connected and len(g.edges) == g.n - 1)
-
-
-@dataclass(frozen=True)
-class Arrow:
-    source: int
-    target: int
-
-    def __str__(self) -> str:
-        return f"a({self.source}->{self.target})"
-
-
-class Quiver:
-    """Doubled quiver of a graph: one arrow per edge per orientation."""
-
-    def __init__(self, n: int, arrows: tuple) -> None:
-        self.n = n
-        self.arrows = tuple(arrows)
-
-    def __repr__(self) -> str:
-        return f"Quiver(n={self.n}, arrows={self.arrows!r})"
-
-
-def double_quiver(g: Graph) -> Quiver:
-    """Arrows of the doubled quiver, sorted by (source, target)."""
-    pairs = []
-    for u, v in g.edges:
-        pairs.append((u, v))
-        pairs.append((v, u))
-    pairs.sort()
-    return Quiver(g.n, tuple(Arrow(s, t) for s, t in pairs))
 
 
 _MASK64 = (1 << 64) - 1

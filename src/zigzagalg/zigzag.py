@@ -13,17 +13,21 @@ so the dimension is 2n + (number of arrows).  All structure constants are 0
 or 1, so the algebra is its nonzero basis products, which is what makes the
 exhaustive checks downstream cheap.
 
+The basis layout is decided here alone: other modules read the index maps
+of a :class:`ZigzagAlgebra` instead of building basis elements to look up.
+
 Elements are sparse dicts basis index -> nonzero scalar, against
 ``algebra.basis``.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactlin import RATIONALS, Matrix, nullspace_basis
-from .quiver import Graph, double_quiver, validate
+from .quiver import Graph, validate
 
 IDEM = "e"
 ARROW = "a"
@@ -57,7 +61,15 @@ def cycle(i: int) -> BasisElement:
 
 
 class ZigzagAlgebra:
-    """The zigzag algebra of a graph, as its nonzero basis products.
+    """The zigzag algebra of a graph, as its basis layout and its nonzero
+    basis products.
+
+    The constructor reads the layout off the graph: trivial paths by vertex,
+    the ``arrows`` (i, j) by (source, target), cycles by vertex.
+    ``e_at[i]``, ``a_at[(i, j)]`` and ``c_at[i]`` are the basis indices of
+    e(i), a(i->j) and c(i), ``nbrs[i]`` the neighbors of i, increasing, and
+    ``is_tree`` whether the graph has n - 1 edges (on the connected graphs
+    :func:`build_algebra` accepts, a tree).  The products come after.
 
     ``products`` maps (p, q) to r with b_p b_q = b_r, in row-major order; a
     missing pair is a vanishing product.  That is about 9 entries per vertex
@@ -66,12 +78,28 @@ class ZigzagAlgebra:
     b_p b_q = b_s.  Treat instances as immutable.
     """
 
-    def __init__(self, graph: Graph, quiver, field, basis: tuple, products: dict) -> None:
+    def __init__(self, graph: Graph, field) -> None:
         self.graph = graph
-        self.quiver = quiver
         self.field = field
-        self.basis = tuple(basis)
+        n = graph.n
+        self.arrows = tuple(sorted([(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges]))
+        self.e_at = {i: i - 1 for i in range(1, n + 1)}
+        self.a_at = {ar: n + k for k, ar in enumerate(self.arrows)}
+        self.c_at = {i: n + len(self.arrows) + i - 1 for i in range(1, n + 1)}
+        self.nbrs: dict = {i: [] for i in range(1, n + 1)}
+        for u, v in self.arrows:
+            self.nbrs[u].append(v)
+        self.is_tree = len(graph.edges) == n - 1
+        self.basis = (
+            *(idem(i) for i in self.e_at),
+            *(arrow(u, v) for u, v in self.arrows),
+            *(cycle(i) for i in self.c_at),
+        )
         self.dim = len(self.basis)
+        self._pos = {b: k for k, b in enumerate(self.basis)}
+
+    def _set_products(self, products: dict) -> None:
+        """Store the nonzero products and the indices read off them."""
         self.products = dict(sorted(products.items()))
         self.partners = [set() for _ in self.basis]
         self.factors = [[] for _ in self.basis]
@@ -79,7 +107,6 @@ class ZigzagAlgebra:
             self.partners[p].add(q)
             self.partners[q].add(p)
             self.factors[r].append((p, q))
-        self._pos = {b: k for k, b in enumerate(self.basis)}
 
     def index(self, b: BasisElement) -> int:
         return self._pos[b]
@@ -95,8 +122,7 @@ class ZigzagAlgebra:
 def build_algebra(g: Graph, field=RATIONALS) -> ZigzagAlgebra:
     """Construct the zigzag algebra of a connected simple graph on >= 2 vertices.
 
-    Basis order: trivial paths by vertex, arrows by (source, target), cycles
-    by vertex.  Raises ValueError for a single-vertex or disconnected input.
+    Raises ValueError for a single-vertex or disconnected input.
     """
     if g.n == 1:
         raise ValueError("single-vertex graph has no zigzag algebra here: need at least one edge")
@@ -106,24 +132,16 @@ def build_algebra(g: Graph, field=RATIONALS) -> ZigzagAlgebra:
     if not connected:
         raise ValueError(f"graph on {g.n} vertices is not connected")
 
-    q = double_quiver(g)
-    n = g.n
-    basis = [idem(i) for i in range(1, n + 1)]
-    basis.extend(arrow(a.source, a.target) for a in q.arrows)
-    basis.extend(cycle(i) for i in range(1, n + 1))
-
-    e_at = {i: i - 1 for i in range(1, n + 1)}
-    c_at = {i: n + len(q.arrows) + i - 1 for i in range(1, n + 1)}
-    a_at = {(a.source, a.target): n + k for k, a in enumerate(q.arrows)}
-
+    a = ZigzagAlgebra(g, field)
+    e_at, a_at, c_at = a.e_at, a.a_at, a.c_at
     products: dict = {}
 
-    def put(p: int, qq: int, r: int) -> None:
-        if (p, qq) in products:
-            raise AssertionError(f"product ({p}, {qq}) set twice")
-        products[p, qq] = r
+    def put(p: int, q: int, r: int) -> None:
+        if (p, q) in products:
+            raise AssertionError(f"product ({p}, {q}) set twice")
+        products[p, q] = r
 
-    for i in range(1, n + 1):
+    for i in a.e_at:
         put(e_at[i], e_at[i], e_at[i])
         put(e_at[i], c_at[i], c_at[i])
         put(c_at[i], e_at[i], c_at[i])
@@ -132,7 +150,8 @@ def build_algebra(g: Graph, field=RATIONALS) -> ZigzagAlgebra:
         put(k, e_at[v], k)
         put(k, a_at[(v, u)], c_at[u])
 
-    return ZigzagAlgebra(g, q, field, tuple(basis), products)
+    a._set_products(products)
+    return a
 
 
 def multiply(a: ZigzagAlgebra, x: dict, y: dict) -> dict:
@@ -160,22 +179,21 @@ def multiply(a: ZigzagAlgebra, x: dict, y: dict) -> dict:
 def check_associativity(a: ZigzagAlgebra) -> bool:
     """Check (bp bq) br == bp (bq br) over all basis triples.
 
-    Exhaustive, but visits only the triples where bp bq or bq br is nonzero
-    (when both vanish, so do both sides), there only partners of their
-    factors: O(nnz * max degree) product lookups.
+    Exhaustive, but visits only the triples where one side is a product of
+    two nonzero products (when both vanish, they agree): (bp bq) br = b_s br
+    for each factorization b_p b_q of each left factor b_s of a nonzero
+    product, and bp (bq br) likewise on the right.  That is one visit per
+    nonzero product and factorization, whatever the degrees.
     """
     prod = a.products
-    partners = a.partners
-    # bp bq = b_pq: both sides vanish unless br partners b_pq or bq (a zero
-    # bq br is None, and (p, None) is no key)
-    for (p, q), pq in prod.items():
-        for r in partners[pq] | partners[q]:
-            if prod.get((pq, r)) != prod.get((p, prod.get((q, r)))):
+    # a zero product is None, and no key holds None
+    for (s, r), sr in prod.items():
+        for p, q in a.factors[s]:
+            if sr != prod.get((p, prod.get((q, r)))):
                 return False
-    # bq br = b_qr and bp bq = 0: the left side vanishes, so bp b_qr must too
-    for (q, r), qr in prod.items():
-        for p in partners[qr]:
-            if (p, q) not in prod and (p, qr) in prod:
+    for (p, s), ps in prod.items():
+        for q, r in a.factors[s]:
+            if ps != prod.get((prod.get((p, q)), r)):
                 return False
     return True
 
@@ -189,7 +207,9 @@ def with_patched_table(a: ZigzagAlgebra, p: int, q: int, r: int) -> ZigzagAlgebr
     products.pop((p, q), None)
     if r >= 0:
         products[p, q] = r
-    return ZigzagAlgebra(a.graph, a.quiver, a.field, a.basis, products)
+    patched = copy.copy(a)  # the layout is the graph's, so it is shared
+    patched._set_products(products)
+    return patched
 
 
 class CenterResult(NamedTuple):

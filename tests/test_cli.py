@@ -11,7 +11,7 @@ from zigzagalg import analysis, cli, quiver, zigzag
 from zigzagalg.analysis import CHECK_KEYS, NA, PASS, Report, analyze_graph
 from zigzagalg.cli import main
 from zigzagalg.exactlin import RATIONALS, parse_field
-from zigzagalg.quiver import Graph, path_graph, random_tree, star_graph
+from zigzagalg.quiver import Graph, path_graph, random_tree, serialize_graph, star_graph
 
 EDGE_FILE = "vertices 2\nedge 1 2\n"
 PATH3_FILE = "vertices 3\nedge 1 2\nedge 2 3\n"
@@ -289,6 +289,24 @@ def test_analyze_graph_walks_the_graph_once(monkeypatch):
         calls.clear()
         with pytest.raises(ValueError, match="^graph on 4 vertices is not connected$"):
             analyze_graph(Graph(4, frozenset(edges)))
+        assert len(calls) == 1
+
+
+def test_dump_derivations_walks_the_graph_once(monkeypatch, tmp_path, capsys):
+    # the presentation follows the algebra's is_tree, so build_algebra's
+    # connectivity check is the only breadth-first search of one dump
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return quiver.validate(g)
+
+    for mod in (cli, zigzag):
+        monkeypatch.setattr(mod, "validate", counting, raising=False)
+    for text, presentation in ((serialize_graph(random_tree(6, 606)), "parameters"), (TRIANGLE_FILE, "solver")):
+        calls.clear()
+        assert main(["dump-derivations", write(tmp_path, text), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["presentation"] == presentation
         assert len(calls) == 1
 
 

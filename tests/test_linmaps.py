@@ -152,6 +152,27 @@ def test_materialize_rejects_inconsistent_cycle_sums():
         materialize(a, params)
 
 
+def test_materialize_checks_a_hub_whose_edges_are_all_touched():
+    # every edge at the hub carries d, so no untouched edge adds a zero sum
+    a = build_algebra(star_graph(4))
+    one = Fraction(1)
+    lin = materialize(a, DerivationParams(t={}, d={(1, 2): one, (3, 1): one, (1, 4): one}))
+    assert as_entries(a, lin)[("c1", "c1")] == one
+    assert verify_map(a, lin, "derivation")
+    with pytest.raises(ValueError, match="inconsistent parameters: cycle coefficients at vertex 1 "):
+        materialize(a, DerivationParams(t={}, d={(1, 2): one, (3, 1): one, (1, 4): 2 * one}))
+
+
+def test_materialize_converts_parameters_into_the_field():
+    params = DerivationParams(t={(1, 2): 4}, d={(1, 2): 4, (2, 1): 2})
+    gf3 = build_algebra(path_graph(2), PrimeField(3))
+    assert materialize(gf3, params) == materialize(gf3, DerivationParams(t={(1, 2): 1}, d={(1, 2): 1, (2, 1): 2}))
+    lin = materialize(build_algebra(path_graph(2)), params)
+    assert lin and all(type(v) is Fraction for v in lin.values())
+    with pytest.raises(ValueError, match="floating point"):
+        materialize(gf3, DerivationParams(t={(1, 2): 0.5}, d={}))
+
+
 def test_parameter_count_single_edge(edge_algebra):
     params = structured_parameter_basis(edge_algebra)
     assert len(params) == 4  # 2 + 2 free parameters, no consistency constraints
@@ -695,6 +716,26 @@ def test_a_hub_costs_no_more_row_work_than_a_random_tree(monkeypatch):
             work[graph, stage] = calls["addmul"] - before
     for stage in stages:
         assert 0 < work["star", stage] <= 2 * work["tree", stage], (stage, work)
+
+
+def test_a_hub_costs_the_structured_route_no_more_additions(monkeypatch):
+    # the field.add calls of structured_space on star_graph(400) stay within
+    # twice those on a random tree of the same size; the cycle-consistency
+    # check once walked every neighbor of each vertex a map touches
+    calls = Counter()
+
+    def add(x, y):
+        calls["add"] += 1
+        return x + y
+
+    monkeypatch.setattr(Rationals, "add", staticmethod(add))
+    work = {}
+    for graph, g in (("star", star_graph(400)), ("tree", random_tree(400, 12345))):
+        a = build_algebra(g)
+        before = calls["add"]
+        structured_space(a)
+        work[graph] = calls["add"] - before
+    assert 0 < work["star"] <= 2 * work["tree"], work
 
 
 @pytest.mark.parametrize("spec", ["rat", "gf:3"])

@@ -8,7 +8,6 @@ from zigzagalg.quiver import (
     Graph,
     GraphParseError,
     Xorshift64Star,
-    double_quiver,
     parse_graph,
     path_graph,
     random_tree,
@@ -16,6 +15,7 @@ from zigzagalg.quiver import (
     star_graph,
     validate,
 )
+from zigzagalg.zigzag import build_algebra
 
 EDGE_TEXT = "vertices 2\nedge 1 2\n"
 
@@ -95,8 +95,7 @@ def test_graph_rejects_bad_edges():
 
 
 def test_double_quiver_order():
-    q = double_quiver(path_graph(3))
-    assert [(a.source, a.target) for a in q.arrows] == [(1, 2), (2, 1), (2, 3), (3, 2)]
+    assert build_algebra(path_graph(3)).arrows == ((1, 2), (2, 1), (2, 3), (3, 2))
 
 
 def test_star_and_path_shapes():

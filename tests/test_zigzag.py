@@ -233,6 +233,57 @@ def test_associativity_reaches_triples_only_through_the_middle_factor(case):
     assert not check_associativity(a)
 
 
+class CountingProducts(dict):
+    """A product table that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_a_hub_costs_check_associativity_no_more_lookups():
+    # the product lookups on star_graph(400) stay within twice those on a
+    # random tree of the same size (a hub once made them O(nnz * degree))
+    work = {}
+    for graph, g in (("star", star_graph(400)), ("tree", random_tree(400, 12345))):
+        a = build_algebra(g)
+        a.products = CountingProducts(a.products)
+        assert check_associativity(a)
+        work[graph] = a.products.lookups
+    assert 0 < work["star"] <= 2 * work["tree"], work
+
+
+K4 = Graph(4, frozenset((i, j) for i in range(1, 5) for j in range(i + 1, 5)))
+
+
+@pytest.mark.parametrize("graph", [path_graph(5), star_graph(6), K4, "K4-patched"], ids=["path5", "star6", "K4", "K4-patched"])
+def test_layout_maps_agree_with_the_basis(graph):
+    # the algebra's own index maps name the same elements as index(...), on
+    # a patched table too
+    a = with_patched_table(build_algebra(K4), 4, 5, -1) if graph == "K4-patched" else build_algebra(graph)
+    n = a.graph.n
+    assert a.e_at == {i: a.index(idem(i)) for i in range(1, n + 1)}
+    assert a.c_at == {i: a.index(cycle(i)) for i in range(1, n + 1)}
+    assert a.a_at == {(u, v): a.index(arrow(u, v)) for u, v in a.arrows}
+    assert {(b.at, b.to) for b in a.basis if b.kind == "a"} == set(a.arrows)
+    assert sorted([*a.e_at.values(), *a.a_at.values(), *a.c_at.values()]) == list(range(a.dim))
+    assert list(a.arrows) == sorted(a.arrows)
+    # the neighbor lists are the graph's edges, each vertex's in increasing order
+    edges = a.graph.edges
+    assert a.nbrs == {i: sorted({j for j in range(1, n + 1) if (i, j) in edges or (j, i) in edges}) for i in range(1, n + 1)}
+    assert a.is_tree == (len(edges) == n - 1)
+
+
 N2000_SCRIPT = """
 import resource
 from zigzagalg.linmaps import inner_space, structured_space
