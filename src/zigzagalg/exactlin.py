@@ -2,8 +2,9 @@
 
 Everything in this package that looks like linear algebra goes through this
 module: reduced row-echelon forms, kernels, and span comparisons, all with
-exact arithmetic (``fractions.Fraction`` in characteristic 0, integers mod p
-otherwise).  No floating point is used anywhere.
+exact arithmetic and no floating point.  Elimination works on ints in both
+fields (fraction-free integer rows over the rationals, residues mod p over
+GF(p)); results hold ``Fraction``s in characteristic 0, ints in [0, p) else.
 
 Matrices are stored as sparse rows (dict column -> nonzero scalar), which is
 what the Leibniz constraint systems downstream need: tens of thousands of
@@ -106,7 +107,7 @@ class Rationals:
 
     @staticmethod
     def addmul(a, f, b):
-        """a + f*b in one call; the elimination inner loop lives on this."""
+        """a + f*b in one call, for span membership (elimination works on ints)."""
         return a + f * b
 
     def __eq__(self, other) -> bool:
@@ -233,7 +234,7 @@ class RrefResult(NamedTuple):
 
 
 def normalize_row(field, row: dict) -> dict:
-    """Canonical scaling of a sparse row (unchanged span).
+    """Canonical scaling of a sparse row (unchanged span), as ints.
 
     Rational mode: clear denominators, divide by the gcd, make the leading
     (smallest-column) coefficient positive, so equal rows have equal dicts and
@@ -249,9 +250,40 @@ def normalize_row(field, row: dict) -> dict:
         g = gcd(*nums.values())
         if nums[lead] < 0:
             g = -g
-        return {j: Fraction(v // g) for j, v in nums.items()}
-    inv = field.div(field.one, row[lead])
-    return {j: field.mul(v, inv) for j, v in row.items()}
+        return {j: v // g for j, v in nums.items()}
+    inv = pow(row[lead], -1, field.p)
+    return {j: v * inv % field.p for j, v in row.items()}
+
+
+def _reduce(row: dict, c: int, pivot: dict, p: int) -> None:
+    """Clear column c of the int ``row`` in place with ``pivot``, the pivot
+    row of c, one step per entry of ``pivot`` off c.  Over GF(p) (pivots lead
+    with 1): row -= row[c] * pivot, mod p.  Over the rationals (p = 0),
+    fraction-free: row := a*row - b*pivot, b/a = row[c]/pivot[c] in lowest
+    terms with a > 0, then divided by its content if a != 1."""
+    v = row.pop(c)
+    if p:
+        for k, w in pivot.items():
+            if k != c:
+                if nv := (row.get(k, 0) - v * w) % p:
+                    row[k] = nv
+                else:
+                    del row[k]
+        return
+    g = gcd(v, pivot[c]) if pivot[c] > 0 else -gcd(v, pivot[c])
+    a, b = pivot[c] // g, v // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, w in pivot.items():
+        if k != c:
+            if nv := row.get(k, 0) - b * w:
+                row[k] = nv
+            else:
+                del row[k]
+    if a != 1 and (g := gcd(*row.values())) > 1:
+        for k in row:
+            row[k] //= g
 
 
 def _eliminate(field, rows: Iterable[dict]) -> dict:
@@ -267,26 +299,16 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
     taken with j increasing, each reduce through the chain of all earlier
     ones (x_j1 - x_j, then x_j2 - x_j, ...), O(degree^2) steps; taken with j
     decreasing, each meets one earlier pivot and stops.  The reduced row
-    space is order-independent anyway: the RREF is unique.
+    space is order-independent anyway: the RREF is unique.  Rows are reduced
+    as ints (:func:`_reduce`); over the rationals, ``Fraction``s on return.
     """
-    zero, one, neg, addmul = field.zero, field.one, field.neg, field.addmul
+    p = field.characteristic
     pivots: dict = {}
-
-    def reduce(row, c):  # row -= row[c] * pivots[c], in place
-        nf = neg(row.pop(c))
-        for k, pv in pivots[c].items():
-            if k != c:
-                nv = addmul(row.get(k, zero), nf, pv)
-                if nv == zero:
-                    row.pop(k, None)
-                else:
-                    row[k] = nv
-
     longer = []
     for r in rows:
         if len(r) == 1:
             [c] = r
-            pivots[c] = {c: one}
+            pivots[c] = {c: 1}
         elif r:
             longer.append(r)
 
@@ -305,17 +327,16 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
     cands.sort(key=lambda t: t[:3])
 
     for *_, row in cands:
-        row = dict(row)
         while row:
             c = min(row)
             if c in pivots:
-                reduce(row, c)
+                _reduce(row, c, pivots[c], p)
                 continue
             lead = row.pop(c)
-            if lead != one:
-                inv = field.div(one, lead)
-                row = {k: field.mul(v, inv) for k, v in row.items()}
-            row[c] = one
+            if p and lead != 1:
+                inv = pow(lead, -1, p)
+                row = {k: v * inv % p for k, v in row.items()}
+            row[c] = 1 if p else lead
             pivots[c] = row
             break
 
@@ -325,8 +346,8 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
         for k in sorted(k for k in row if k != c and k in pivots):
-            reduce(row, k)
-    return pivots
+            _reduce(row, k, pivots[k], p)
+    return pivots if p else {c: {k: Fraction(v, row[c]) for k, v in row.items()} for c, row in pivots.items()}
 
 
 def rref(m: Matrix) -> RrefResult:

@@ -90,11 +90,11 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
     x[u, q] of Theta (column u*dim + q), from ``a.products`` and
     :data:`FLAVOR_PRODUCTS`.  The equation at (q, r, p) is coordinate p of
     Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r) as ``{column: c}``,
-    its small-int coefficients mapped into the field by one table, keeping
-    those nonzero there (-2 vanishes in GF(2)).  ``eqs`` lists once each the
-    nonempty equations that can mention a pool column (one no single-entry
-    family forces to zero), ``live`` the pool columns, increasing, that no
-    one-entry equation among them forces, ``full()`` the whole system.
+    its small-int coefficients kept as ints by one table (reduced mod p over
+    GF(p)), keeping those nonzero there (-2 vanishes in GF(2)).  ``eqs`` lists
+    once each the nonempty equations that can mention a pool column (one no
+    single-entry family forces to zero), ``live`` the pool columns, increasing,
+    that no one-entry equation among them forces, ``full()`` the whole system.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -109,7 +109,8 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
     symmetric = set(inner) == set(outer) == {XY, YX}
     dim = a.dim
     # a coefficient sums at most len(inner) terms +1 and 2 * len(outer) terms -1
-    conv = {c: v for c in range(-2 * len(outer), len(inner) + 1) if (v := field.convert(c)) != field.zero}
+    mod = field.characteristic
+    conv = {c: v for c in range(-2 * len(outer), len(inner) + 1) if (v := c % mod if mod else c)}
 
     # right[y] / left[y]: p -> {u: c}, c the coefficient of x[u, q] in
     # coordinate p of Theta(b_q) . b_y / of x[u, r] in b_y . Theta(b_r);
@@ -153,12 +154,13 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
         triples = {(r, q, p) if symmetric and r < q else (q, r, p) for q, r, p in triples}
         return [row for row in map(eq, triples) if row]
 
-    def full():
-        return nonempty(
-            [(q, r, p) for r, rows in enumerate(right) for p in rows for q in range(dim)]
-            + [(q, r, p) for q, rows in enumerate(left) for p in rows for r in range(dim)]
-            + [(q, r, p) for q, at in enumerate(inner_at) for r in at for p in range(dim)]
-        )
+    def full():  # each triple once, pair by pair: all p if (q, r) has an inner term, else those with an outer one
+        return [
+            row
+            for q in range(dim) for r in range(q if symmetric else 0, dim)
+            for p in (range(dim) if r in inner_at[q] else right[r].keys() | left[q].keys())
+            if (row := eq((q, r, p)))
+        ]
 
     # A one-entry right[r][p] = {u: c} forces x[u, q] for every q with no
     # inner term at (q, r) and p not in left[q]; a one-entry left[q][p] forces
@@ -210,7 +212,7 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     keys = set()
     for row in full():
         if len(row) > 1:
-            keys.add(tuple(sorted([(j, int(v)) for j, v in normalize_row(field, row).items()])))
+            keys.add(tuple(sorted(normalize_row(field, row).items())))
         else:
             keys.add(((*row, 1),))
     rows = [{j: field.convert(c) for j, c in key} for key in sorted(keys)]

@@ -343,3 +343,83 @@ def test_singleton_heavy_elimination_matches_dense_reference():
         assert list(got.pivot_cols) == pivots
         kernel = dense_nullspace(dense(m), ncols)
         assert [tuple(v.get(j, 0) for j in range(ncols)) for v in nullspace_basis(m)] == kernel
+
+
+def textbook_rref(rows, ncols, p):
+    """Dense Gauss-Jordan, independent of the package: Fractions over Q
+    (p = 0), ints mod p otherwise.  Returns (pivot columns, nonzero rows as
+    sparse dicts)."""
+    mat = [[x % p for x in r] if p else [Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        src = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if src is None:
+            continue
+        mat[rank], mat[src] = mat[src], mat[rank]
+        inv = pow(mat[rank][col], -1, p) if p else 1 / mat[rank][col]
+        mat[rank] = [x * inv % p if p else x * inv for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    return pivots, [{j: x for j, x in enumerate(r) if x} for r in mat[: len(pivots)]]
+
+
+def random_system(rng, field):
+    """Dense rows of a seeded sparse system: leads +-2 and +-3, fractional
+    entries, duplicate and scaled rows; some are rank 0, some full rank."""
+    p = field.characteristic
+    values = [1, -1, 2, -3, 5, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 3)]
+    ncols = rng.randint(1, 8)
+    kind = rng.choice(["sparse", "sparse", "zero", "full"])
+
+    def row(cols):
+        r = [0] * ncols
+        for j in cols:
+            r[j] = rng.choice(values)
+        r[min(cols)] = rng.choice([2, -2, 3, -3])
+        return r
+
+    if kind == "zero":
+        rows = [[0] * ncols for _ in range(rng.randint(0, 3))]
+    elif kind == "full":  # triangular with leads nonzero in the field
+        leads = [v for v in (2, -2, 3, -3) if v % p] if p else [2, -2, 3, -3]
+        rows = []
+        for c in range(ncols):
+            rows.append(row([c] + rng.sample(range(c + 1, ncols), rng.randint(0, ncols - c - 1))))
+            rows[-1][c] = rng.choice(leads)
+    else:
+        rows = [row(rng.sample(range(ncols), rng.randint(1, min(4, ncols)))) for _ in range(rng.randint(1, 9))]
+    for _ in range(rng.randint(0, 3) if rows else 0):
+        rows.append(list(rng.choice(rows)))  # duplicate
+        scale = rng.choice([-1, 2, Fraction(-3, 2)])
+        rows.append([x * scale for x in rng.choice(rows)])  # scaled
+    rng.shuffle(rows)
+    if p:  # into GF(p); an entry with no image there becomes 0
+        rows = [[field.convert(x) if Fraction(x).denominator % p else 0 for x in r] for r in rows]
+    return rows, ncols, kind
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:101"])
+def test_rref_matches_a_textbook_gauss_jordan(spec):
+    field = parse_field(spec)
+    p = field.characteristic
+    rng = random.Random(13)
+    kinds = set()
+    for _ in range(200):
+        rows, ncols, kind = random_system(rng, field)
+        sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
+        got = rref(Matrix.from_sparse(field, len(rows), ncols, sparse))
+        pivots, reduced = textbook_rref(rows, ncols, p)
+        assert list(got.pivot_cols) == pivots, rows
+        assert list(got.reduced.rows[: got.rank]) == reduced, rows
+        assert not any(got.reduced.rows[got.rank :])
+        for r in got.reduced.rows:
+            for x in r.values():
+                assert type(x) is Fraction if not p else type(x) is int and 0 < x < p
+        kinds.add((kind, got.rank == ncols, got.rank == 0))
+    # every kind of system came up, and with it both rank extremes
+    assert {("zero", False, True), ("full", True, False)} <= kinds
+    assert any(k[0] == "sparse" for k in kinds)

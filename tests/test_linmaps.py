@@ -696,24 +696,26 @@ def test_integer_audit_reduces_mod_p(name, p):
 
 
 def test_a_hub_costs_no_more_row_work_than_a_random_tree(monkeypatch):
-    # row work as a count that does not depend on wall time: the field.addmul
-    # calls of each stage on star_graph(400) stay within twice those on a
-    # random tree of the same size (a hub once made them O(degree^2))
+    # row work as a count that does not depend on wall time: the pivot-row
+    # entries each stage's reductions apply on star_graph(400) stay within
+    # twice those on a random tree of the same size (a hub once made them
+    # O(degree^2))
     calls = Counter()
+    reduce = exactlin._reduce
 
-    def addmul(x, f, y):
-        calls["addmul"] += 1
-        return x + f * y
+    def counting(row, c, pivot, p):
+        calls["entries"] += len(pivot) - 1
+        reduce(row, c, pivot, p)
 
-    monkeypatch.setattr(Rationals, "addmul", staticmethod(addmul))
+    monkeypatch.setattr(exactlin, "_reduce", counting)
     stages = {"center": center, "derivation": lambda a: solve(a, "derivation"), "structured": structured_space}
     work = {}
     for graph, g in (("star", star_graph(400)), ("tree", random_tree(400, 12345))):
         a = build_algebra(g)
         for stage, run in stages.items():
-            before = calls["addmul"]
+            before = calls["entries"]
             run(a)
-            work[graph, stage] = calls["addmul"] - before
+            work[graph, stage] = calls["entries"] - before
     for stage in stages:
         assert 0 < work["star", stage] <= 2 * work["tree", stage], (stage, work)
 
