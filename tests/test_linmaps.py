@@ -421,6 +421,41 @@ def test_systems_and_solutions_match_pinned_digest(spec):
     assert h.hexdigest() == PINNED_SOLVE_DIGESTS[spec]
 
 
+WIDE_GRAPHS = {f"tree{n}-{s}": random_tree(n, 1000 * s + n) for n in range(2, 17) for s in (1, 2)}
+WIDE_GRAPHS.update(
+    {f"cycle{k}": Graph.from_edges(k, [(i, i % k + 1) for i in range(1, k + 1)]) for k in range(3, 7)}
+)
+WIDE_GRAPHS["K5"] = Graph(5, frozenset((i, j) for i in range(1, 6) for j in range(i + 1, 6)))
+WIDE_GRAPHS["star12"] = star_graph(12)
+
+# sha256 over every output space: each row hashed as its sorted items (their
+# repr, so a Fraction and an int differ), in row order, pinned so that a
+# change to any route must keep every output byte-identical
+PINNED_OUTPUT_DIGESTS = {
+    "rat": "bd5e790fe92c1c9e3c054347bf2e59646aad6b238c919f3e14d25631c38456c5",
+    "gf:2": "fb271f4d7822f96452b94b80090bbd8b008cc5bcf0212726d762e500ab787f9e",
+    "gf:3": "cf1c27eafd885c21733e1f5d20aea175aef6e0299a469a4a44d83f2371ca0231",
+    "gf:101": "820a11e14200ef5412c278b9ac99e81f554ea766145e06de26a391120dedc573",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_OUTPUT_DIGESTS))
+def test_outputs_match_pinned_wide_digest(spec):
+    field = parse_field(spec)
+    h = hashlib.sha256()
+    for name in sorted(WIDE_GRAPHS):
+        a = build_algebra(WIDE_GRAPHS[name], field)
+        spaces = [(f, solve(a, f).rows) for f in FLAVORS if f != "jordan" or field.characteristic != 2]
+        spaces += [("center", center(a).rows), ("inner", inner_space(a).rows)]
+        if a.is_tree and not field.characteristic:
+            spaces.append(("structured", structured_space(a).rows))
+        for label, rows in spaces:
+            h.update(f"{name} {label} {len(rows)}\n".encode())
+            for row in rows:
+                h.update(f"{sorted(row.items())}\n".encode())
+    assert h.hexdigest() == PINNED_OUTPUT_DIGESTS[spec]
+
+
 @pytest.mark.parametrize("field", [RATIONALS, PrimeField(3)], ids=lambda f: f.name)
 @pytest.mark.parametrize("graph", [star_graph(5), random_tree(7, 707)], ids=["star5", "tree7"])
 def test_verify_map_agrees_with_literal_identity_on_larger_graphs(graph, field):
