@@ -16,10 +16,10 @@ per arrow, tied by antisymmetry and per-vertex consistency).  Agreement
 between the two, and HH^0 / HH^1, are left to :mod:`zigzagalg.analysis`,
 never assumed here.
 
-:func:`solve` builds, in one pass, only the equations that can mention a
-live unknown (one no single-entry equation forces to zero), and eliminates
-them once, so its cost follows those; :func:`leibniz_system` is the full
-system, for the oracles.  :func:`verify_map` audits in integers.
+:func:`solve` emits, column by column, the equations over a pool of
+unknowns (those no single-entry family forces to zero), each restricted to
+the pool, and eliminates them once, so its cost follows the pool;
+:func:`leibniz_system` is the full system, for the oracles.  :func:`verify_map` audits in integers.
 
 A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
@@ -29,6 +29,7 @@ work on these dicts.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from math import lcm
 
@@ -85,16 +86,30 @@ class MapSpace:
         return f"MapSpace({self.flavor!r}, dim={self.dimension})"
 
 
+def _common(fams) -> set | None:
+    """The indices in the exceptions (the union of the pair of sets) of every
+    family in ``fams``, or None for no family.  The smallest family's are
+    filtered by each other family in turn: a union per family would cost
+    O(degree) per family at a hub."""
+    if not fams:
+        return None
+    fams = sorted(fams, key=lambda f: len(f[0]) + len(f[1]))
+    keep = {*fams[0][0], *fams[0][1]}
+    for e, f in fams[1:]:
+        keep = {k for k in keep if k in e or k in f}
+    return keep
+
+
 def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
-    """(eqs, full, live): the flavor's equations over the dim^2 coefficients
+    """(pool, eqs, full): the flavor's equations over the dim^2 coefficients
     x[u, q] of Theta (column u*dim + q), from ``a.products`` and
     :data:`FLAVOR_PRODUCTS`.  The equation at (q, r, p) is coordinate p of
-    Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r) as ``{column: c}``,
-    its small-int coefficients kept as ints by one table (reduced mod p over
-    GF(p)), keeping those nonzero there (-2 vanishes in GF(2)).  ``eqs`` lists
-    once each the nonempty equations that can mention a pool column (one no
-    single-entry family forces to zero), ``live`` the pool columns, increasing,
-    that no one-entry equation among them forces, ``full()`` the whole system.
+    Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r), its small-int
+    coefficients summed as ints and mapped by one table (mod p over GF(p)),
+    keeping those nonzero there (-2 vanishes in GF(2)).  ``pool`` lists,
+    increasing, the columns no single-entry family forces to zero, ``eqs``
+    the nonempty equations restricted to it, emitted column by column, with
+    pool[k] labelled len(pool) - 1 - k, ``full()`` the whole system.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -126,20 +141,22 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
         for o in inner:
             at = inner_at[x if o == XY else y].setdefault(y if o == XY else x, {})
             at[p] = at.get(p, 0) + 1
-    # reverse indices: u -> (y, p), p -> {y} per side; s -> (q, r), r -> {q}
+    # reverse indices: u -> (y, p, c) per side; s -> (q, r, k); p -> {y}
+    # per side; r -> {q}
     right_by, left_by, inner_by = ([[] for _ in range(dim)] for _ in range(3))
     right_ys, left_ys, inner_qs = ([set() for _ in range(dim)] for _ in range(3))
     for side, by, ys in ((right, right_by, right_ys), (left, left_by, left_ys)):
         for y, rows in enumerate(side):
             for p, row in rows.items():
                 ys[p].add(y)
-                for u in row:
-                    by[u].append((y, p))
+                for u, c in row.items():
+                    by[u].append((y, p, c))
     for q, at in enumerate(inner_at):
         for r, terms in at.items():
             inner_qs[r].add(q)
-            for s in terms:
-                inner_by[s].append((q, r))
+            if q <= r or not symmetric:
+                for s, k in terms.items():
+                    inner_by[s].append((q, r, k))
 
     def eq(t):
         q, r, p = t
@@ -150,17 +167,15 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
             row[p * dim + s] = row.get(p * dim + s, 0) + k
         return {j: conv[c] for j, c in row.items() if c in conv}
 
-    def nonempty(triples):  # the nonempty equations, each triple once
-        triples = {(r, q, p) if symmetric and r < q else (q, r, p) for q, r, p in triples}
-        return [row for row in map(eq, triples) if row]
-
-    def full():  # each triple once, pair by pair: all p if (q, r) has an inner term, else those with an outer one
-        return [
-            row
-            for q in range(dim) for r in range(q if symmetric else 0, dim)
-            for p in (range(dim) if r in inner_at[q] else right[r].keys() | left[q].keys())
-            if (row := eq((q, r, p)))
-        ]
+    def full():  # each triple once, pair by pair; at p with no outer term, the inner terms alone
+        rows = []
+        for q in range(dim):
+            for r in range(q if symmetric else 0, dim):
+                ps = right[r].keys() | left[q].keys()
+                rows += filter(None, map(eq, ((q, r, p) for p in ps)))
+                if terms := {s: conv[k] for s, k in inner_at[q].get(r, {}).items() if k in conv}:
+                    rows += ({p * dim + s: v for s, v in terms.items()} for p in range(dim) if p not in ps)
+        return rows
 
     # A one-entry right[r][p] = {u: c} forces x[u, q] for every q with no
     # inner term at (q, r) and p not in left[q]; a one-entry left[q][p] forces
@@ -179,27 +194,32 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
             if len(terms) == 1:
                 col_fams[min(terms)].append((right[r], left[y]))
 
-    def common(fams):
-        if not fams:
-            return None
-        fams.sort(key=lambda f: len(f[0]) + len(f[1]))
-        return {k for f in fams[0] for k in f if all(k in e or k in f2 for e, f2 in fams[1:])}
-
-    cols_ok = [common(f) for f in col_fams]
+    cols_ok = [_common(f) for f in col_fams]
     pool = [
         u * dim + q
-        for u, ok in enumerate(map(common, row_fams))
-        for q in (range(dim) if ok is None else ok)
+        for u, ok in enumerate(map(_common, row_fams))
+        for q in (range(dim) if ok is None else sorted(ok))
         if cols_ok[q] is None or u in cols_ok[q]
     ]
-    # every triple whose equation can mention pool column u*dim + c, once
-    eqs = nonempty(
-        [(c, r, p) for j in pool for u, c in [divmod(j, dim)] for r, p in right_by[u]]
-        + [(q, c, p) for j in pool for u, c in [divmod(j, dim)] for q, p in left_by[u]]
-        + [(q, r, u) for j in pool for u, c in [divmod(j, dim)] for q, r in inner_by[c]]
-    )
-    forced = {j for row in eqs if len(row) == 1 for j in row}
-    return eqs, full, sorted(j for j in pool if j not in forced)
+    # x[u, c] enters equation (c, y, p) by its right terms, (y, c, p) by its
+    # left ones and (q, r, u) by its inner ones; if symmetric, q <= r
+    eqs = defaultdict(dict)
+    top = len(pool) - 1
+    for k, j in enumerate(pool):
+        u, c = divmod(j, dim)
+        label = top - k
+        for y, p, v in right_by[u]:
+            if c <= y or not symmetric:
+                row = eqs[c, y, p]
+                row[label] = row.get(label, 0) + v
+        for y, p, v in left_by[u]:
+            if y <= c or not symmetric:
+                row = eqs[y, c, p]
+                row[label] = row.get(label, 0) + v
+        for q, r, v in inner_by[c]:
+            row = eqs[q, r, u]
+            row[label] = row.get(label, 0) + v
+    return pool, [r for row in eqs.values() if (r := {j: conv[v] for j, v in row.items() if v in conv})], full
 
 
 def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
@@ -207,7 +227,7 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     nonempty equation of :func:`_leibniz_equations`, normalized, deduplicated
     and sorted.  Its kernel is the flavor's solution space; only oracles
     build it."""
-    _, full, _ = _leibniz_equations(a, flavor)
+    _, _, full = _leibniz_equations(a, flavor)
     field = a.field
     keys = set()
     for row in full():
@@ -278,22 +298,21 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
 
 def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     """Kernel of the flavor's constraint system, as a canonical MapSpace, from
-    one pass over its equations and one elimination.
+    one pass over the pool's columns and one elimination.
 
-    Only the live columns are eliminated; forced columns are pivots, so the
-    kernel mapped back is that of :func:`leibniz_system`.  Labelled in
-    decreasing order, the live columns make :func:`nullspace_basis` return
-    the kernel's RREF read backwards (see :mod:`exactlin`), so no second
-    elimination canonicalizes it.  Every basis map is re-verified against the
-    defining identity on all basis pairs; a failure there is a solver bug,
-    reported as InternalInvariantError rather than a wrong answer.
+    Columns off the pool are zero on the kernel, and the elimination makes
+    each single-entry row a pivot ``{c: 1}``, so the kernel mapped back is
+    that of :func:`leibniz_system`.  Labelled in decreasing order, the pool
+    makes :func:`nullspace_basis` return the kernel's RREF read backwards
+    (see :mod:`exactlin`), so no second elimination canonicalizes it.  Every
+    basis map is re-verified against the defining
+    identity on all basis pairs; a failure there is a solver bug, reported as
+    InternalInvariantError rather than a wrong answer.
     """
-    eqs, _, live = _leibniz_equations(a, flavor)
-    top = len(live) - 1
-    label = {j: top - k for k, j in enumerate(live)}
-    rows = [row for row in ({label[j]: v for j, v in eq.items() if j in label} for eq in eqs) if row]
-    system = Matrix(a.field, len(rows), len(live), tuple(rows))
-    kernel = [{live[top - k]: v for k, v in vec.items()} for vec in reversed(nullspace_basis(system))]
+    pool, eqs, _ = _leibniz_equations(a, flavor)
+    top = len(pool) - 1
+    system = Matrix(a.field, len(eqs), len(pool), tuple(eqs))
+    kernel = [{pool[top - k]: v for k, v in vec.items()} for vec in reversed(nullspace_basis(system))]
     space = MapSpace(flavor, a.field, a.dim, kernel)
     for row in space.rows:
         if not verify_map(a, row, flavor):

@@ -224,20 +224,15 @@ def center(a: ZigzagAlgebra) -> CenterResult:
     coordinate p this imposes (x b_k)_p - (b_k x)_p = 0.
     """
     field = a.field
-    one = field.one
-    dim = a.dim
-    eqs = {}
+    mod = field.characteristic
+    eqs = {}  # the +-1 coefficients sum as ints, mapped into the field once
     for (u, k), r in a.products.items():  # b_u b_k = b_r: x_u enters (x b_k)_r
         row = eqs.setdefault((k, r), {})
-        row[u] = field.add(row.get(u, field.zero), one)
+        row[u] = row.get(u, 0) + 1
     for (k, u), r in a.products.items():  # b_k b_u = b_r: x_u enters (b_k x)_r
         row = eqs.setdefault((k, r), {})
-        row[u] = field.sub(row.get(u, field.zero), one)
-    sparse = []
-    for row in eqs.values():
-        row = {j: v for j, v in row.items() if v != field.zero}
-        if row:
-            sparse.append(row)
-    m = Matrix.from_sparse(field, len(sparse), dim, sparse)
+        row[u] = row.get(u, 0) - 1
+    sparse = [r for row in eqs.values() if (r := {j: c for j, v in row.items() if (c := v % mod if mod else v)})]
+    m = Matrix.from_sparse(field, len(sparse), a.dim, sparse)
     vecs = nullspace_basis(m)
     return CenterResult(vecs, len(vecs))

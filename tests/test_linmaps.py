@@ -17,7 +17,7 @@ from bruteforce import (
     sparse_vectors,
     verify_literal,
 )
-from zigzagalg import exactlin
+from zigzagalg import exactlin, linmaps
 from zigzagalg.analysis import analyze_graph
 from zigzagalg.exactlin import (
     RATIONALS,
@@ -608,7 +608,8 @@ def assert_live_columns_match_full_system(a, flavor):
     # and the reduced solve gives the full system's kernel
     system = leibniz_system(a, flavor)
     forced = {j for row in system.rows for j in row if row == {j: a.field.one}}
-    _, _, live = _leibniz_equations(a, flavor)
+    pool, _, _ = _leibniz_equations(a, flavor)
+    live = [j for j in pool if j not in forced]
     assert live == [j for j in range(a.dim * a.dim) if j not in forced], flavor
     full = nullspace_basis(system)
     assert solve(a, flavor).rows == span_canonical_basis(full, a.field), flavor
@@ -753,6 +754,45 @@ def test_a_hub_costs_no_more_row_work_than_a_random_tree(monkeypatch):
             work[graph, stage] = calls["entries"] - before
     for stage in stages:
         assert 0 < work["star", stage] <= 2 * work["tree", stage], (stage, work)
+
+
+class CountingSet:
+    """A read-only set (or dict keys) that counts each element visited,
+    by iteration or by a membership test."""
+
+    def __init__(self, items, calls):
+        self.items, self.calls = items, calls
+
+    def __len__(self):
+        return len(self.items)
+
+    def __contains__(self, k):
+        self.calls["visits"] += 1
+        return k in self.items
+
+    def __iter__(self):
+        for k in self.items:
+            self.calls["visits"] += 1
+            yield k
+
+
+def test_a_hub_costs_the_family_intersection_no_more_visits(monkeypatch):
+    # the elements the single-entry families' intersection visits on
+    # star_graph(400) stay within twice those on a random tree of the same
+    # size, per flavor; a union per family once made them O(degree^2)
+    calls = Counter()
+    common = linmaps._common
+    monkeypatch.setattr(
+        linmaps, "_common", lambda fams: common([tuple(CountingSet(s, calls) for s in f) for f in fams])
+    )
+    for flavor in FLAVORS:
+        work = {}
+        for graph, g in (("star", star_graph(400)), ("tree", random_tree(400, 12345))):
+            a = build_algebra(g)
+            before = calls["visits"]
+            linmaps._leibniz_equations(a, flavor)
+            work[graph] = calls["visits"] - before
+        assert 0 < work["star"] <= 2 * work["tree"], (flavor, work)
 
 
 def test_a_hub_costs_the_structured_route_no_more_additions(monkeypatch):
