@@ -87,10 +87,9 @@ class MapSpace:
 
 
 def _common(fams) -> set | None:
-    """The indices in the exceptions (the union of the pair of sets) of every
-    family in ``fams``, or None for no family.  The smallest family's are
-    filtered by each other family in turn: a union per family would cost
-    O(degree) per family at a hub."""
+    """The indices in the exceptions (the union of the pair) of every family,
+    None for no family: the smallest family's, filtered by each other one, as
+    a union per family would cost O(degree) each at a hub."""
     if not fams:
         return None
     fams = sorted(fams, key=lambda f: len(f[0]) + len(f[1]))
@@ -141,8 +140,7 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
         for o in inner:
             at = inner_at[x if o == XY else y].setdefault(y if o == XY else x, {})
             at[p] = at.get(p, 0) + 1
-    # reverse indices: u -> (y, p, c) per side; s -> (q, r, k); p -> {y}
-    # per side; r -> {q}
+    # reverse indices: u -> (y, p, c) per side, p -> {y}; s -> (q, r, k), r -> {q}
     right_by, left_by, inner_by = ([[] for _ in range(dim)] for _ in range(3))
     right_ys, left_ys, inner_qs = ([set() for _ in range(dim)] for _ in range(3))
     for side, by, ys in ((right, right_by, right_ys), (left, left_by, left_ys)):
@@ -201,8 +199,8 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
         for q in (range(dim) if ok is None else sorted(ok))
         if cols_ok[q] is None or u in cols_ok[q]
     ]
-    # x[u, c] enters equation (c, y, p) by its right terms, (y, c, p) by its
-    # left ones and (q, r, u) by its inner ones; if symmetric, q <= r
+    # x[u, c] enters (c, y, p) by right terms, (y, c, p) by left and (q, r, u)
+    # by inner ones; if symmetric, q <= r
     eqs = defaultdict(dict)
     top = len(pool) - 1
     for k, j in enumerate(pool):

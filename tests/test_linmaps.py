@@ -604,8 +604,9 @@ CHAINED = {name: [f"{name}-{k}" for k in range(5)] for name in ("edge", "path3")
 
 
 def assert_live_columns_match_full_system(a, flavor):
-    # the live columns are those without a {j: 1} row in the full system,
-    # and the reduced solve gives the full system's kernel
+    # the pool, less the columns with a {j: 1} row in the full system, is
+    # every column without one, and the reduced solve gives the full
+    # system's kernel
     system = leibniz_system(a, flavor)
     forced = {j for row in system.rows for j in row if row == {j: a.field.one}}
     pool, _, _ = _leibniz_equations(a, flavor)
@@ -779,7 +780,7 @@ class CountingSet:
 def test_a_hub_costs_the_family_intersection_no_more_visits(monkeypatch):
     # the elements the single-entry families' intersection visits on
     # star_graph(400) stay within twice those on a random tree of the same
-    # size, per flavor; a union per family once made them O(degree^2)
+    # size, per flavor; a union per family would make them O(degree^2)
     calls = Counter()
     common = linmaps._common
     monkeypatch.setattr(
