@@ -19,7 +19,8 @@ never assumed here.
 :func:`solve` emits, column by column, the equations over a pool of
 unknowns (those no single-entry family forces to zero), each restricted to
 the pool, and eliminates them once, so its cost follows the pool;
-:func:`leibniz_system` is the full system, for the oracles.  :func:`verify_map` audits in integers.
+:func:`leibniz_system` is the full system, for the oracles.
+:func:`verify_map` audits in integers.
 
 A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
