@@ -2,9 +2,10 @@
 
 Everything in this package that looks like linear algebra goes through this
 module: reduced row-echelon forms, kernels, and span comparisons, all with
-exact arithmetic and no floating point.  Elimination works on ints in both
-fields (fraction-free integer rows over the rationals, residues mod p over
-GF(p)); results hold ``Fraction``s in characteristic 0, ints in [0, p) else.
+exact arithmetic and no floating point.  Elimination and span membership
+work on ints in both fields (fraction-free integer rows over the rationals,
+residues mod p over GF(p)); results hold ``Fraction``s in characteristic 0,
+made once per returned entry, and ints in [0, p) else.
 
 Matrices are stored as sparse rows (dict column -> nonzero scalar), which is
 what the Leibniz constraint systems downstream need: tens of thousands of
@@ -15,10 +16,11 @@ Canonical conventions, relied on by callers and tests:
 * ``rref`` returns the unique reduced row-echelon form (leading 1s, pivot
   columns cleared, rows ordered by pivot column, zero rows at the bottom).
 * ``nullspace_basis`` returns one vector per free column, ordered by the free
-  column index, with the free variable set to 1 and the pivot coordinates
-  read off the RREF.  Every other coordinate of the vector of free column f
-  is a pivot column below f, so f is its largest column; read with the
-  column order reversed, the vectors are the kernel's own RREF.
+  column index, with the free variable set to 1, then the pivot coordinates
+  in increasing order: entry v at f of the int pivot row of c, pivot value
+  d, gives -v/d, with no RREF built.  Every other coordinate of the vector
+  of free column f is a pivot column below f, so f is its largest column;
+  read with the column order reversed, the vectors are the kernel's own RREF.
 * ``span_dim`` / ``span_equal`` canonicalize via RREF, so their results do not
   depend on generator order or scaling.
 
@@ -90,25 +92,12 @@ class Rationals:
         return a + b
 
     @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
     def mul(a, b):
         return a * b
 
     @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
     def neg(a):
         return -a
-
-    @staticmethod
-    def addmul(a, f, b):
-        """a + f*b in one call, for span membership (elimination works on ints)."""
-        return a + f * b
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)
@@ -148,22 +137,11 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError(f"division by zero in GF({self.p})")
-        return a * pow(b, -1, self.p) % self.p
-
     def neg(self, a):
         return -a % self.p
-
-    def addmul(self, a, f, b):
-        return (a + f * b) % self.p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -233,6 +211,12 @@ class RrefResult(NamedTuple):
     rank: int
 
 
+def _int_row(row: dict) -> tuple:
+    """(L, ``row`` times L) for L the lcm of its denominators: ints."""
+    L = lcm(*(x.denominator for x in row.values()))
+    return L, {j: x.numerator * (L // x.denominator) for j, x in row.items()}
+
+
 def normalize_row(field, row: dict) -> dict:
     """Canonical scaling of a sparse row (unchanged span), as ints.
 
@@ -245,12 +229,11 @@ def normalize_row(field, row: dict) -> dict:
         return row
     lead = min(row)
     if field.characteristic == 0:
-        denom_lcm = lcm(*(v.denominator for v in row.values()))
-        nums = {j: v.numerator * (denom_lcm // v.denominator) for j, v in row.items()}
+        nums = _int_row(row)[1]
         g = gcd(*nums.values())
         if nums[lead] < 0:
             g = -g
-        return {j: v // g for j, v in nums.items()}
+        return nums if g == 1 else {j: v // g for j, v in nums.items()}
     inv = pow(row[lead], -1, field.p)
     return {j: v * inv % field.p for j, v in row.items()}
 
@@ -300,7 +283,8 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
     ones (x_j1 - x_j, then x_j2 - x_j, ...), O(degree^2) steps; taken with j
     decreasing, each meets one earlier pivot and stops.  The reduced row
     space is order-independent anyway: the RREF is unique.  Rows are reduced
-    as ints (:func:`_reduce`); over the rationals, ``Fraction``s on return.
+    as ints (:func:`_reduce`); the pivot row of c is its RREF row times
+    row[c].
     """
     p = field.characteristic
     pivots: dict = {}
@@ -347,32 +331,40 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
         row = pivots[c]
         for k in sorted(k for k in row if k != c and k in pivots):
             _reduce(row, k, pivots[k], p)
-    return pivots if p else {c: {k: Fraction(v, row[c]) for k, v in row.items()} for c, row in pivots.items()}
+    return pivots
+
+
+def _rref_rows(field, pivots: dict) -> list:
+    """The RREF rows, in pivot order, of the pivot dict of :func:`_eliminate`."""
+    if field.characteristic:
+        return [pivots[c] for c in sorted(pivots)]
+    return [{k: Fraction(v, row[c]) for k, v in row.items()} for c, row in sorted(pivots.items())]
 
 
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row-echelon form of ``m``, with pivot columns and rank."""
     pivots = _eliminate(m.field, m.rows)
-    pivot_cols = tuple(sorted(pivots))
-    reduced_rows = [pivots[c] for c in pivot_cols]
-    reduced_rows.extend({} for _ in range(m.nrows - len(reduced_rows)))
+    reduced_rows = _rref_rows(m.field, pivots)
+    rank = len(reduced_rows)
+    reduced_rows.extend({} for _ in range(m.nrows - rank))
     reduced = Matrix(m.field, m.nrows, m.ncols, tuple(reduced_rows))
-    return RrefResult(reduced, pivot_cols, len(pivot_cols))
+    return RrefResult(reduced, tuple(sorted(pivots)), rank)
 
 
 def nullspace_basis(m: Matrix) -> list:
     """Canonical kernel basis: one vector per free column, free variable 1,
     each a dict column -> nonzero scalar."""
-    red, pivot_cols, rank = rref(m)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(m.ncols) if c not in pivot_set]
-    one, neg = m.field.one, m.field.neg
-    vecs = {f: {f: one} for f in free_cols}
-    for c, row in zip(pivot_cols, red.rows):
-        for j, a in row.items():
-            if j != c and j in vecs:
-                vecs[j][c] = neg(a)
-    return [vecs[f] for f in free_cols]
+    pivots = _eliminate(m.field, m.rows)
+    p = m.field.characteristic
+    one = m.field.one
+    vecs = {f: {f: one} for f in range(m.ncols) if f not in pivots}
+    for c in sorted(pivots):
+        row = pivots[c]
+        d = row[c]
+        for j, v in row.items():
+            if j != c:
+                vecs[j][c] = -v % p if p else Fraction(-v, d)
+    return list(vecs.values())
 
 
 def _as_matrix(vectors: Sequence[dict], field) -> Matrix:
@@ -394,8 +386,7 @@ def span_canonical_basis(vectors: Sequence, field=RATIONALS) -> list:
     of its RREF, in pivot order."""
     if not vectors:
         return []
-    pivots = _eliminate(field, _as_matrix(vectors, field).rows)
-    return [pivots[c] for c in sorted(pivots)]
+    return _rref_rows(field, _eliminate(field, _as_matrix(vectors, field).rows))
 
 
 def span_equal(a: Sequence, b: Sequence, field=RATIONALS) -> bool:
@@ -404,8 +395,8 @@ def span_equal(a: Sequence, b: Sequence, field=RATIONALS) -> bool:
     Compares the canonical (RREF) bases of the two spans, so it is an exact
     equivalence, not a mutual-containment heuristic.
     """
-    ra = _eliminate(field, _as_matrix(a, field).rows) if a else {}
-    rb = _eliminate(field, _as_matrix(b, field).rows) if b else {}
+    ra = _rref_rows(field, _eliminate(field, _as_matrix(a, field).rows)) if a else []
+    rb = _rref_rows(field, _eliminate(field, _as_matrix(b, field).rows)) if b else []
     return ra == rb
 
 
@@ -414,22 +405,23 @@ def in_rref_span(rref_rows: Sequence[dict], vectors: Iterable[dict], field) -> b
 
     ``rref_rows`` must be the nonzero rows of a reduced row-echelon form
     (leading 1 at the pivot, 0 in every other pivot column), as
-    :func:`span_canonical_basis` returns them.  Then a vector v lies in their
-    span exactly when v - sum over pivots c of v[c] * row_c is zero, so one
-    pass per vector decides it, with no elimination.
+    :func:`span_canonical_basis` returns them.  Rows and vectors are scaled
+    to ints once, a row to L at its pivot c; v := L*v - v[c]*row clears c
+    and no other pivot column, so one pass per vector decides, in ints.
     """
-    zero = field.zero
-    addmul, neg = field.addmul, field.neg
-    by_pivot = {min(r): r for r in rref_rows}
+    p = field.characteristic
+    by_pivot = {min(r): _int_row(r) for r in rref_rows}
     for v in vectors:
-        rest = dict(v)
-        for c, x in v.items():
-            row = by_pivot.get(c)
-            if row is None:
-                continue
-            nx = neg(x)
-            for j, y in row.items():
-                rest[j] = addmul(rest.get(j, zero), nx, y)
-        if any(x != zero for x in rest.values()):
+        rest = _int_row(v)[1]
+        for c in v:
+            if c in by_pivot:
+                x = rest[c]
+                L, row = by_pivot[c]
+                if L != 1:
+                    for j in rest:
+                        rest[j] *= L
+                for j, y in row.items():
+                    rest[j] = rest.get(j, 0) - x * y
+        if any(x % p for x in rest.values()) if p else any(rest.values()):
             return False
     return True

@@ -254,9 +254,9 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
       q, r is a support column c and the other a partner of some b_u, u in
       the support of column c, and such pairs are visited in both orders;
     * the inner term is Theta(b_q b_r), nonzero only if b_q b_r is a support
-      column, and those (q, r) are visited; jordan adds Theta(b_r b_q), but
-      its equations at (q, r) and (r, q) are the same, so visiting (r, q)
-      decides (q, r).
+      column, and those (q, r) are visited;
+    * jordan adds Theta(b_r b_q), and its equations at (q, r) and (r, q) are
+      the same, so it visits each such pair once, as (min, max).
     """
     mod = a.field.characteristic
     times = a.products.get  # (x, y) -> index of b_x b_y, or None
@@ -274,6 +274,8 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
             for w in a.partners[u]:
                 pairs.add((c, w))
                 pairs.add((w, c))
+    if flavor == "jordan":
+        pairs = {(q, r) if q <= r else (r, q) for q, r in pairs}
 
     for q, r in pairs:
         # derivation: Theta(qr) - Theta(q) r - q Theta(r); anti: Theta(qr) -
@@ -303,7 +305,8 @@ def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     each single-entry row a pivot ``{c: 1}``, so the kernel mapped back is
     that of :func:`leibniz_system`.  Labelled in decreasing order, the pool
     makes :func:`nullspace_basis` return the kernel's RREF read backwards
-    (see :mod:`exactlin`), so no second elimination canonicalizes it.  Every
+    (see :mod:`exactlin`), off the integer pivot rows, so no second
+    elimination canonicalizes it and no RREF is built.  Every
     basis map is re-verified against the defining
     identity on all basis pairs; a failure there is a solver bug, reported as
     InternalInvariantError rather than a wrong answer.
