@@ -20,7 +20,8 @@ never assumed here.
 unknowns (those no single-entry family forces to zero), each restricted to
 the pool, and eliminates them once, so its cost follows the pool;
 :func:`leibniz_system` is the full system, for the oracles.
-:func:`verify_map` audits in integers.
+:func:`verify_map` audits in integers, off the product groupings of the
+algebra, which generation never reads.
 
 A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
@@ -166,15 +167,21 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
             row[p * dim + s] = row.get(p * dim + s, 0) + k
         return {j: conv[c] for j, c in row.items() if c in conv}
 
-    def full():  # each triple once, pair by pair; at p with no outer term, the inner terms alone
+    def full():  # each triple once, pair by pair; eq only where two term sets meet
         rows = []
         for q in range(dim):
             for r in range(q if symmetric else 0, dim):
-                ps = right[r].keys() | left[q].keys()
-                rows += filter(None, map(eq, ((q, r, p) for p in ps)))
+                rs, ls = right[r], left[q]
                 if terms := {s: conv[k] for s, k in inner_at[q].get(r, {}).items() if k in conv}:
+                    ps = rs.keys() | ls.keys()  # at p with no outer term, the inner terms alone
+                    rows += map(eq, ((q, r, p) for p in ps))
                     rows += ({p * dim + s: v for s, v in terms.items()} for p in range(dim) if p not in ps)
-        return rows
+                else:  # no inner term: off right[r] & left[q], one outer row as it is
+                    rows += map(eq, ((q, r, p) for p in rs.keys() & ls.keys()))
+                    for side, other, at in ((rs, ls, q), (ls, rs, r)):
+                        one_sided = (row for p, row in side.items() if p not in other)
+                        rows += ({u * dim + at: conv[c] for u, c in row.items() if c in conv} for row in one_sided)
+        return list(filter(None, rows))
 
     # A one-entry right[r][p] = {u: c} forces x[u, q] for every q with no
     # inner term at (q, r) and p not in left[q]; a one-entry left[q][p] forces
@@ -243,58 +250,41 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
     ordered basis pair, in integers.
 
     This is the post-hoc audit of solver output; by bilinearity, holding on
-    basis pairs is holding everywhere.  The identity is homogeneous, so a
-    rational map is scaled by the lcm of its denominators; each coordinate
-    is then a sum of ints, tested for zero (mod p over GF(p)).  Only the
-    pairs where the identity can fail are visited, read off ``a.factors`` and
-    ``a.partners``, so the verdict is that of a walk over all dim^2 pairs:
+    basis pairs is holding everywhere.  A rational map is first scaled by
+    the lcm of its denominators (the identity is homogeneous).  Each entry
+    x[u, c] = v (b_u in Theta(b_c)) is then added into the equations it
+    meets, keyed (q, r, p) for coordinate p at (b_q, b_r):
 
-    * the outer terms at (b_q, b_r) are products, in either order, of b_q
-      with Theta(b_r) or of b_r with Theta(b_q); they vanish unless one of
-      q, r is a support column c and the other a partner of some b_u, u in
-      the support of column c, and such pairs are visited in both orders;
-    * the inner term is Theta(b_q b_r), nonzero only if b_q b_r is a support
-      column, and those (q, r) are visited;
-    * jordan adds Theta(b_r b_q), and its equations at (q, r) and (r, q) are
-      the same, so it visits each such pair once, as (min, max).
+    * +v at (q, r, u) for each (q, r) in ``a.factors[c]``;
+    * -v at (c, r, p) for each b_u b_r = b_p (``a.left_products[u]``) and at
+      (q, c, p) for each b_q b_u = b_p (``a.right_products[u]``); anti swaps
+      the two: (c, r, p) for b_r b_u = b_p, (q, c, p) for b_u b_q = b_p;
+    * jordan folds each key to (min(q, r), max(q, r), p): its equations at
+      (q, r) and (r, q) are the same.
+
+    The map passes iff every sum is zero (mod p over GF(p)), the verdict of
+    a walk over all dim^2 pairs.  At (q, q) the folded jordan equation is
+    the derivation one, half the doubled x o x sum: the same verdict
+    outside characteristic 2, and over GF(2), where :func:`solve` refuses
+    jordan, D(x^2) = D(x)x + xD(x) instead of a vacuous check.
     """
     mod = a.field.characteristic
-    times = a.products.get  # (x, y) -> index of b_x b_y, or None
     dim = a.dim
     scale = lcm(*(v.denominator for v in lin.values()))
-    cols_nz: dict = {}
+    # the products by which Theta(b_c) meets the pairs (c, r) and (q, c)
+    at_left, at_right = (a.right_products, a.left_products) if flavor == "anti" else (a.left_products, a.right_products)
+    fold = flavor == "jordan"
+    acc = defaultdict(int)
     for j, v in lin.items():
-        p, q = divmod(j, dim)
-        cols_nz.setdefault(q, []).append((p, v.numerator * (scale // v.denominator)))
-
-    pairs = set()  # the pairs (q, r) to visit
-    for c, col in cols_nz.items():
-        pairs.update(a.factors[c])
-        for u, _ in col:
-            for w in a.partners[u]:
-                pairs.add((c, w))
-                pairs.add((w, c))
-    if flavor == "jordan":
-        pairs = {(q, r) if q <= r else (r, q) for q, r in pairs}
-
-    for q, r in pairs:
-        # derivation: Theta(qr) - Theta(q) r - q Theta(r); anti: Theta(qr) -
-        # Theta(r) q - r Theta(q); jordan: derivation at (q, r) plus at (r, q)
-        ins = [(q, r), (r, q)] if flavor == "jordan" else [(q, r)]
-        acc: dict = {}
-        for x, y in ins:
-            for p, v in cols_nz.get(times((x, y)), ()):
-                acc[p] = acc.get(p, 0) + v
-        for x, y in [(r, q)] if flavor == "anti" else ins:
-            for u, v in cols_nz.get(x, ()):  # Theta(b_x) b_y
-                if (p := times((u, y))) is not None:
-                    acc[p] = acc.get(p, 0) - v
-            for u, v in cols_nz.get(y, ()):  # b_x Theta(b_y)
-                if (p := times((x, u))) is not None:
-                    acc[p] = acc.get(p, 0) - v
-        if any(v % mod for v in acc.values()) if mod else any(acc.values()):
-            return False
-    return True
+        u, c = divmod(j, dim)
+        v = v.numerator * (scale // v.denominator)
+        for q, r in a.factors[c]:
+            acc[(r, q, u) if fold and r < q else (q, r, u)] += v
+        for r, p in at_left[u]:
+            acc[(r, c, p) if fold and r < c else (c, r, p)] -= v
+        for q, p in at_right[u]:
+            acc[(c, q, p) if fold and c < q else (q, c, p)] -= v
+    return not any(v % mod for v in acc.values()) if mod else not any(acc.values())
 
 
 def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
@@ -426,16 +416,10 @@ def ad_map(a: ZigzagAlgebra, k: int) -> dict:
     field = a.field
     one, neg_one = field.one, field.neg(field.one)
     dim = a.dim
-    times = a.products.get
-    out = {}
-    for q in a.partners[k]:  # the q with a nonzero product with b_k
-        p, p2 = times((k, q)), times((q, k))
-        if p == p2:  # b_k b_q = b_q b_k: the column vanishes
-            continue
-        if p is not None:
-            out[p * dim + q] = one
-        if p2 is not None:
-            out[p2 * dim + q] = neg_one
+    out = {p * dim + q: one for q, p in a.left_products[k]}  # b_k b_q = b_p
+    for q, p in a.right_products[k]:  # b_q b_k = b_p
+        if out.pop(p * dim + q, None) is None:  # else b_k b_q = b_q b_k: it cancels
+            out[p * dim + q] = neg_one
     return out
 
 

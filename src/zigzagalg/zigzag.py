@@ -73,9 +73,10 @@ class ZigzagAlgebra:
 
     ``products`` maps (p, q) to r with b_p b_q = b_r, in row-major order; a
     missing pair is a vanishing product.  That is about 9 entries per vertex
-    on a tree, against dim^2 pairs.  Derived from it, ``partners[u]`` holds
-    the w with b_u b_w or b_w b_u nonzero, and ``factors[s]`` the (p, q) with
-    b_p b_q = b_s.  Treat instances as immutable.
+    on a tree, against dim^2 pairs.  Derived from it, in row-major order,
+    ``factors[s]`` holds the (p, q) with b_p b_q = b_s, ``left_products[u]``
+    the (y, p) with b_u b_y = b_p and ``right_products[u]`` the (x, p) with
+    b_x b_u = b_p.  Treat instances as immutable.
     """
 
     def __init__(self, graph: Graph, field) -> None:
@@ -101,12 +102,11 @@ class ZigzagAlgebra:
     def _set_products(self, products: dict) -> None:
         """Store the nonzero products and the indices read off them."""
         self.products = dict(sorted(products.items()))
-        self.partners = [set() for _ in self.basis]
-        self.factors = [[] for _ in self.basis]
+        self.factors, self.left_products, self.right_products = ([[] for _ in self.basis] for _ in range(3))
         for (p, q), r in self.products.items():
-            self.partners[p].add(q)
-            self.partners[q].add(p)
             self.factors[r].append((p, q))
+            self.left_products[p].append((q, r))
+            self.right_products[q].append((p, r))
 
     def index(self, b: BasisElement) -> int:
         return self._pos[b]

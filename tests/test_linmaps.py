@@ -34,6 +34,7 @@ from zigzagalg.linmaps import (
     FLAVORS,
     CharacteristicTwoError,
     DerivationParams,
+    InternalInvariantError,
     _leibniz_equations,
     ad_map,
     inner_space,
@@ -547,6 +548,22 @@ def test_generator_matches_literal_oracle_on_patched_tables(name, flavor):
         assert full == reference, patch
 
 
+def test_verify_map_agrees_with_literal_identity_on_jordan_maps_that_are_no_derivations():
+    # on patched edge tables some maps of the literal jordan kernel are no
+    # derivations, so the jordan audit must sum the identity at (q, r) and
+    # (r, q) into one equation, not check each as a derivation equation
+    a = build_algebra(ORACLE_GRAPHS["edge"])
+    no_derivations = 0
+    for patch in PATCHES["edge"]:
+        b = with_patched_table(a, *patch)
+        table = patched_table("edge", patch)
+        for m in sparse_vectors(dense_nullspace(leibniz_rows(table, "jordan"), b.dim * b.dim)):
+            for flavor in FLAVORS:
+                assert verify_map(b, m, flavor) == verify_literal(table, m, flavor), (patch, flavor, m)
+            no_derivations += not verify_literal(table, m, "derivation")
+    assert no_derivations
+
+
 def test_patched_tables_give_multi_entry_outer_rows():
     # a product b_p hit by two u in a column (b_u b_y = b_p) or in a row
     # (b_y b_u = b_p) gives a multi-entry outer row right[y][p] or left[y][p]
@@ -836,35 +853,72 @@ def test_solve_makes_at_most_one_fraction_per_kernel_entry(monkeypatch):
         assert made["fractions"] <= entries, (flavor, made, entries)
 
 
-class CountingDict(dict):
-    """A dict that counts its ``get`` lookups."""
+class CountingList(list):
+    """A list that counts the entries its iterations walk."""
 
     def __init__(self, items, calls):
         super().__init__(items)
         self.calls = calls
 
-    def get(self, k, default=None):
-        self.calls["get"] += 1
-        return super().get(k, default)
+    def __iter__(self):
+        for item in super().__iter__():
+            self.calls["entries"] += 1
+            yield item
+
+
+def audit_walks(a, rows, flavor):
+    """The entries of ``factors``, ``left_products`` and ``right_products``
+    that auditing ``rows`` under ``flavor`` walks, all audits passing."""
+    calls = Counter()
+    counted = copy.copy(a)
+    for name in ("factors", "left_products", "right_products"):
+        setattr(counted, name, [CountingList(g, calls) for g in getattr(a, name)])
+    assert all(verify_map(counted, row, flavor) for row in rows)
+    return calls["entries"]
 
 
 @pytest.mark.parametrize("graph", ["tree", "star"])
 def test_the_jordan_audit_visits_each_pair_once(graph):
     # jordan's equations at (q, r) and (r, q) are the same, so its audit
-    # looks up products for each pair once and costs about what the
-    # derivation audit does (twice that when it visited both orders)
+    # folds each key to (min, max) and walks what the derivation audit does
+    # (visiting both orders once cost it twice the derivation audit)
     g = random_tree(40, 12345) if graph == "tree" else star_graph(40)
     a = build_algebra(g)
     rows = solve(a, "derivation").rows
-    calls = Counter()
-    counted = copy.copy(a)
-    counted.products = CountingDict(a.products, calls)
-    lookups = {}
-    for flavor in ("derivation", "jordan"):
-        calls.clear()
-        assert all(verify_map(counted, row, flavor) for row in rows)
-        lookups[flavor] = calls["get"]
-    assert 0 < lookups["jordan"] <= 1.25 * lookups["derivation"], lookups
+    walks = {flavor: audit_walks(a, rows, flavor) for flavor in ("derivation", "jordan")}
+    assert 0 < walks["jordan"] <= 1.25 * walks["derivation"], walks
+
+
+def test_a_hub_costs_the_audit_no_more_entries():
+    # the entries the derivation audit walks on star_graph(400) stay within
+    # twice those on a random tree of the same size: each map entry walks
+    # only the products its own basis elements meet
+    work = {}
+    for graph, g in (("star", star_graph(400)), ("tree", random_tree(400, 12345))):
+        a = build_algebra(g)
+        work[graph] = audit_walks(a, solve(a, "derivation").rows, "derivation")
+    assert 0 < work["star"] <= 2 * work["tree"], work
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_the_audit_catches_a_dropped_equation(monkeypatch, flavor):
+    # a generator that loses one equation: every drop that enlarges the
+    # kernel, seen with the audit stubbed out, makes solve raise, since the
+    # audit reads the identity off the product groupings, not the equations
+    a = build_algebra(random_tree(6, 7))
+    pool, eqs, full = _leibniz_equations(a, flavor)
+    dimension = solve(a, flavor).dimension
+    verify = linmaps.verify_map
+    enlarging = 0
+    for k in range(len(eqs)):
+        monkeypatch.setattr(linmaps, "_leibniz_equations", lambda *_: (pool, eqs[:k] + eqs[k + 1 :], full))
+        monkeypatch.setattr(linmaps, "verify_map", lambda *_: True)
+        if solve(a, flavor).dimension > dimension:
+            enlarging += 1
+            monkeypatch.setattr(linmaps, "verify_map", verify)
+            with pytest.raises(InternalInvariantError):
+                solve(a, flavor)
+    assert enlarging > 0, flavor
 
 
 @pytest.mark.parametrize("spec", ["rat", "gf:3"])

@@ -162,8 +162,12 @@ def test_products_are_row_major_and_patches_change_one_entry(edge_algebra):
         if r >= 0:
             expected[p, q] = r
         assert patched.products == expected
-        assert [sorted(w) for w in patched.partners] == [
-            sorted({y for x, y in expected if x == u} | {x for x, y in expected if y == u}) for u in range(a.dim)
+        table = dense_table(patched)
+        assert patched.left_products == [
+            [(y, table[u][y]) for y in range(a.dim) if table[u][y] >= 0] for u in range(a.dim)
+        ]
+        assert patched.right_products == [
+            [(x, table[x][u]) for x in range(a.dim) if table[x][u] >= 0] for u in range(a.dim)
         ]
         assert patched.factors == [[k for k, v in sorted(expected.items()) if v == s] for s in range(a.dim)]
     assert a.products == before
