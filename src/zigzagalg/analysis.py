@@ -4,7 +4,9 @@
 HH^0 = dim center and HH^1 = dim Der - dim Inner, after two invariants whose
 failure is a bug in any field: dim Inner = dim A - dim center, Inner inside
 Der.  On trees over the rationals it checks the paper's formulas and routes;
-only there does the structured route run.
+only there does the structured route run.  Relations between spaces are
+decided in ints: jordan = der on canonical int rows, Inner and structured
+in Der by their generators and the dimensions of their spans.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
 
-from .exactlin import RATIONALS, span_equal
-from .linmaps import FLAVORS, InternalInvariantError, inner_space, solve, structured_space
+from .exactlin import RATIONALS, span_dim, span_equal
+from .linmaps import FLAVORS, InternalInvariantError, ad_map, materialize, solve, structured_parameter_basis
 from .quiver import Graph
 from .zigzag import build_algebra, center, check_associativity
 
@@ -100,18 +102,21 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
     cen = stage("center", lambda: center(algebra))
     spaces = {f: stage(f, lambda: solve(algebra, f)) for f in FLAVORS if not (skip_jordan and f == "jordan")}
     der, jor, anti = spaces["derivation"], spaces.get("jordan"), spaces["anti"]
+    def spanned(maps):
+        return maps, span_dim(maps, field)
+
     if rational and is_tree:
-        struct = stage("structured", lambda: structured_space(algebra))
-    inner = stage("inner", lambda: inner_space(algebra))
+        struct, dim_struct = stage("structured", lambda: spanned([materialize(algebra, p) for p in structured_parameter_basis(algebra)]))
+    inner, dim_inner = stage("inner", lambda: spanned([ad_map(algebra, k) for k in range(algebra.dim)]))
 
     t_checks = elapsed_us()
-    if inner.dimension != algebra.dim - cen.dimension:
+    if dim_inner != algebra.dim - cen.dimension:
         raise InternalInvariantError(
-            f"inner dimension {inner.dimension} != dim algebra {algebra.dim} - dim center {cen.dimension}"
+            f"inner dimension {dim_inner} != dim algebra {algebra.dim} - dim center {cen.dimension}"
         )
-    if not der.contains(inner.rows):
+    if not der.contains(inner):
         raise InternalInvariantError("inner derivations do not sit inside the solved derivation space")
-    hh1 = der.dimension - inner.dimension
+    hh1 = der.dimension - dim_inner
 
     n = g.n
     n_arrows = len(algebra.arrows)
@@ -120,7 +125,7 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
     # the tree formulas: checks over the rationals, warnings over gf:p
     tree_formulas = [
         ("der_formula", "derivation dimension", der.dimension, 3 * n - 2),
-        ("inner_formula", "inner dimension", inner.dimension, n + n_arrows - 1),
+        ("inner_formula", "inner dimension", dim_inner, n + n_arrows - 1),
         ("center_formula", "center dimension", cen.dimension, n + 1),
         ("hh1_is_one", "hh1", hh1, 1),
     ] if is_tree else []
@@ -134,9 +139,9 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
             if checks["center_formula"] == PASS and not span_equal(cen.rows, span, field):
                 checks["center_formula"] = FAIL
             if jor is not None:
-                checks["jordan_eq_der"] = PASS if jor.rows == der.rows else FAIL
+                checks["jordan_eq_der"] = PASS if jor.ints == der.ints else FAIL
             checks["anti_is_zero"] = PASS if anti.dimension == 0 else FAIL
-            checks["structured_eq_solver"] = PASS if struct.rows == der.rows else FAIL
+            checks["structured_eq_solver"] = PASS if dim_struct == der.dimension and der.contains(struct) else FAIL
     else:
         for _, label, got, want in tree_formulas:
             if got != want:
@@ -156,7 +161,7 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
         dim_der=der.dimension,
         dim_jordan=None if jor is None else jor.dimension,
         dim_anti=anti.dimension,
-        dim_inner=inner.dimension,
+        dim_inner=dim_inner,
         hh0=cen.dimension,
         hh1=hh1,
         formula_checks=checks,

@@ -2,14 +2,13 @@
 
 Everything in this package that looks like linear algebra goes through this
 module: reduced row-echelon forms, kernels, and span comparisons, all with
-exact arithmetic and no floating point.  Elimination and span membership
-work on ints in both fields (fraction-free integer rows over the rationals,
-residues mod p over GF(p)); results hold ``Fraction``s in characteristic 0,
-made once per returned entry, and ints in [0, p) else.
+exact arithmetic and no floating point.  It works on ints (fraction-free
+over the rationals, residues mod p), scaling ``Fraction`` rows where they
+enter and making ``Fraction``s only for a returned result; spans compare
+by canonical int rows (:func:`_canonical`).
 
-Matrices are stored as sparse rows (dict column -> nonzero scalar), which is
-what the Leibniz constraint systems downstream need: tens of thousands of
-generated rows, a handful of nonzero entries each.
+Matrices are stored as sparse rows (dict column -> nonzero scalar), as the
+Leibniz systems downstream need: many rows, a few nonzero entries each.
 
 Canonical conventions, relied on by callers and tests:
 
@@ -18,16 +17,14 @@ Canonical conventions, relied on by callers and tests:
 * ``nullspace_basis`` returns one vector per free column, ordered by the free
   column index, with the free variable set to 1, then the pivot coordinates
   in increasing order: entry v at f of the int pivot row of c, pivot value
-  d, gives -v/d, with no RREF built.  Every other coordinate of the vector
-  of free column f is a pivot column below f, so f is its largest column;
-  read with the column order reversed, the vectors are the kernel's own RREF.
-* ``span_dim`` / ``span_equal`` canonicalize via RREF, so their results do not
-  depend on generator order or scaling.
+  d, gives -v/d.  Every other coordinate of the vector of free column f is a
+  pivot column below f; read with the column order reversed, the vectors
+  are the kernel's own RREF.
+* ``span_dim`` / ``span_equal`` do not depend on generator order or scaling.
 
-A vector is a sparse dict index -> nonzero scalar already in the field,
-which is what the derivation pipeline passes around (dim^2 coordinates, a few
-nonzero).  Kernels, canonical bases and span checks all take and return this
-form; :meth:`Matrix.from_sparse` validates rows that come from outside.
+A vector is a sparse dict index -> nonzero scalar in the field (dim^2
+coordinates, a few nonzero).  Kernels, canonical bases and span checks take
+and return this form; :meth:`Matrix.from_sparse` validates outside rows.
 """
 
 from __future__ import annotations
@@ -211,29 +208,31 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _int_row(row: dict) -> tuple:
-    """(L, ``row`` times L) for L the lcm of its denominators: ints."""
+def _int_row(row: dict) -> dict:
+    """``row`` times the lcm of its denominators: ints."""
     L = lcm(*(x.denominator for x in row.values()))
-    return L, {j: x.numerator * (L // x.denominator) for j, x in row.items()}
+    return {j: x.numerator * (L // x.denominator) for j, x in row.items()}
+
+
+def _ints(m: Matrix) -> list:
+    """The rows of ``m`` as ints (:func:`_int_row` over the rationals); a
+    single entry is only tested for zero, so kept."""
+    return m.rows if m.field.characteristic else [_int_row(r) if len(r) > 1 else r for r in m.rows]
 
 
 def normalize_row(field, row: dict) -> dict:
-    """Canonical scaling of a sparse row (unchanged span), as ints.
+    """Canonical scaling of a sparse int row, no entry zero in the field.
 
-    Rational mode: clear denominators, divide by the gcd, make the leading
-    (smallest-column) coefficient positive, so equal rows have equal dicts and
-    integer growth stays bounded.  Prime mode: scale the leading coefficient
-    to 1.
+    Rational mode: divide by the gcd, make the leading (smallest-column)
+    entry positive, so equal rows have equal dicts and integer growth stays
+    bounded.  Prime mode: scale the leading entry to 1, mod p.
     """
-    if not row:
-        return row
     lead = min(row)
     if field.characteristic == 0:
-        nums = _int_row(row)[1]
-        g = gcd(*nums.values())
-        if nums[lead] < 0:
+        g = gcd(*row.values())
+        if row[lead] < 0:
             g = -g
-        return nums if g == 1 else {j: v // g for j, v in nums.items()}
+        return row if g == 1 else {j: v // g for j, v in row.items()}
     inv = pow(row[lead], -1, field.p)
     return {j: v * inv % field.p for j, v in row.items()}
 
@@ -272,10 +271,12 @@ def _reduce(row: dict, c: int, pivot: dict, p: int) -> None:
 def _eliminate(field, rows: Iterable[dict]) -> dict:
     """Forward elimination into a pivot-column-keyed echelon dict.
 
-    Every stored entry must be nonzero.  A single-entry row is the pivot row
-    ``{c: 1}`` of its column: these are installed first, and their columns
-    are dropped from every other row before it is used.  The remaining rows
-    are deduplicated (after canonical scaling) and processed shortest-first,
+    Entries are ints (any residues mod p); those zero in the field (-2 in
+    GF(2)) are dropped as rows are scanned.  A single-entry row is the pivot
+    row ``{c: 1}`` of its column: these are installed first, and their
+    columns are dropped from every other row before it is used.  The
+    remaining rows are deduplicated (after canonical scaling) and processed
+    shortest-first,
     which keeps fill-in negligible on the near-diagonal systems this package
     generates; rows of one length go in decreasing order of their sorted
     column tuples.  That matters at a hub: rows x_h - x_j sharing column h,
@@ -290,16 +291,17 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
     pivots: dict = {}
     longer = []
     for r in rows:
-        if len(r) == 1:
-            [c] = r
-            pivots[c] = {c: 1}
-        elif r:
+        if len(r) > 1:
             longer.append(r)
+        elif r:
+            [(c, v)] = r.items()
+            if v % p if p else v:
+                pivots[c] = {c: 1}
 
     seen = set()
     cands = []
     for r in longer:
-        r = {j: v for j, v in r.items() if j not in pivots}
+        r = {j: v for j, v in r.items() if (v % p if p else v) and j not in pivots}
         if not r:
             continue
         nr = normalize_row(field, r)
@@ -334,90 +336,106 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
     return pivots
 
 
-def _rref_rows(field, pivots: dict) -> list:
-    """The RREF rows, in pivot order, of the pivot dict of :func:`_eliminate`."""
+def _canonical(field, pivots: dict) -> list:
+    """The RREF rows of the pivot dict, over the rationals each scaled to the
+    primitive int row with a positive leading entry: unique per span."""
+    rows = [pivots[c] for c in sorted(pivots)]
+    return rows if field.characteristic else [normalize_row(field, r) for r in rows]
+
+
+def field_rows(field, rows: Sequence[dict]) -> list:
+    """The RREF rows of canonical int ``rows``, in the field."""
     if field.characteristic:
-        return [pivots[c] for c in sorted(pivots)]
-    return [{k: Fraction(v, row[c]) for k, v in row.items()} for c, row in sorted(pivots.items())]
+        return list(rows)
+    return [{j: Fraction(v, d) for j, v in r.items()} for r in rows for d in (r[min(r)],)]
 
 
 def rref(m: Matrix) -> RrefResult:
     """Unique reduced row-echelon form of ``m``, with pivot columns and rank."""
-    pivots = _eliminate(m.field, m.rows)
-    reduced_rows = _rref_rows(m.field, pivots)
+    pivots = _eliminate(m.field, _ints(m))
+    reduced_rows = field_rows(m.field, _canonical(m.field, pivots))
     rank = len(reduced_rows)
     reduced_rows.extend({} for _ in range(m.nrows - rank))
     reduced = Matrix(m.field, m.nrows, m.ncols, tuple(reduced_rows))
     return RrefResult(reduced, tuple(sorted(pivots)), rank)
 
 
+def _kernel(field, pivots: dict, ncols: int) -> dict:
+    """Free column f -> its :func:`nullspace_basis` vector in ints: over the
+    rationals times the lcm D of the pivot values, then divided by its
+    content, so primitive with a positive entry at f."""
+    p = field.characteristic
+    D = 1 if p else lcm(*(row[c] for c, row in pivots.items()))
+    vecs = {f: {f: D} for f in range(ncols) if f not in pivots}
+    for c in sorted(pivots):
+        row = pivots[c]
+        s = D // row[c]
+        for j, v in row.items():
+            if j != c:
+                vecs[j][c] = -v % p if p else -v * s
+    if D > 1:
+        for vec in vecs.values():
+            if (g := gcd(*vec.values())) > 1:
+                for k in vec:
+                    vec[k] //= g
+    return vecs
+
+
 def nullspace_basis(m: Matrix) -> list:
     """Canonical kernel basis: one vector per free column, free variable 1,
     each a dict column -> nonzero scalar."""
-    pivots = _eliminate(m.field, m.rows)
-    p = m.field.characteristic
-    one = m.field.one
-    vecs = {f: {f: one} for f in range(m.ncols) if f not in pivots}
-    for c in sorted(pivots):
-        row = pivots[c]
-        d = row[c]
-        for j, v in row.items():
-            if j != c:
-                vecs[j][c] = -v % p if p else Fraction(-v, d)
-    return list(vecs.values())
+    field = m.field
+    kernel = _kernel(field, _eliminate(field, _ints(m)), m.ncols)
+    if field.characteristic:
+        return list(kernel.values())
+    return [{f: field.one} | {j: Fraction(v, vec[f]) for j, v in vec.items() if j != f} for f, vec in kernel.items()]
 
 
-def _as_matrix(vectors: Sequence[dict], field) -> Matrix:
-    """Non-empty sparse ``vectors`` as matrix rows, validated by
+def _span(vectors: Sequence[dict], field) -> dict:
+    """The pivot dict of the span of sparse ``vectors``, validated by
     :meth:`Matrix.from_sparse`."""
     ncols = 1 + max((j for v in vectors for j in v), default=-1)
-    return Matrix.from_sparse(field, len(vectors), ncols, vectors)
+    return _eliminate(field, _ints(Matrix.from_sparse(field, len(vectors), ncols, vectors)))
 
 
 def span_dim(vectors: Sequence, field=RATIONALS) -> int:
     """Dimension of the span of sparse ``vectors``."""
-    if not vectors:
-        return 0
-    return rref(_as_matrix(vectors, field)).rank
+    return len(_span(vectors, field))
 
 
 def span_canonical_basis(vectors: Sequence, field=RATIONALS) -> list:
     """Canonical basis of the span of sparse ``vectors``: the nonzero rows
     of its RREF, in pivot order."""
-    if not vectors:
-        return []
-    return _rref_rows(field, _eliminate(field, _as_matrix(vectors, field).rows))
+    return field_rows(field, _canonical(field, _span(vectors, field)))
 
 
 def span_equal(a: Sequence, b: Sequence, field=RATIONALS) -> bool:
     """Whether two sets of sparse vectors span the same subspace.
 
-    Compares the canonical (RREF) bases of the two spans, so it is an exact
+    Compares the canonical int rows of the two spans, so it is an exact
     equivalence, not a mutual-containment heuristic.
     """
-    ra = _rref_rows(field, _eliminate(field, _as_matrix(a, field).rows)) if a else []
-    rb = _rref_rows(field, _eliminate(field, _as_matrix(b, field).rows)) if b else []
-    return ra == rb
+    return _canonical(field, _span(a, field)) == _canonical(field, _span(b, field))
 
 
 def in_rref_span(rref_rows: Sequence[dict], vectors: Iterable[dict], field) -> bool:
-    """Whether every sparse vector lies in the span of ``rref_rows``.
+    """Whether every sparse vector lies in the span of ``rref_rows``, the
+    nonzero RREF rows :func:`span_canonical_basis` returns."""
+    return _in_span([_int_row(r) for r in rref_rows], vectors, field)
 
-    ``rref_rows`` must be the nonzero rows of a reduced row-echelon form
-    (leading 1 at the pivot, 0 in every other pivot column), as
-    :func:`span_canonical_basis` returns them.  Rows and vectors are scaled
-    to ints once, a row to L at its pivot c; v := L*v - v[c]*row clears c
-    and no other pivot column, so one pass per vector decides, in ints.
-    """
+
+def _in_span(rows: Sequence[dict], vectors: Iterable[dict], field) -> bool:
+    """:func:`in_rref_span` for int ``rows``, each zero at the others' leading
+    columns: L*v - v[c]*row, L = row[c], clears c and no other."""
     p = field.characteristic
-    by_pivot = {min(r): _int_row(r) for r in rref_rows}
+    by_pivot = {min(r): r for r in rows}
     for v in vectors:
-        rest = _int_row(v)[1]
+        rest = _int_row(v)
         for c in v:
             if c in by_pivot:
                 x = rest[c]
-                L, row = by_pivot[c]
-                if L != 1:
+                row = by_pivot[c]
+                if (L := row[c]) != 1:
                     for j in rest:
                         rest[j] *= L
                 for j, y in row.items():

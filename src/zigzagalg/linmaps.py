@@ -33,9 +33,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
-from .exactlin import Matrix, in_rref_span, normalize_row, nullspace_basis, span_canonical_basis
+from . import exactlin
+from .exactlin import Matrix, _in_span, _int_row, _kernel, field_rows, normalize_row, nullspace_basis, span_canonical_basis
 from .zigzag import ZigzagAlgebra
 
 # flavor -> (inner, outer): the orders (xy, yx) of the algebra's product that
@@ -60,17 +62,21 @@ class InternalInvariantError(RuntimeError):
 class MapSpace:
     """A subspace of maps of one flavor, stored as its canonical basis.
 
-    ``rows`` are the nonzero rows of the RREF of the span of whatever
-    generators were supplied, as sparse flat-index maps in pivot order, so
-    equal spaces have equal ``rows``.
+    ``ints`` are its canonical int rows (see :mod:`exactlin`), sparse
+    flat-index maps in pivot order, so equal spaces have equal ``ints``;
+    ``rows``, the RREF rows in the field, are built on first read.
     """
 
-    def __init__(self, flavor: str, field, dim: int, rows: list) -> None:
+    def __init__(self, flavor: str, field, dim: int, ints: list) -> None:
         self.flavor = flavor
         self.field = field
         self.dim = dim
-        self.rows = rows
-        self.dimension = len(rows)
+        self.ints = ints
+        self.dimension = len(ints)
+
+    @cached_property
+    def rows(self) -> list:
+        return field_rows(self.field, self.ints)
 
     @classmethod
     def from_generators(cls, flavor: str, algebra: ZigzagAlgebra, generators: list) -> "MapSpace":
@@ -78,11 +84,11 @@ class MapSpace:
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
         field = algebra.field
-        return cls(flavor, field, algebra.dim, span_canonical_basis(generators, field))
+        return cls(flavor, field, algebra.dim, [_int_row(r) for r in span_canonical_basis(generators, field)])
 
     def contains(self, maps) -> bool:
         """Whether every sparse flat-index map in ``maps`` lies in this space."""
-        return in_rref_span(self.rows, maps, self.field)
+        return _in_span(self.ints, maps, self.field)
 
     def __repr__(self) -> str:
         return f"MapSpace({self.flavor!r}, dim={self.dimension})"
@@ -106,11 +112,10 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
     x[u, q] of Theta (column u*dim + q), from ``a.products`` and
     :data:`FLAVOR_PRODUCTS`.  The equation at (q, r, p) is coordinate p of
     Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r), its small-int
-    coefficients summed as ints and mapped by one table (mod p over GF(p)),
-    keeping those nonzero there (-2 vanishes in GF(2)).  ``pool`` lists,
-    increasing, the columns no single-entry family forces to zero, ``eqs``
-    the nonempty equations restricted to it, emitted column by column, with
-    pool[k] labelled len(pool) - 1 - k, ``full()`` the whole system.
+    coefficients summed as ints, zeros in the field (-2 in GF(2)) kept.
+    ``pool`` lists, increasing, the columns no single-entry family forces to
+    zero, ``eqs`` the equations restricted to it, emitted column by column,
+    with pool[k] labelled len(pool) - 1 - k, ``full()`` the whole system.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -124,9 +129,6 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
     # same, so a pair is kept in the order q <= r
     symmetric = set(inner) == set(outer) == {XY, YX}
     dim = a.dim
-    # a coefficient sums at most len(inner) terms +1 and 2 * len(outer) terms -1
-    mod = field.characteristic
-    conv = {c: v for c in range(-2 * len(outer), len(inner) + 1) if (v := c % mod if mod else c)}
 
     # right[y] / left[y]: p -> {u: c}, c the coefficient of x[u, q] in
     # coordinate p of Theta(b_q) . b_y / of x[u, r] in b_y . Theta(b_r);
@@ -165,14 +167,14 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
             row[u * dim + r] = row.get(u * dim + r, 0) + c
         for s, k in inner_at[q].get(r, {}).items():
             row[p * dim + s] = row.get(p * dim + s, 0) + k
-        return {j: conv[c] for j, c in row.items() if c in conv}
+        return row
 
     def full():  # each triple once, pair by pair; eq only where two term sets meet
         rows = []
         for q in range(dim):
             for r in range(q if symmetric else 0, dim):
                 rs, ls = right[r], left[q]
-                if terms := {s: conv[k] for s, k in inner_at[q].get(r, {}).items() if k in conv}:
+                if terms := inner_at[q].get(r):  # counts of +1 terms: nonzero
                     ps = rs.keys() | ls.keys()  # at p with no outer term, the inner terms alone
                     rows += map(eq, ((q, r, p) for p in ps))
                     rows += ({p * dim + s: v for s, v in terms.items()} for p in range(dim) if p not in ps)
@@ -180,8 +182,8 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
                     rows += map(eq, ((q, r, p) for p in rs.keys() & ls.keys()))
                     for side, other, at in ((rs, ls, q), (ls, rs, r)):
                         one_sided = (row for p, row in side.items() if p not in other)
-                        rows += ({u * dim + at: conv[c] for u, c in row.items() if c in conv} for row in one_sided)
-        return list(filter(None, rows))
+                        rows += ({u * dim + at: c for u, c in row.items()} for row in one_sided)
+        return rows
 
     # A one-entry right[r][p] = {u: c} forces x[u, q] for every q with no
     # inner term at (q, r) and p not in left[q]; a one-entry left[q][p] forces
@@ -225,22 +227,21 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
         for q, r, v in inner_by[c]:
             row = eqs[q, r, u]
             row[label] = row.get(label, 0) + v
-    return pool, [r for row in eqs.values() if (r := {j: conv[v] for j, v in row.items() if v in conv})], full
+    return pool, list(eqs.values()), full
 
 
 def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     """Constraint matrix over the dim^2 coefficients x[p, q] of Theta: every
-    nonempty equation of :func:`_leibniz_equations`, normalized, deduplicated
-    and sorted.  Its kernel is the flavor's solution space; only oracles
-    build it."""
+    equation of :func:`_leibniz_equations` that is nonzero in the field,
+    normalized, deduplicated and sorted.  Its kernel is the flavor's solution
+    space; only oracles build it."""
     _, _, full = _leibniz_equations(a, flavor)
     field = a.field
+    mod = field.characteristic
     keys = set()
     for row in full():
-        if len(row) > 1:
+        if row := {j: c for j, c in row.items() if (c % mod if mod else c)}:
             keys.add(tuple(sorted(normalize_row(field, row).items())))
-        else:
-            keys.add(((*row, 1),))
     rows = [{j: field.convert(c) for j, c in key} for key in sorted(keys)]
     return Matrix.from_sparse(field, len(rows), a.dim * a.dim, rows)
 
@@ -294,19 +295,17 @@ def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     Columns off the pool are zero on the kernel, and the elimination makes
     each single-entry row a pivot ``{c: 1}``, so the kernel mapped back is
     that of :func:`leibniz_system`.  Labelled in decreasing order, the pool
-    makes :func:`nullspace_basis` return the kernel's RREF read backwards
-    (see :mod:`exactlin`), off the integer pivot rows, so no second
-    elimination canonicalizes it and no RREF is built.  Every
-    basis map is re-verified against the defining
-    identity on all basis pairs; a failure there is a solver bug, reported as
-    InternalInvariantError rather than a wrong answer.
+    makes the int kernel read off the pivot rows canonical, read backwards
+    (see :mod:`exactlin`), so no second elimination, RREF or ``Fraction``
+    is needed.  Every basis map is re-verified against the defining
+    identity on all basis pairs; a failure there is a solver bug, reported
+    as InternalInvariantError rather than a wrong answer.
     """
     pool, eqs, _ = _leibniz_equations(a, flavor)
     top = len(pool) - 1
-    system = Matrix(a.field, len(eqs), len(pool), tuple(eqs))
-    kernel = [{pool[top - k]: v for k, v in vec.items()} for vec in reversed(nullspace_basis(system))]
-    space = MapSpace(flavor, a.field, a.dim, kernel)
-    for row in space.rows:
+    kernel = _kernel(a.field, exactlin._eliminate(a.field, eqs), len(pool))
+    space = MapSpace(flavor, a.field, a.dim, [{pool[top - k]: v for k, v in vec.items()} for vec in reversed(kernel.values())])
+    for row in space.ints:
         if not verify_map(a, row, flavor):
             raise InternalInvariantError(f"solved {flavor} basis map fails the defining identity")
     return space

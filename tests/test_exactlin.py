@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bruteforce import dense_nullspace, dense_rref, sparse_vectors
+from zigzagalg import exactlin
 from zigzagalg.exactlin import (
     RATIONALS,
     FieldMismatchError,
@@ -23,6 +25,7 @@ from zigzagalg.exactlin import (
     span_dim,
     span_equal,
 )
+from zigzagalg.linmaps import MapSpace
 
 
 def qq(rows, field=RATIONALS):
@@ -329,10 +332,12 @@ def test_primes_are_certified_only_below_the_miller_rabin_bound():
 
 
 def test_normalize_row_is_primitive_integer_over_rationals():
-    row = {0: Fraction(-2, 3), 2: Fraction(4, 3)}
-    assert normalize_row(RATIONALS, row) == {0: Fraction(1), 2: Fraction(-2)}
+    # rows come in as ints (fraction-free over the rationals, any residues mod p)
+    assert normalize_row(RATIONALS, {0: -2, 2: 4}) == {0: 1, 2: -2}
+    assert normalize_row(RATIONALS, {1: 3, 4: -5}) == {1: 3, 4: -5}
     gf5 = PrimeField(5)
     assert normalize_row(gf5, {1: 3, 4: 2}) == {1: 1, 4: 4}
+    assert normalize_row(gf5, {1: 8, 4: -3}) == {1: 1, 4: 4}
 
 
 def test_matrix_equality_includes_field():
@@ -495,3 +500,124 @@ def test_rref_matches_a_textbook_gauss_jordan(spec):
     # every kind of system came up, and with it both rank extremes
     assert {("zero", False, True), ("full", True, False)} <= kinds
     assert any(k[0] == "sparse" for k in kinds)
+
+
+def canonical(vectors, field):
+    """The canonical int rows of the span of sparse ``vectors``."""
+    return exactlin._canonical(field, exactlin._span(vectors, field))
+
+
+@st.composite
+def generators_and_copies(draw, field):
+    """(ncols, a, b): sparse vectors ``a`` in the field, and ``b`` built from
+    ``a`` by rescaling and recombining them, sometimes with a vector drawn
+    apart added, so the spans are often but not always equal."""
+    p = field.characteristic
+    ncols = draw(st.integers(1, 6))
+    values = [-3, -2, -1, 1, 2, 5, Fraction(1, 2), Fraction(-2, 3)]
+    entry = st.sampled_from([v for v in values if not p or Fraction(v).denominator % p])
+
+    def vector():
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=1, max_size=3, unique=True))
+        return {j: x for j in cols if (x := field.convert(draw(entry)))}
+
+    def combine(u, v, c):  # u + c v
+        return {j: x for j in {*u, *v} if (x := field.add(u.get(j, field.zero), field.mul(c, v.get(j, field.zero))))}
+
+    a = [v for _ in range(draw(st.integers(1, 4))) if (v := vector())]
+    b = []
+    for v in a:
+        if (c := field.convert(draw(entry))) and draw(st.booleans()):
+            v = {j: field.mul(c, x) for j, x in v.items()}  # rescaled
+        for u in draw(st.lists(st.sampled_from(a), max_size=2)):
+            v = combine(v, u, field.convert(draw(entry)))  # recombined
+        b.append(v)
+    b = [v for v in b if v]
+    if draw(st.integers(0, 3)) == 0:
+        b.append(vector())
+    draw(st.randoms(use_true_random=False)).shuffle(b)
+    return ncols, a, [v for v in b if v]
+
+
+def dense_rows(vectors, ncols, field):
+    return [[v.get(j, field.zero) for j in range(ncols)] for v in vectors]
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:101", "gf:3", "gf:2"])
+def test_int_canonical_rows_decide_span_equality(spec):
+    # rows equal iff the spans are (a textbook RREF decides that apart);
+    # each row is primitive with a positive lead over Q, leads 1 in GF(p);
+    # both routes to them agree in order, and the rows a MapSpace builds
+    # from them are span_canonical_basis's in value, type and order
+    field = parse_field(spec)
+    p = field.characteristic
+    verdicts = set()
+
+    @settings(max_examples=80, deadline=None)
+    @given(generators_and_copies(field))
+    def check(drawn):
+        ncols, a, b = drawn
+        ca, cb = canonical(a, field), canonical(b, field)
+        ta = textbook_rref(dense_rows(a, ncols, field), ncols, p)[1]
+        tb = textbook_rref(dense_rows(b, ncols, field), ncols, p)[1]
+        assert (ca == cb) == (ta == tb) == span_equal(a, b, field)
+        verdicts.add(ca == cb)
+        for r in ca:
+            lead = r[min(r)]
+            assert lead == 1 and all(0 < x < p for x in r.values()) if p else lead > 0 and gcd(*r.values()) == 1
+        basis = span_canonical_basis(a, field)
+        assert [list(r.items()) for r in ca] == [list(exactlin._int_row(r).items()) for r in basis]
+        rows = MapSpace("derivation", field, ncols, ca).rows
+        assert [list(r.items()) for r in rows] == [list(r.items()) for r in basis]
+        assert [type(x) for r in rows for x in r.values()] == [type(x) for r in basis for x in r.values()]
+
+    check()
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:101", "gf:3", "gf:2"])
+def test_int_kernel_is_primitive(spec):
+    # each int kernel vector is the returned one scaled to a primitive int
+    # vector, positive at its free column (1 there in GF(p))
+    field = parse_field(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse_systems(field))
+    def check(m):
+        kernel = exactlin._kernel(field, exactlin._eliminate(field, exactlin._ints(m)), m.ncols)
+        assert list(kernel.values()) == [exactlin._int_row(v) for v in nullspace_basis(m)]
+        assert all(vec[f] > 0 and list(vec)[0] == f for f, vec in kernel.items())
+
+    check()
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:101", "gf:3", "gf:2"])
+def test_eliminate_drops_entries_that_vanish_in_the_field(spec):
+    # raw int rows: zeros, negatives, entries >= p and entries zero only in
+    # the field (+-2 in GF(2), +-3 in GF(3)); rows that shrink to one entry
+    # or none.  They give the pivots and kernel of their reduced, zero-free
+    # counterparts.
+    field = parse_field(spec)
+    p = field.characteristic
+    values = [0, 0, 1, -1, 2, -2, 3, -3, 5, 101, -101, 102, 202]
+    shrunk = set()
+
+    def reduced(row):
+        return {j: v % p for j, v in row.items() if v % p} if p else {j: v for j, v in row.items() if v}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def check(data):
+        ncols = data.draw(st.integers(1, 7))
+        rows = data.draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), st.sampled_from(values), max_size=4), max_size=8))
+        clean = [r for r in map(reduced, rows) if r]
+        shrunk.update(len(reduced(r)) for r in rows if len(reduced(r)) < min(len(r), 2))
+        got, want = exactlin._eliminate(field, rows), exactlin._eliminate(field, clean)
+        assert sorted(got) == sorted(want)
+        assert exactlin._canonical(field, got) == exactlin._canonical(field, want)
+        assert exactlin._kernel(field, got, ncols) == exactlin._kernel(field, want, ncols)
+        if p:
+            assert all(0 < x < p for r in got.values() for x in r.values())
+
+    check()
+    assert shrunk == {0, 1}

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import random
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from bruteforce import (
     sparse_vectors,
     verify_literal,
 )
-from zigzagalg import exactlin, linmaps
+from zigzagalg import analysis, exactlin, linmaps
 from zigzagalg.analysis import analyze_graph
 from zigzagalg.exactlin import (
     RATIONALS,
@@ -35,6 +36,7 @@ from zigzagalg.linmaps import (
     CharacteristicTwoError,
     DerivationParams,
     InternalInvariantError,
+    MapSpace,
     _leibniz_equations,
     ad_map,
     inner_space,
@@ -851,6 +853,91 @@ def test_solve_makes_at_most_one_fraction_per_kernel_entry(monkeypatch):
         made.clear()
         entries = sum(map(len, solve(a, flavor).rows))
         assert made["fractions"] <= entries, (flavor, made, entries)
+
+
+@contextmanager
+def counting_fractions():
+    """Counts every ``Fraction`` constructed inside the block, anywhere."""
+    made = Counter()
+    new = vars(Fraction)["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made["fractions"] += 1
+        return new.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        yield made
+    finally:
+        Fraction.__new__ = new
+
+
+def test_solve_and_the_relation_checks_make_no_fraction():
+    # the kernels, Der's membership test and the three relations of
+    # analyze_graph stay in ints; Fractions are made when rows is read,
+    # with the values, types and dict order of the canonical RREF rows
+    a = build_algebra(random_tree(12, 5))
+    structured = [materialize(a, p) for p in structured_parameter_basis(a)]
+    inner = [ad_map(a, k) for k in range(a.dim)]
+    with counting_fractions() as made:
+        spaces = {flavor: solve(a, flavor) for flavor in FLAVORS}
+        der = spaces["derivation"]
+        assert spaces["jordan"].ints == der.ints
+        assert span_dim(structured) == der.dimension and der.contains(structured)
+        assert der.contains(inner)
+    assert made["fractions"] == 0
+    for space in spaces.values():
+        rows = space.rows
+        assert rows == span_canonical_basis(rows)
+        for row in rows:
+            lead = min(row)
+            assert list(row) == [lead, *sorted(set(row) - {lead}, reverse=True)]
+            assert row[lead] == 1 and all(type(x) is Fraction for x in row.values())
+    for space, maps in ((structured_space(a), structured), (inner_space(a), inner)):
+        basis = span_canonical_basis(maps)
+        assert [list(r.items()) for r in space.rows] == [list(r.items()) for r in basis]
+        assert all(type(x) is Fraction for r in space.rows for x in r.values())
+    with counting_fractions() as made:
+        analyze_graph(random_tree(40, 12345))
+    assert made["fractions"] <= 1000, made  # 2,843 with Fraction canonical bases
+
+
+@pytest.mark.parametrize("relation", ["jordan", "structured", "inner"])
+def test_a_relation_is_more_than_a_dimension(monkeypatch, relation):
+    # the relation's maps go through v -> v + v[j] E, E a coordinate that
+    # no derivation and none of the maps uses: injective, so their span keeps
+    # its dimension, and it leaves Der; analyze_graph must see that
+    a = build_algebra(random_tree(6, 3))
+    e = a.index(idem(1))
+    E = e * a.dim + e
+    real = {name: getattr(analysis, name) for name in ("solve", "materialize", "ad_map")}
+    maps = {
+        "jordan": real["solve"](a, "derivation").rows,
+        "structured": [real["materialize"](a, p) for p in structured_parameter_basis(a)],
+        "inner": [real["ad_map"](a, k) for k in range(a.dim)],
+    }[relation]
+    j = min(j for m in maps for j in m)
+    assert all(E not in m for m in maps) and not solve(a, "derivation").contains([{E: 1}])
+
+    def skew(m):
+        return m | {E: m[j]} if j in m else m
+
+    assert span_dim([skew(m) for m in maps]) == span_dim(maps)
+    if relation == "jordan":
+        skewed = [skew(m) for m in maps]
+        monkeypatch.setattr(
+            analysis, "solve", lambda b, f: MapSpace.from_generators(f, b, skewed) if f == "jordan" else real["solve"](b, f)
+        )
+        report, _ = analyze_graph(random_tree(6, 3))
+        assert report.dim_jordan == report.dim_der and report.formula_checks["jordan_eq_der"] == "fail"
+    elif relation == "structured":
+        monkeypatch.setattr(analysis, "materialize", lambda b, p: skew(real["materialize"](b, p)))
+        report, _ = analyze_graph(random_tree(6, 3))
+        assert report.formula_checks["structured_eq_solver"] == "fail"
+    else:
+        monkeypatch.setattr(analysis, "ad_map", lambda b, k: skew(real["ad_map"](b, k)))
+        with pytest.raises(InternalInvariantError, match="inside"):
+            analyze_graph(random_tree(6, 3))
 
 
 class CountingList(list):
