@@ -19,7 +19,7 @@ never assumed here.
 :func:`solve` emits, column by column, the equations over a pool of
 unknowns (those no single-entry family forces to zero), each restricted to
 the pool, and eliminates them once, so its cost follows the pool;
-:func:`leibniz_system` is the full system, for the oracles.
+:func:`leibniz_system` is the same emission over every column.
 :func:`verify_map` audits in integers, off the product groupings of the
 algebra, which generation never reads.
 
@@ -107,20 +107,19 @@ def _common(fams) -> set | None:
     return keep
 
 
-def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
-    """(pool, eqs, full): the flavor's equations over the dim^2 coefficients
+def _leibniz_equations(a: ZigzagAlgebra, flavor: str, pool=None):
+    """(pool, eqs): the flavor's equations over the dim^2 coefficients
     x[u, q] of Theta (column u*dim + q), from ``a.products`` and
     :data:`FLAVOR_PRODUCTS`.  The equation at (q, r, p) is coordinate p of
     Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r), its small-int
     coefficients summed as ints, zeros in the field (-2 in GF(2)) kept.
     ``pool`` lists, increasing, the columns no single-entry family forces to
-    zero, ``eqs`` the equations restricted to it, emitted column by column,
-    with pool[k] labelled len(pool) - 1 - k, ``full()`` the whole system.
+    zero, unless given; ``eqs`` are the equations restricted to it,
+    emitted column by column, with pool[k] labelled len(pool) - 1 - k.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    field = a.field
-    if flavor == "jordan" and field.characteristic == 2:
+    if flavor == "jordan" and a.field.characteristic == 2:
         raise CharacteristicTwoError(
             "jordan flavor degenerates in characteristic 2: the symmetrized product is not usable"
         )
@@ -160,31 +159,6 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
                 for s, k in terms.items():
                     inner_by[s].append((q, r, k))
 
-    def eq(t):
-        q, r, p = t
-        row = {u * dim + q: c for u, c in right[r].get(p, {}).items()}
-        for u, c in left[q].get(p, {}).items():
-            row[u * dim + r] = row.get(u * dim + r, 0) + c
-        for s, k in inner_at[q].get(r, {}).items():
-            row[p * dim + s] = row.get(p * dim + s, 0) + k
-        return row
-
-    def full():  # each triple once, pair by pair; eq only where two term sets meet
-        rows = []
-        for q in range(dim):
-            for r in range(q if symmetric else 0, dim):
-                rs, ls = right[r], left[q]
-                if terms := inner_at[q].get(r):  # counts of +1 terms: nonzero
-                    ps = rs.keys() | ls.keys()  # at p with no outer term, the inner terms alone
-                    rows += map(eq, ((q, r, p) for p in ps))
-                    rows += ({p * dim + s: v for s, v in terms.items()} for p in range(dim) if p not in ps)
-                else:  # no inner term: off right[r] & left[q], one outer row as it is
-                    rows += map(eq, ((q, r, p) for p in rs.keys() & ls.keys()))
-                    for side, other, at in ((rs, ls, q), (ls, rs, r)):
-                        one_sided = (row for p, row in side.items() if p not in other)
-                        rows += ({u * dim + at: c for u, c in row.items()} for row in one_sided)
-        return rows
-
     # A one-entry right[r][p] = {u: c} forces x[u, q] for every q with no
     # inner term at (q, r) and p not in left[q]; a one-entry left[q][p] forces
     # x[u, r] likewise; a single inner term s at (q, r) forces x[p, s] for
@@ -192,23 +166,23 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
     # the flavor is defined).  A family is the pair of sets its exceptions lie
     # in; row u and column s of X keep the exceptions common to all their
     # families, or every index (None) if they have none.
-    row_fams, col_fams = ([[] for _ in range(dim)] for _ in range(2))
-    for y in range(dim):
-        for side, fams, ys in ((right, inner_qs[y], left_ys), (left, inner_at[y], right_ys)):
-            for p, row in side[y].items():
-                if len(row) == 1:
-                    row_fams[min(row)].append((fams, ys[p]))
-        for r, terms in inner_at[y].items():
-            if len(terms) == 1:
-                col_fams[min(terms)].append((right[r], left[y]))
-
-    cols_ok = [_common(f) for f in col_fams]
-    pool = [
-        u * dim + q
-        for u, ok in enumerate(map(_common, row_fams))
-        for q in (range(dim) if ok is None else sorted(ok))
-        if cols_ok[q] is None or u in cols_ok[q]
-    ]
+    if pool is None:
+        row_fams, col_fams = ([[] for _ in range(dim)] for _ in range(2))
+        for y in range(dim):
+            for side, fams, ys in ((right, inner_qs[y], left_ys), (left, inner_at[y], right_ys)):
+                for p, row in side[y].items():
+                    if len(row) == 1:
+                        row_fams[min(row)].append((fams, ys[p]))
+            for r, terms in inner_at[y].items():
+                if len(terms) == 1:
+                    col_fams[min(terms)].append((right[r], left[y]))
+        cols_ok = [_common(f) for f in col_fams]
+        pool = [
+            u * dim + q
+            for u, ok in enumerate(map(_common, row_fams))
+            for q in (range(dim) if ok is None else sorted(ok))
+            if cols_ok[q] is None or u in cols_ok[q]
+        ]
     # x[u, c] enters (c, y, p) by right terms, (y, c, p) by left and (q, r, u)
     # by inner ones; if symmetric, q <= r
     eqs = defaultdict(dict)
@@ -227,23 +201,24 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str):
         for q, r, v in inner_by[c]:
             row = eqs[q, r, u]
             row[label] = row.get(label, 0) + v
-    return pool, list(eqs.values()), full
+    return pool, list(eqs.values())
 
 
 def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
-    """Constraint matrix over the dim^2 coefficients x[p, q] of Theta: every
-    equation of :func:`_leibniz_equations` that is nonzero in the field,
-    normalized, deduplicated and sorted.  Its kernel is the flavor's solution
-    space; only oracles build it."""
-    _, _, full = _leibniz_equations(a, flavor)
+    """Constraint matrix over the dim^2 coefficients x[p, q] of Theta: the
+    equations :func:`_leibniz_equations` emits over every column, those
+    nonzero in the field normalized, deduplicated and sorted.  Its kernel is
+    the flavor's solution space."""
+    n = a.dim * a.dim
+    _, eqs = _leibniz_equations(a, flavor, range(n - 1, -1, -1))  # each column labels itself
     field = a.field
     mod = field.characteristic
     keys = set()
-    for row in full():
+    for row in eqs:
         if row := {j: c for j, c in row.items() if (c % mod if mod else c)}:
             keys.add(tuple(sorted(normalize_row(field, row).items())))
     rows = [{j: field.convert(c) for j, c in key} for key in sorted(keys)]
-    return Matrix.from_sparse(field, len(rows), a.dim * a.dim, rows)
+    return Matrix.from_sparse(field, len(rows), n, rows)
 
 
 def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
@@ -301,7 +276,7 @@ def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     identity on all basis pairs; a failure there is a solver bug, reported
     as InternalInvariantError rather than a wrong answer.
     """
-    pool, eqs, _ = _leibniz_equations(a, flavor)
+    pool, eqs = _leibniz_equations(a, flavor)
     top = len(pool) - 1
     kernel = _kernel(a.field, exactlin._eliminate(a.field, eqs), len(pool))
     space = MapSpace(flavor, a.field, a.dim, [{pool[top - k]: v for k, v in vec.items()} for vec in reversed(kernel.values())])

@@ -6,13 +6,18 @@ textbook Gauss-Jordan over Fraction, and the flavor identities and
 associativity are checked pair by pair (triple by triple) from a plain
 table, which :func:`dense_table` writes out from an algebra's products.
 These are deliberately dumb so they can arbitrate when the real solver and
-the closed-form generator disagree.
-Oracle results are dense; :func:`sparse_vectors` turns them into the dicts
-the package takes.
+the closed-form generator disagree.  :func:`sparse_leibniz_system` is the
+tests' full system: written from the products dict, the dimension and the
+characteristic alone, it shares no table with the package's generator, so
+a wrong generator table shows as a difference from it.  The other
+oracles' results are dense; :func:`sparse_vectors` turns them into the
+dicts the package takes.
 """
 
+from collections import defaultdict
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 # single-edge algebra, basis order e1, e2, a(1->2), a(2->1), c1, c2
 EDGE_DIM = 6
@@ -43,7 +48,7 @@ def dense_table(algebra):
 
 def dense_rref(rows):
     """Plain dense Gauss-Jordan over Fraction: (reduced rows, pivot cols)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
+    mat = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -55,11 +60,11 @@ def dense_rref(rows):
             continue
         mat[rank], mat[src] = mat[src], mat[rank]
         pv = mat[rank][col]
-        mat[rank] = [v / pv for v in mat[rank]]
+        mat[rank] = [v / pv if v else v for v in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
                 f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
         rank += 1
     return mat, pivots
@@ -123,6 +128,64 @@ def leibniz_rows(table, flavor):
             theta_times(y, x)
         rows.extend(r for r in expr if any(r))
     return rows
+
+
+# flavor -> (inner, outer) terms of its identity at the basis pair (x, y),
+# as leibniz_rows writes them, each element named by its place in the pair
+# (0 for x, 1 for y): inner (i, k) is +Theta(b_i b_k); outer ("right", s, k)
+# is -Theta(b_s) b_k and ("left", s, k) is -b_k Theta(b_s)
+IDENTITIES = {
+    "derivation": ([(0, 1)], [("right", 0, 1), ("left", 1, 0)]),
+    "jordan": ([(0, 1), (1, 0)], [("right", 0, 1), ("left", 0, 1), ("left", 1, 0), ("right", 1, 0)]),
+    "anti": ([(0, 1)], [("right", 1, 0), ("left", 0, 1)]),
+}
+
+
+def sparse_leibniz_system(dim, products, flavor, characteristic=0):
+    """The whole system of one flavor, sparse, written from ``dim`` and
+    ``products`` (pair (x, y) -> s with b_x b_y = b_s) alone, in the form the
+    package's full system takes: each equation nonzero in the field once,
+    normalized, the rows sorted by their sorted items.
+
+    Each pair (x, y) is taken once, for jordan only x <= y (its equations at
+    (x, y) and (y, x) are the same).  Each inner term b_s adds +1 at unknown
+    (p, s) to coordinate p, for every p; each outer term adds -1 at
+    (u, src) to coordinate p for every b_u b_k = b_p ("right") or
+    b_k b_u = b_p ("left").  Over the rationals a row is divided by the gcd
+    of its entries, signed so its smallest column is positive, and its
+    entries made Fractions; over GF(p) it is scaled so that entry is 1.
+    """
+    by_right, by_left = [[] for _ in range(dim)], [[] for _ in range(dim)]
+    for (x, y), s in products.items():
+        by_right[y].append((x, s))  # b_x b_y = b_s
+        by_left[x].append((y, s))
+    inner, outer = IDENTITIES[flavor]
+    keys = set()
+    for x in range(dim):
+        for y in range(x if flavor == "jordan" else 0, dim):
+            pair = (x, y)
+            rows = defaultdict(dict)  # coordinate p -> {unknown: coefficient}
+            for i, k in inner:
+                if (s := products.get((pair[i], pair[k]))) is not None:
+                    for p in range(dim):
+                        rows[p][p * dim + s] = rows[p].get(p * dim + s, 0) + 1
+            for side, i, k in outer:
+                for u, p in (by_right if side == "right" else by_left)[pair[k]]:
+                    j = u * dim + pair[i]
+                    rows[p][j] = rows[p].get(j, 0) - 1
+            for row in rows.values():
+                row = {j: c for j, c in row.items() if (c % characteristic if characteristic else c)}
+                if not row:
+                    continue
+                lead = row[min(row)]
+                if characteristic:
+                    inv = pow(lead, -1, characteristic)
+                    row = {j: c * inv % characteristic for j, c in row.items()}
+                else:
+                    g = gcd(*row.values()) * (1 if lead > 0 else -1)
+                    row = {j: c // g for j, c in row.items()}
+                keys.add(tuple(sorted(row.items())))
+    return [{j: c if characteristic else Fraction(c) for j, c in key} for key in sorted(keys)]
 
 
 def verify_literal(table, entries, flavor, modulus=0):

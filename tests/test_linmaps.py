@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import copy
 import hashlib
+import inspect
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -9,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import bruteforce
 from bruteforce import (
     check_structure,
     commutator_literal,
@@ -16,6 +19,7 @@ from bruteforce import (
     dense_table,
     edge_derivation_family,
     leibniz_rows,
+    sparse_leibniz_system,
     sparse_vectors,
     verify_literal,
 )
@@ -23,6 +27,7 @@ from zigzagalg import analysis, exactlin, linmaps
 from zigzagalg.analysis import analyze_graph
 from zigzagalg.exactlin import (
     RATIONALS,
+    Matrix,
     PrimeField,
     Rationals,
     nullspace_basis,
@@ -56,6 +61,13 @@ EDGE = Graph(2, frozenset({(1, 2)}))
 @pytest.fixture(scope="module")
 def edge_algebra():
     return build_algebra(EDGE)
+
+
+def oracle_system(a, flavor):
+    """The full system as the independent oracle writes it from ``a.dim``,
+    ``a.products`` and the characteristic alone."""
+    rows = sparse_leibniz_system(a.dim, a.products, flavor, a.field.characteristic)
+    return Matrix.from_sparse(a.field, len(rows), a.dim * a.dim, rows)
 
 
 def test_leibniz_system_shape_single_edge(edge_algebra):
@@ -317,7 +329,7 @@ def test_sparse_solver_matches_dense_reference(name, field):
     # the reference route: the kernel of the full dim^2 system, canonicalized
     a = build_algebra(REFERENCE_GRAPHS[name], field)
     for flavor in ("derivation", "jordan", "anti"):
-        reference = span_canonical_basis(nullspace_basis(leibniz_system(a, flavor)), field)
+        reference = span_canonical_basis(nullspace_basis(oracle_system(a, flavor)), field)
         assert solve(a, flavor).rows == reference
 
 
@@ -355,9 +367,8 @@ def test_gf2_system_stores_no_zero_coefficients(name):
     field = PrimeField(2)
     a = build_algebra(REFERENCE_GRAPHS[name], field)
     for flavor in ("derivation", "anti"):
-        system = leibniz_system(a, flavor)
-        assert all(v != field.zero for row in system.rows for v in row.values())
-        reference = span_canonical_basis(nullspace_basis(system), field)
+        assert all(v != field.zero for row in leibniz_system(a, flavor).rows for v in row.values())
+        reference = span_canonical_basis(nullspace_basis(oracle_system(a, flavor)), field)
         assert solve(a, flavor).rows == reference
 
 
@@ -396,9 +407,10 @@ DIGEST_GRAPHS = {f"tree{n}-{s}": random_tree(n, s * 100 + n) for n in range(2, 9
 DIGEST_GRAPHS["cycle3"] = ORACLE_GRAPHS["triangle"]
 DIGEST_GRAPHS["cycle4"] = REFERENCE_GRAPHS["cycle4"]
 
-# sha256 over every system and solved canonical basis, each row hashed as its
-# sorted items in row order, pinned so that a change to generation or
-# elimination must keep both identical
+# sha256 over every system (as the oracle writes it, and leibniz_system must
+# give it in value, type and order) and solved canonical basis, each row
+# hashed as its sorted items in row order, pinned so that a change to
+# generation or elimination must keep both identical
 PINNED_SOLVE_DIGESTS = {
     "rat": "4879f9ad3331dcd9a4ce0eb90656248aad44a03f1129e6abfda97125663db813",
     "gf:101": "e0f1fd9639c928cf3094558317a6fc045ba909832afca6c6aa722edde2da04e2",
@@ -416,7 +428,8 @@ def test_systems_and_solutions_match_pinned_digest(spec):
         for flavor in FLAVORS:
             if flavor == "jordan" and field.characteristic == 2:
                 continue
-            system = leibniz_system(a, flavor)
+            system = oracle_system(a, flavor)
+            assert repr(leibniz_system(a, flavor).rows) == repr(system.rows), (name, flavor)
             h.update(f"{name} {flavor} {system.nrows} {system.ncols}\n".encode())
             for rows in (system.rows, solve(a, flavor).rows):
                 for row in rows:
@@ -593,13 +606,16 @@ OFF_TREE_GRAPHS = {
 @pytest.mark.parametrize("name", sorted(OFF_TREE_GRAPHS))
 def test_reduced_solve_equals_full_system_kernel_off_trees(name, spec):
     # solve eliminates only the columns no single-entry row forces; its rows
-    # must be the canonical kernel of the full dim^2 system
+    # must be the canonical kernel of the full dim^2 system, which
+    # leibniz_system must give in value, type and order
     field = parse_field(spec)
     a = build_algebra(OFF_TREE_GRAPHS[name], field)
     for flavor in FLAVORS:
         if flavor == "jordan" and field.characteristic == 2:
             continue
-        full = nullspace_basis(leibniz_system(a, flavor))
+        system = oracle_system(a, flavor)
+        assert repr(leibniz_system(a, flavor).rows) == repr(system.rows), flavor
+        full = nullspace_basis(system)
         assert solve(a, flavor).rows == span_canonical_basis(full, field), flavor
 
 
@@ -627,9 +643,9 @@ def assert_live_columns_match_full_system(a, flavor):
     # the pool, less the columns with a {j: 1} row in the full system, is
     # every column without one, and the reduced solve gives the full
     # system's kernel
-    system = leibniz_system(a, flavor)
+    system = oracle_system(a, flavor)
     forced = {j for row in system.rows for j in row if row == {j: a.field.one}}
-    pool, _, _ = _leibniz_equations(a, flavor)
+    pool, _ = _leibniz_equations(a, flavor)
     live = [j for j in pool if j not in forced]
     assert live == [j for j in range(a.dim * a.dim) if j not in forced], flavor
     full = nullspace_basis(system)
@@ -675,6 +691,27 @@ def test_live_columns_match_full_system_off_trees(name, spec):
     for flavor in FLAVORS:
         if flavor != "jordan" or a.field.characteristic != 2:
             assert_live_columns_match_full_system(a, flavor)
+
+
+CROSS_GRAPHS = {"tree6": random_tree(6, 7), "cycle4": REFERENCE_GRAPHS["cycle4"], "star5": star_graph(5)}
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:3", "gf:2"])
+@pytest.mark.parametrize("name", sorted(CROSS_GRAPHS))
+def test_solve_and_leibniz_system_match_the_oracle_on_patched_tables(name, spec):
+    # the literal dense oracle reaches only the edge and the 3-path; here the
+    # sparse oracle, written from the products alone, checks the pool's
+    # single-entry families and the generated rows on larger patched tables
+    base = build_algebra(CROSS_GRAPHS[name], parse_field(spec))
+    cases = [with_patched_table(base, *patch) for patch in seeded_patches(base, 3, name)]
+    cases += [chained_patches(base, f"{name}-{k}") for k in range(2)]
+    for b in cases:
+        for flavor in FLAVORS:
+            if flavor == "jordan" and b.field.characteristic == 2:
+                continue
+            system = oracle_system(b, flavor)
+            assert leibniz_system(b, flavor).rows == system.rows, flavor
+            assert solve(b, flavor).rows == span_canonical_basis(nullspace_basis(system), b.field), flavor
 
 
 @pytest.mark.parametrize("name", sorted(CHAINED))
@@ -795,6 +832,17 @@ class CountingSet:
         for k in self.items:
             self.calls["visits"] += 1
             yield k
+
+
+def test_common_is_the_intersection_of_the_family_unions():
+    # an unknown stays in the pool only if it is an exception of every one
+    # of its families: _common must give the plain intersection of each
+    # family's union, in whatever order the families come
+    rng = random.Random(23)
+    assert linmaps._common([]) is None
+    for _ in range(200):
+        fams = [tuple({rng.randrange(12) for _ in range(rng.randrange(6))} for _ in "ef") for _ in range(rng.randrange(1, 5))]
+        assert linmaps._common(fams) == set.intersection(*({*e, *f} for e, f in fams)), fams
 
 
 def test_a_hub_costs_the_family_intersection_no_more_visits(monkeypatch):
@@ -993,12 +1041,12 @@ def test_the_audit_catches_a_dropped_equation(monkeypatch, flavor):
     # kernel, seen with the audit stubbed out, makes solve raise, since the
     # audit reads the identity off the product groupings, not the equations
     a = build_algebra(random_tree(6, 7))
-    pool, eqs, full = _leibniz_equations(a, flavor)
+    pool, eqs = _leibniz_equations(a, flavor)
     dimension = solve(a, flavor).dimension
     verify = linmaps.verify_map
     enlarging = 0
     for k in range(len(eqs)):
-        monkeypatch.setattr(linmaps, "_leibniz_equations", lambda *_: (pool, eqs[:k] + eqs[k + 1 :], full))
+        monkeypatch.setattr(linmaps, "_leibniz_equations", lambda *_: (pool, eqs[:k] + eqs[k + 1 :]))
         monkeypatch.setattr(linmaps, "verify_map", lambda *_: True)
         if solve(a, flavor).dimension > dimension:
             enlarging += 1
@@ -1026,3 +1074,32 @@ def test_solve_eliminates_once_per_call(monkeypatch, spec):
             calls.clear()
             solve(a, flavor)
             assert len(calls) == 1, flavor
+
+
+def names_in(node) -> set:
+    """Every name, attribute and string constant under an AST node."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def test_the_oracle_and_the_audit_share_no_code_with_generation():
+    # the sparse oracle imports nothing from the package, and generation
+    # reads none of the product groupings the post-hoc audit reads
+    oracle = ast.parse(inspect.getsource(bruteforce))
+    imports = [n for n in ast.walk(oracle) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    modules = [a.name for n in imports if isinstance(n, ast.Import) for a in n.names]
+    modules += [n.module or "" for n in imports if isinstance(n, ast.ImportFrom)]
+    assert modules and not any(m.split(".")[0] == "zigzagalg" for m in modules), modules
+    assert all(n.level == 0 for n in imports if isinstance(n, ast.ImportFrom))
+    assert "zigzagalg" not in names_in(oracle)
+    functions = {n.name: n for n in ast.parse(inspect.getsource(linmaps)).body if isinstance(n, ast.FunctionDef)}
+    audit_reads = {"factors", "left_products", "right_products"}
+    assert audit_reads <= names_in(functions["verify_map"])
+    assert not audit_reads & names_in(functions["_leibniz_equations"])
