@@ -77,7 +77,8 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
     Returns (report, warnings).  Formula checks are asserted over the
     rationals; under gf:p they are recorded not-applicable and tree-formula
     mismatches come back as warnings.  Internal invariants raise
-    InternalInvariantError in any field.
+    InternalInvariantError in any field.  In characteristic 2 the jordan
+    flavor is always skipped (see :class:`linmaps.CharacteristicTwoError`).
     """
     timings: dict = {}
     warnings: list = []
@@ -100,6 +101,7 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
     if not stage("associativity", lambda: check_associativity(algebra)):
         raise InternalInvariantError("the basis products are not associative")
     cen = stage("center", lambda: center(algebra))
+    skip_jordan = skip_jordan or field.characteristic == 2
     spaces = {f: stage(f, lambda: solve(algebra, f)) for f in FLAVORS if not (skip_jordan and f == "jordan")}
     der, jor, anti = spaces["derivation"], spaces.get("jordan"), spaces["anti"]
     def spanned(maps):

@@ -64,7 +64,7 @@ def _print_report(report: Report, quiet: bool, out) -> None:
 
 def _parse_field_flag(args):
     """The field named by --field, or None after printing why it is invalid.
-    In characteristic 2 this sets ``args.skip_jordan``, with a warning."""
+    In characteristic 2 it warns that jordan is skipped (analyze_graph skips it)."""
     try:
         field = parse_field(args.field)
     except ValueError as exc:
@@ -72,7 +72,6 @@ def _parse_field_flag(args):
         return None
     if field.characteristic == 2 and not args.skip_jordan:
         print("warning: characteristic 2, jordan flavor skipped automatically", file=sys.stderr)
-        args.skip_jordan = True
     return field
 
 

@@ -5,7 +5,10 @@ module: reduced row-echelon forms, kernels, and span comparisons, all with
 exact arithmetic and no floating point.  It works on ints (fraction-free
 over the rationals, residues mod p), scaling ``Fraction`` rows where they
 enter and making ``Fraction``s only for a returned result; spans compare
-by canonical int rows (:func:`_canonical`).
+by canonical int rows (:func:`_canonical`).  Every kernel is one
+:func:`_eliminate` then :func:`_kernel`, of a validated ``Matrix`` or of the
+package's own int rows.  A field only converts values into itself
+(``convert``); arithmetic on its elements is plain Python, mod p in GF(p).
 
 Matrices are stored as sparse rows (dict column -> nonzero scalar), as the
 Leibniz systems downstream need: many rows, a few nonzero entries each.
@@ -84,18 +87,6 @@ class Rationals:
             return Fraction(x)
         raise FieldMismatchError(f"cannot interpret {x!r} as a rational")
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Rationals)
 
@@ -130,15 +121,6 @@ class PrimeField:
                 raise FieldMismatchError(f"{x} has no image in GF({self.p})")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise FieldMismatchError(f"cannot interpret {x!r} as an element of GF({self.p})")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -381,14 +363,18 @@ def _kernel(field, pivots: dict, ncols: int) -> dict:
     return vecs
 
 
-def nullspace_basis(m: Matrix) -> list:
-    """Canonical kernel basis: one vector per free column, free variable 1,
-    each a dict column -> nonzero scalar."""
-    field = m.field
-    kernel = _kernel(field, _eliminate(field, _ints(m)), m.ncols)
+def _nullspace(field, rows: Iterable[dict], ncols: int) -> list:
+    """:func:`nullspace_basis` of int ``rows`` (any residues mod p), unvalidated."""
+    kernel = _kernel(field, _eliminate(field, rows), ncols)
     if field.characteristic:
         return list(kernel.values())
     return [{f: field.one} | {j: Fraction(v, vec[f]) for j, v in vec.items() if j != f} for f, vec in kernel.items()]
+
+
+def nullspace_basis(m: Matrix) -> list:
+    """Canonical kernel basis: one vector per free column, free variable 1,
+    each a dict column -> nonzero scalar."""
+    return _nullspace(m.field, _ints(m), m.ncols)
 
 
 def _span(vectors: Sequence[dict], field) -> dict:
@@ -418,15 +404,10 @@ def span_equal(a: Sequence, b: Sequence, field=RATIONALS) -> bool:
     return _canonical(field, _span(a, field)) == _canonical(field, _span(b, field))
 
 
-def in_rref_span(rref_rows: Sequence[dict], vectors: Iterable[dict], field) -> bool:
-    """Whether every sparse vector lies in the span of ``rref_rows``, the
-    nonzero RREF rows :func:`span_canonical_basis` returns."""
-    return _in_span([_int_row(r) for r in rref_rows], vectors, field)
-
-
 def _in_span(rows: Sequence[dict], vectors: Iterable[dict], field) -> bool:
-    """:func:`in_rref_span` for int ``rows``, each zero at the others' leading
-    columns: L*v - v[c]*row, L = row[c], clears c and no other."""
+    """Whether every sparse vector lies in the span of the int ``rows``, each
+    zero at the others' leading columns (RREF rows, scaled): L*v - v[c]*row,
+    L = row[c], clears c and no other."""
     p = field.characteristic
     by_pivot = {min(r): r for r in rows}
     for v in vectors:

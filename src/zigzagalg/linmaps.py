@@ -37,7 +37,7 @@ from functools import cached_property
 from math import lcm
 
 from . import exactlin
-from .exactlin import Matrix, _in_span, _int_row, _kernel, field_rows, normalize_row, nullspace_basis, span_canonical_basis
+from .exactlin import Matrix, _in_span, _int_row, _kernel, _nullspace, field_rows, normalize_row, span_canonical_basis
 from .zigzag import ZigzagAlgebra
 
 # flavor -> (inner, outer): the orders (xy, yx) of the algebra's product that
@@ -307,6 +307,7 @@ def materialize(a: ZigzagAlgebra, params: DerivationParams) -> dict:
     parameters mention a non-arrow or violate per-vertex consistency."""
     field = a.field
     zero = field.zero
+    mod = field.characteristic
     a_at, e_at, c_at = a.a_at, a.e_at, a.c_at
     for key in list(params.t) + list(params.d):
         if key not in a_at:
@@ -320,9 +321,9 @@ def materialize(a: ZigzagAlgebra, params: DerivationParams) -> dict:
     for (u, v), tv in t.items():
         row = a_at[(u, v)]
         out[row * dim + e_at[v]] = tv
-        out[row * dim + e_at[u]] = field.neg(tv)
+        out[row * dim + e_at[u]] = minus = -tv % mod if mod else -tv
         # a(v->u) maps to -t[(u, v)] c(v) + t[(u, v)] c(u)
-        out[c_at[v] * dim + a_at[(v, u)]] = field.neg(tv)
+        out[c_at[v] * dim + a_at[(v, u)]] = minus
         out[c_at[u] * dim + a_at[(v, u)]] = tv
     for ar, dv in d.items():
         out[a_at[ar] * dim + a_at[ar]] = dv
@@ -330,7 +331,8 @@ def materialize(a: ZigzagAlgebra, params: DerivationParams) -> dict:
     # j; each edge d touches gives its sum at both ends
     sums: dict = {}
     for u, v in {(min(ar), max(ar)) for ar in d}:
-        s = field.add(d.get((u, v), zero), d.get((v, u), zero))
+        s = d.get((u, v), zero) + d.get((v, u), zero)
+        s = s % mod if mod else s
         for i in (u, v):
             sums.setdefault(i, []).append(s)
     for i, at_i in sorted(sums.items()):
@@ -351,27 +353,15 @@ def structured_parameter_basis(a: ZigzagAlgebra) -> list:
     Free coordinates: one t per arrow, one d per arrow, in ``a.arrows`` order;
     the per-vertex cycle-consistency conditions are solved exactly.
     """
-    field = a.field
     arrows = a.arrows
     m = len(arrows)
     pos = {ar: k for k, ar in enumerate(arrows)}
-    one = field.one
     rows = []
     for i, nb in a.nbrs.items():
-        if len(nb) < 2:
-            continue
-        j0 = nb[0]
-        for j in nb[1:]:
-            row = {
-                m + pos[(i, j0)]: one,
-                m + pos[(j0, i)]: one,
-                m + pos[(i, j)]: field.neg(one),
-                m + pos[(j, i)]: field.neg(one),
-            }
-            rows.append(row)
-    system = Matrix.from_sparse(field, len(rows), 2 * m, rows)
+        for j in nb[1:]:  # d[(i, j)] + d[(j, i)] = d[(i, j0)] + d[(j0, i)], j0 = nb[0]
+            rows.append({m + pos[(i, nb[0])]: 1, m + pos[(nb[0], i)]: 1, m + pos[(i, j)]: -1, m + pos[(j, i)]: -1})
     out = []
-    for vec in nullspace_basis(system):
+    for vec in _nullspace(a.field, rows, 2 * m):
         coords = sorted(vec.items())
         t = {arrows[k]: v for k, v in coords if k < m}
         d = {arrows[k - m]: v for k, v in coords if k >= m}
@@ -387,13 +377,12 @@ def structured_space(a: ZigzagAlgebra) -> MapSpace:
 
 def ad_map(a: ZigzagAlgebra, k: int) -> dict:
     """The commutator map [b_k, -] as a sparse flat-index map."""
-    field = a.field
-    one, neg_one = field.one, field.neg(field.one)
+    one, minus_one = a.field.one, a.field.convert(-1)
     dim = a.dim
     out = {p * dim + q: one for q, p in a.left_products[k]}  # b_k b_q = b_p
     for q, p in a.right_products[k]:  # b_q b_k = b_p
         if out.pop(p * dim + q, None) is None:  # else b_k b_q = b_q b_k: it cancels
-            out[p * dim + q] = neg_one
+            out[p * dim + q] = minus_one
     return out
 
 

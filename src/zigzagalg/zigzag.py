@@ -26,7 +26,7 @@ import copy
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .exactlin import RATIONALS, Matrix, nullspace_basis
+from .exactlin import RATIONALS, _nullspace
 from .quiver import Graph, validate
 
 IDEM = "e"
@@ -164,16 +164,15 @@ def multiply(a: ZigzagAlgebra, x: dict, y: dict) -> dict:
         if not 0 <= p < a.dim:
             raise ValueError(f"basis index {p} out of range for dimension {a.dim}")
     field = a.field
-    zero = field.zero
-    add, mul = field.add, field.mul
+    mod = field.characteristic
     out: dict = {}
     times = a.products.get
     for p, xv in x.items():
         for q, yv in y.items():
             r = times((p, q))
             if r is not None:
-                out[r] = add(out.get(r, zero), mul(xv, yv))
-    return {r: v for r, v in out.items() if v != zero}
+                out[r] = out.get(r, field.zero) + xv * yv
+    return {r: c for r, v in out.items() if (c := v % mod if mod else v)}
 
 
 def check_associativity(a: ZigzagAlgebra) -> bool:
@@ -223,16 +222,12 @@ def center(a: ZigzagAlgebra) -> CenterResult:
     Unknowns are the coordinates of x; for every basis element b_k and output
     coordinate p this imposes (x b_k)_p - (b_k x)_p = 0.
     """
-    field = a.field
-    mod = field.characteristic
-    eqs = {}  # the +-1 coefficients sum as ints, mapped into the field once
+    eqs = {}  # the +-1 coefficients sum as ints; the elimination drops zeros
     for (u, k), r in a.products.items():  # b_u b_k = b_r: x_u enters (x b_k)_r
         row = eqs.setdefault((k, r), {})
         row[u] = row.get(u, 0) + 1
     for (k, u), r in a.products.items():  # b_k b_u = b_r: x_u enters (b_k x)_r
         row = eqs.setdefault((k, r), {})
         row[u] = row.get(u, 0) - 1
-    sparse = [r for row in eqs.values() if (r := {j: c for j, v in row.items() if (c := v % mod if mod else v)})]
-    m = Matrix.from_sparse(field, len(sparse), a.dim, sparse)
-    vecs = nullspace_basis(m)
+    vecs = _nullspace(a.field, eqs.values(), a.dim)
     return CenterResult(vecs, len(vecs))

@@ -1,8 +1,10 @@
 import hashlib
+import importlib
 import json
 import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +77,15 @@ def test_analyze_gf2_skips_jordan_with_warning(tmp_path, capsys):
     assert doc["dim_jordan"] is None
     assert all(v == NA for v in doc["formula_checks"].values())
     assert (doc["dim_der"], doc["dim_inner"], doc["hh1"]) == (7, 6, 1)
+
+
+def test_analyze_graph_skips_jordan_in_characteristic_2():
+    # the rule lives in analyze_graph, so a library caller over GF(2) gets
+    # the report --skip-jordan gives, not a CharacteristicTwoError
+    gf2 = parse_field("gf:2")
+    default, skipped = (analyze_graph(path_graph(3), gf2, *flag) for flag in ((), (True,)))
+    assert default[0].to_dict(include_timings=False) == skipped[0].to_dict(include_timings=False)
+    assert default[1] == skipped[1] and default[0].dim_jordan is None
 
 
 def test_analyze_gf5_runs_clean(tmp_path, capsys):
@@ -355,6 +366,20 @@ def test_console_script_installed(tmp_path):
     g = write(tmp_path, EDGE_FILE)
     proc = subprocess.run([exe, "analyze", g], capture_output=True, text=True)
     assert proc.returncode == 0
+    assert "result: PASS" in proc.stdout
+
+
+def test_console_script_entry_point_runs(tmp_path, fresh_python):
+    # the entry point pyproject.toml declares, called as the installed
+    # script calls it, so it is checked without installing the package
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["zigzagalg"]
+    module, attr = target.split(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+    script = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+    proc = fresh_python("-c", script, "analyze", write(tmp_path, EDGE_FILE))
+    assert proc.returncode == 0, proc.stderr
     assert "result: PASS" in proc.stdout
 
 

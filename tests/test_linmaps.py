@@ -29,7 +29,6 @@ from zigzagalg.exactlin import (
     RATIONALS,
     Matrix,
     PrimeField,
-    Rationals,
     nullspace_basis,
     parse_field,
     span_canonical_basis,
@@ -243,7 +242,7 @@ def test_central_elements_have_zero_ad():
     total = {}
     for i in range(1, 5):
         for j, v in ad_map(a, a.index(idem(i))).items():
-            total[j] = field.add(total.get(j, field.zero), v)
+            total[j] = total.get(j, field.zero) + v
     assert all(v == field.zero for v in total.values())
 
 
@@ -391,7 +390,7 @@ def test_verify_map_agrees_with_literal_identity(name, field):
         for row in solve(a, flavor).rows:
             j = rng.randrange(a.dim * a.dim)
             bumped = dict(row)
-            bumped[j] = field.add(bumped.get(j, field.zero), field.one)
+            bumped[j] = field.convert(bumped.get(j, field.zero) + field.one)
             if bumped[j] == field.zero:
                 del bumped[j]
             maps += [row, bumped]
@@ -485,7 +484,7 @@ def test_verify_map_agrees_with_literal_identity_on_larger_graphs(graph, field):
     for row in rng.sample(solve(a, "derivation").rows, 4):
         j = rng.randrange(a.dim * a.dim)
         bumped = dict(row)
-        bumped[j] = field.add(bumped.get(j, field.zero), field.one)
+        bumped[j] = field.convert(bumped.get(j, field.zero) + field.one)
         if bumped[j] == field.zero:
             del bumped[j]
         maps += [row, bumped]
@@ -769,15 +768,15 @@ def test_integer_audit_reduces_mod_p(name, p):
     table = dense_table(a)
     rng = random.Random(f"{name}-{p}")
     rows = solve(a, "derivation").rows
-    maps = [{j: field.mul(v, p - 1) for j, v in row.items()} for row in rows]
+    maps = [{j: field.convert(v * (p - 1)) for j, v in row.items()} for row in rows]
     for _ in range(6):
         r1, r2 = rng.sample(rows, 2)
         c1, c2 = rng.randrange(1, p), rng.randrange(1, p)
-        mixed = {j: field.add(field.mul(c1, r1.get(j, 0)), field.mul(c2, r2.get(j, 0))) for j in {*r1, *r2}}
+        mixed = {j: field.convert(c1 * r1.get(j, 0) + c2 * r2.get(j, 0)) for j in {*r1, *r2}}
         maps.append({j: v for j, v in mixed.items() if v})
         bumped = dict(maps[-1])
         j = rng.randrange(a.dim * a.dim)
-        bumped[j] = field.add(bumped.get(j, 0), 1)
+        bumped[j] = field.convert(bumped.get(j, 0) + 1)
         maps.append({j: v for j, v in bumped.items() if v})
     wraps = verdicts = 0
     for flavor in FLAVORS:
@@ -864,24 +863,43 @@ def test_a_hub_costs_the_family_intersection_no_more_visits(monkeypatch):
         assert 0 < work["star"] <= 2 * work["tree"], (flavor, work)
 
 
-def test_a_hub_costs_the_structured_route_no_more_additions(monkeypatch):
-    # the field.add calls of structured_space on star_graph(400) stay within
-    # twice those on a random tree of the same size; the cycle-consistency
-    # check once walked every neighbor of each vertex a map touches
-    calls = Counter()
-
-    def add(x, y):
-        calls["add"] += 1
-        return x + y
-
-    monkeypatch.setattr(Rationals, "add", staticmethod(add))
+def test_a_hub_costs_the_structured_route_no_more_additions():
+    # the Fractions structured_space makes on star_graph(400), every rational
+    # sum among them, stay within twice those on a random tree of the same
+    # size; the cycle-consistency check once walked every neighbor of each
+    # vertex a map touches
     work = {}
     for graph, g in (("star", star_graph(400)), ("tree", random_tree(400, 12345))):
         a = build_algebra(g)
-        before = calls["add"]
-        structured_space(a)
-        work[graph] = calls["add"] - before
+        with counting_fractions() as made:
+            structured_space(a)
+        work[graph] = made["fractions"]
     assert 0 < work["star"] <= 2 * work["tree"], work
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:3"])
+def test_center_and_the_parameter_basis_eliminate_their_own_int_rows(monkeypatch, spec):
+    # their rows are ints already, so like solve they go straight to the
+    # elimination: no Matrix to validate them, no rescaling by _int_row
+    calls = Counter()
+    init, int_row = Matrix.__init__, exactlin._int_row
+
+    def counting_init(self, *args):
+        calls["Matrix"] += 1
+        init(self, *args)
+
+    def counting_int_row(row):
+        calls["_int_row"] += 1
+        return int_row(row)
+
+    monkeypatch.setattr(Matrix, "__init__", counting_init)
+    for module in (exactlin, linmaps):
+        monkeypatch.setattr(module, "_int_row", counting_int_row)
+    for g in (random_tree(40, 12345), star_graph(40)):
+        a = build_algebra(g, parse_field(spec))
+        assert center(a).dimension == g.n + 1
+        assert len(structured_parameter_basis(a)) == 3 * g.n - 2
+    assert not calls, calls
 
 
 def test_solve_makes_at_most_one_fraction_per_kernel_entry(monkeypatch):
@@ -947,7 +965,7 @@ def test_solve_and_the_relation_checks_make_no_fraction():
         assert all(type(x) is Fraction for r in space.rows for x in r.values())
     with counting_fractions() as made:
         analyze_graph(random_tree(40, 12345))
-    assert made["fractions"] <= 1000, made  # 2,843 with Fraction canonical bases
+    assert made["fractions"] <= 737, made  # 891 with field.neg and field.add; 2,843 with Fraction canonical bases
 
 
 @pytest.mark.parametrize("relation", ["jordan", "structured", "inner"])
