@@ -48,14 +48,10 @@ from .quiver import (
     validate,
 )
 from .zigzag import (
-    BasisElement,
     ZigzagAlgebra,
-    arrow,
     build_algebra,
     center,
     check_associativity,
-    cycle,
-    idem,
     multiply,
     with_patched_table,
 )

@@ -25,7 +25,7 @@ def _format_element(algebra, col: dict) -> str:
     field = algebra.field
     terms = []
     for p, v in sorted(col.items()):
-        name = str(algebra.basis[p])
+        name = algebra.basis[p]
         if v == field.one:
             terms.append(name)
         elif field.characteristic == 0 and v == -field.one:

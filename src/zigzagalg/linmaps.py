@@ -242,8 +242,11 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
     a walk over all dim^2 pairs.  At (q, q) the folded jordan equation is
     the derivation one, half the doubled x o x sum: the same verdict
     outside characteristic 2, and over GF(2), where :func:`solve` refuses
-    jordan, D(x^2) = D(x)x + xD(x) instead of a vacuous check.
+    jordan, D(x^2) = D(x)x + xD(x) instead of a vacuous check.  Raises
+    ValueError for an unknown flavor or a key outside 0..dim^2-1.
     """
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
     mod = a.field.characteristic
     dim = a.dim
     scale = lcm(*(v.denominator for v in lin.values()))
@@ -253,6 +256,8 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
     acc = defaultdict(int)
     for j, v in lin.items():
         u, c = divmod(j, dim)
+        if not 0 <= u < dim:  # c is in range whatever j is
+            raise ValueError(f"map key {j} out of range for dimension {dim}")
         v = v.numerator * (scale // v.denominator)
         for q, r in a.factors[c]:
             acc[(r, q, u) if fold and r < q else (q, r, u)] += v
@@ -376,7 +381,10 @@ def structured_space(a: ZigzagAlgebra) -> MapSpace:
 
 
 def ad_map(a: ZigzagAlgebra, k: int) -> dict:
-    """The commutator map [b_k, -] as a sparse flat-index map."""
+    """The commutator map [b_k, -] as a sparse flat-index map.  Raises
+    ValueError for k outside 0..dim-1."""
+    if not 0 <= k < a.dim:
+        raise ValueError(f"basis index {k} out of range for dimension {a.dim}")
     one, minus_one = a.field.one, a.field.convert(-1)
     dim = a.dim
     out = {p * dim + q: one for q, p in a.left_products[k]}  # b_k b_q = b_p

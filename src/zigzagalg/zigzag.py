@@ -13,8 +13,8 @@ so the dimension is 2n + (number of arrows).  All structure constants are 0
 or 1, so the algebra is its nonzero basis products, which is what makes the
 exhaustive checks downstream cheap.
 
-The basis layout is decided here alone: other modules read the index maps
-of a :class:`ZigzagAlgebra` instead of building basis elements to look up.
+The basis layout is decided here alone: ``algebra.basis`` names the elements,
+and the index maps of a :class:`ZigzagAlgebra` are the one way to an index.
 
 Elements are sparse dicts basis index -> nonzero scalar, against
 ``algebra.basis``.
@@ -23,41 +23,10 @@ Elements are sparse dicts basis index -> nonzero scalar, against
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exactlin import RATIONALS, _nullspace
 from .quiver import Graph, validate
-
-IDEM = "e"
-ARROW = "a"
-CYCLE = "c"
-
-
-@dataclass(frozen=True)
-class BasisElement:
-    """One canonical basis vector: kind 'e' / 'a' / 'c' plus its vertices."""
-
-    kind: str
-    at: int
-    to: int = 0  # arrow target; 0 for trivial paths and cycles
-
-    def __str__(self) -> str:
-        if self.kind == ARROW:
-            return f"a({self.at}->{self.to})"
-        return f"{self.kind}{self.at}"
-
-
-def idem(i: int) -> BasisElement:
-    return BasisElement(IDEM, i)
-
-
-def arrow(i: int, j: int) -> BasisElement:
-    return BasisElement(ARROW, i, j)
-
-
-def cycle(i: int) -> BasisElement:
-    return BasisElement(CYCLE, i)
 
 
 class ZigzagAlgebra:
@@ -69,7 +38,8 @@ class ZigzagAlgebra:
     ``e_at[i]``, ``a_at[(i, j)]`` and ``c_at[i]`` are the basis indices of
     e(i), a(i->j) and c(i), ``nbrs[i]`` the neighbors of i, increasing, and
     ``is_tree`` whether the graph has n - 1 edges (on the connected graphs
-    :func:`build_algebra` accepts, a tree).  The products come after.
+    :func:`build_algebra` accepts, a tree).  ``basis[k]`` names element k:
+    ``e{i}``, ``a({i}->{j})`` or ``c{i}``.  The products come after.
 
     ``products`` maps (p, q) to r with b_p b_q = b_r, in row-major order; a
     missing pair is a vanishing product.  That is about 9 entries per vertex
@@ -92,12 +62,11 @@ class ZigzagAlgebra:
             self.nbrs[u].append(v)
         self.is_tree = len(graph.edges) == n - 1
         self.basis = (
-            *(idem(i) for i in self.e_at),
-            *(arrow(u, v) for u, v in self.arrows),
-            *(cycle(i) for i in self.c_at),
+            *(f"e{i}" for i in self.e_at),
+            *(f"a({u}->{v})" for u, v in self.arrows),
+            *(f"c{i}" for i in self.c_at),
         )
         self.dim = len(self.basis)
-        self._pos = {b: k for k, b in enumerate(self.basis)}
 
     def _set_products(self, products: dict) -> None:
         """Store the nonzero products and the indices read off them."""
@@ -107,9 +76,6 @@ class ZigzagAlgebra:
             self.factors[r].append((p, q))
             self.left_products[p].append((q, r))
             self.right_products[q].append((p, r))
-
-    def index(self, b: BasisElement) -> int:
-        return self._pos[b]
 
     def identity(self) -> dict:
         """Sum of the trivial paths, the first n basis elements."""

@@ -259,20 +259,24 @@ def sparse_vectors(vectors):
     return [{j: x for j, x in enumerate(v) if x} for v in vectors]
 
 
-def check_structure(basis, entries):
+def check_structure(algebra, entries):
     """Zero-pattern audit of a derivation map given as p*dim + q -> nonzero
     coefficient of b_p in Theta(b_q): the image of e(i) lies on arrows
     incident to i, that of a(i->j) on a(i->j), c(i) and c(j), and that of
-    c(i) on c(i).  ``basis`` holds elements with ``kind`` ('e', 'a' or 'c'),
-    ``at`` and ``to`` (the arrow target), as the package's basis does."""
-    dim = len(basis)
+    c(i) on c(i).  Each index is classified through the algebra's index
+    maps ``e_at`` (vertex -> index), ``a_at`` ((source, target) -> index)
+    and ``c_at`` (vertex -> index)."""
+    dim = algebra.dim
+    kind = {k: ("e", i, 0) for i, k in algebra.e_at.items()}
+    kind.update({k: ("a", i, j) for (i, j), k in algebra.a_at.items()})
+    kind.update({k: ("c", i, 0) for i, k in algebra.c_at.items()})
     for j in entries:
         p, q = divmod(j, dim)
-        out, src = basis[p], basis[q]
-        if src.kind == "e":
-            ok = out.kind == "a" and src.at in (out.at, out.to)
-        elif src.kind == "a":
-            ok = p == q or (out.kind == "c" and out.at in (src.at, src.to))
+        (out, out_at, out_to), (src, src_at, src_to) = kind[p], kind[q]
+        if src == "e":
+            ok = out == "a" and src_at in (out_at, out_to)
+        elif src == "a":
+            ok = p == q or (out == "c" and out_at in (src_at, src_to))
         else:
             ok = p == q
         if not ok:

@@ -321,6 +321,22 @@ def test_dump_derivations_walks_the_graph_once(monkeypatch, tmp_path, capsys):
         assert len(calls) == 1
 
 
+PUBLIC_NAMES = [
+    "CharacteristicTwoError", "DerivationParams", "FieldMismatchError", "Graph", "GraphParseError",
+    "InternalInvariantError", "MapSpace", "Matrix", "PrimeField", "RATIONALS", "Rationals", "Report",
+    "Xorshift64Star", "ZigzagAlgebra", "ad_map", "analyze_graph", "build_algebra", "center",
+    "check_associativity", "inner_space", "leibniz_system", "materialize", "multiply", "nullspace_basis",
+    "parse_field", "parse_graph", "path_graph", "random_tree", "rref", "serialize_graph", "solve",
+    "span_dim", "span_equal", "star_graph", "structured_parameter_basis", "structured_space", "validate",
+    "verify_map", "with_patched_table",
+]  # fmt: skip
+
+
+def test_public_surface_is_pinned():
+    # an export added or removed shows as an edit of this list
+    assert sorted(zigzagalg.__all__) == PUBLIC_NAMES
+
+
 def test_sweep_calls_analyze_graph_through_the_cli_module(monkeypatch, capsys):
     # timing harnesses swap cli.analyze_graph to time each analysis of a sweep
     assert cli.analyze_graph is analysis.analyze_graph is zigzagalg.analyze_graph

@@ -52,7 +52,7 @@ from zigzagalg.linmaps import (
     verify_map,
 )
 from zigzagalg.quiver import Graph, path_graph, random_tree, star_graph
-from zigzagalg.zigzag import arrow, build_algebra, center, cycle, idem, with_patched_table
+from zigzagalg.zigzag import build_algebra, center, with_patched_table
 
 EDGE = Graph(2, frozenset({(1, 2)}))
 
@@ -85,7 +85,7 @@ def test_solver_matches_brute_force_on_single_edge(edge_algebra):
     space = solve(a, "derivation")
     assert space.dimension == 4
     assert span_equal(space.rows, sparse_vectors(family))
-    assert all(check_structure(a.basis, m) for m in space.rows)
+    assert all(check_structure(a, m) for m in space.rows)
 
 
 def test_anti_flavor_is_zero_on_single_edge(edge_algebra):
@@ -118,13 +118,31 @@ def test_jordan_refuses_characteristic_two():
 def test_unknown_flavor_rejected(edge_algebra):
     with pytest.raises(ValueError, match="flavor"):
         leibniz_system(edge_algebra, "antiderivation")
+    with pytest.raises(ValueError, match="unknown flavor 'jordon'"):
+        verify_map(edge_algebra, {}, "jordon")
+
+
+def test_verify_map_and_ad_map_reject_indices_outside_the_basis(edge_algebra):
+    # a negative key or k would otherwise wrap to the last basis element, and
+    # a key past dim^2 would raise a bare IndexError
+    a = edge_algebra
+    one = a.field.one
+    for key in (-1, -a.dim, a.dim * a.dim, a.dim * a.dim + a.dim):
+        for flavor in FLAVORS:
+            with pytest.raises(ValueError, match=f"map key {key} out of range"):
+                verify_map(a, {0: one, key: one}, flavor)
+    for k in (-1, a.dim):
+        with pytest.raises(ValueError, match=f"basis index {k} out of range"):
+            ad_map(a, k)
+    assert verify_map(a, {a.dim * a.dim - 1: one}, "derivation") is False  # c2 -> c2 alone
+    assert ad_map(a, a.dim - 1) == {}  # c2 is central
 
 
 def as_entries(a, lin):
     out = {}
     for j, v in lin.items():
         p, q = divmod(j, a.dim)
-        out[(str(a.basis[p]), str(a.basis[q]))] = v
+        out[(a.basis[p], a.basis[q])] = v
     return out
 
 
@@ -139,7 +157,7 @@ def test_materialize_e_part_frozen_example(edge_algebra):
         ("c2", "a(1->2)"): one,
     }
     assert verify_map(a, lin, "derivation")
-    assert check_structure(a.basis, lin)
+    assert check_structure(a, lin)
 
 
 def test_materialize_diagonal_part_frozen_example(edge_algebra):
@@ -209,7 +227,7 @@ def test_every_materialized_parameter_is_a_derivation():
     for p in structured_parameter_basis(a):
         lin = materialize(a, p)
         assert verify_map(a, lin, "derivation")
-        assert check_structure(a.basis, lin)
+        assert check_structure(a, lin)
 
 
 def test_structured_space_equals_solver_on_path_three():
@@ -236,12 +254,12 @@ def test_ad_generator_span_dim_path_three():
 def test_central_elements_have_zero_ad():
     a = build_algebra(path_graph(4))
     for i in range(1, 5):
-        assert ad_map(a, a.index(cycle(i))) == {}
+        assert ad_map(a, a.c_at[i]) == {}
     # ad of the identity: sum of the idempotent ads vanishes
     field = a.field
     total = {}
     for i in range(1, 5):
-        for j, v in ad_map(a, a.index(idem(i))).items():
+        for j, v in ad_map(a, a.e_at[i]).items():
             total[j] = total.get(j, field.zero) + v
     assert all(v == field.zero for v in total.values())
 
@@ -280,8 +298,8 @@ def test_hh_dims_on_a_cycle_graph_reports_without_tree_formulas():
 
 def test_check_structure_rejects_bad_support(edge_algebra):
     a = edge_algebra
-    bad = {a.index(cycle(1)) * a.dim + a.index(idem(1)): a.field.one}  # e1 -> c1 is not allowed
-    assert not check_structure(a.basis, bad)
+    bad = {a.c_at[1] * a.dim + a.e_at[1]: a.field.one}  # e1 -> c1 is not allowed
+    assert not check_structure(a, bad)
 
 
 def test_solver_works_mod_p():
@@ -337,7 +355,7 @@ def test_containment_rejects_a_non_derivation():
     field = a.field
     der = solve(a, "derivation")
     assert der.contains(inner_space(a).rows)
-    e1 = a.index(idem(1))
+    e1 = a.e_at[1]
     outside = {e1 * a.dim + e1: field.one}  # e1 -> e1 is no derivation
     assert span_dim(der.rows + [outside], field) == der.dimension + 1
     assert not der.contains([outside])
@@ -382,7 +400,7 @@ def test_verify_map_agrees_with_literal_identity(name, field):
     a = build_algebra(VERIFY_GRAPHS[name], field)
     table = dense_table(a)
     rng = random.Random(name)
-    c1 = a.index(cycle(1))
+    c1 = a.c_at[1]
     c1_to_c1 = {c1 * a.dim + c1: field.one}
     verdicts = []
     for flavor in FLAVORS:
@@ -508,7 +526,7 @@ def test_verify_map_agrees_with_literal_identity_on_single_entry_maps(name):
     patched = name.endswith("-patched")
     a = build_algebra(ORACLE_GRAPHS[name.removesuffix("-patched")])
     if patched:
-        a = with_patched_table(a, a.index(arrow(1, 2)), a.index(arrow(2, 1)), -1)
+        a = with_patched_table(a, a.a_at[(1, 2)], a.a_at[(2, 1)], -1)
     table = dense_table(a)
     verdicts = set()
     for flavor in FLAVORS:
@@ -974,7 +992,7 @@ def test_a_relation_is_more_than_a_dimension(monkeypatch, relation):
     # no derivation and none of the maps uses: injective, so their span keeps
     # its dimension, and it leaves Der; analyze_graph must see that
     a = build_algebra(random_tree(6, 3))
-    e = a.index(idem(1))
+    e = a.e_at[1]
     E = e * a.dim + e
     real = {name: getattr(analysis, name) for name in ("solve", "materialize", "ad_map")}
     maps = {

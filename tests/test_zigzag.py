@@ -9,16 +9,7 @@ import pytest
 from bruteforce import EDGE_TABLE, associative_literal, dense_table
 from zigzagalg.exactlin import PrimeField, span_equal
 from zigzagalg.quiver import Graph, path_graph, random_tree, star_graph
-from zigzagalg.zigzag import (
-    arrow,
-    build_algebra,
-    center,
-    check_associativity,
-    cycle,
-    idem,
-    multiply,
-    with_patched_table,
-)
+from zigzagalg.zigzag import build_algebra, center, check_associativity, multiply, with_patched_table
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +20,7 @@ def edge_algebra():
 def test_single_edge_basis_and_dim(edge_algebra):
     a = edge_algebra
     assert a.dim == 6
-    assert [str(b) for b in a.basis] == ["e1", "e2", "a(1->2)", "a(2->1)", "c1", "c2"]
+    assert a.basis == ("e1", "e2", "a(1->2)", "a(2->1)", "c1", "c2")
 
 
 def test_dims_match_graph_size():
@@ -39,12 +30,12 @@ def test_dims_match_graph_size():
     assert build_algebra(tri).dim == 12
 
 
-def one_at(a, b):
-    return {a.index(b): a.field.one}
+def one_at(a, k):
+    return {k: a.field.one}
 
 
-def basis_product(a, x, y):
-    return multiply(a, one_at(a, x), one_at(a, y))
+def basis_product(a, p, q):
+    return multiply(a, one_at(a, p), one_at(a, q))
 
 
 def sparse_sum(x, y):
@@ -58,16 +49,17 @@ def random_element(a, draw):
 
 def test_product_rules_on_path():
     a = build_algebra(path_graph(3))
+    e, ar, c = a.e_at, a.a_at, a.c_at
     z = {}
 
-    assert basis_product(a, arrow(1, 2), arrow(2, 1)) == one_at(a, cycle(1))
-    assert basis_product(a, arrow(1, 2), arrow(2, 3)) == z  # not a cycle
-    assert basis_product(a, cycle(1), cycle(1)) == z
-    assert basis_product(a, cycle(1), arrow(1, 2)) == z
-    assert basis_product(a, idem(1), arrow(1, 2)) == one_at(a, arrow(1, 2))
-    assert basis_product(a, arrow(1, 2), idem(2)) == one_at(a, arrow(1, 2))
-    assert basis_product(a, arrow(1, 2), idem(1)) == z
-    assert basis_product(a, idem(2), cycle(2)) == one_at(a, cycle(2))
+    assert basis_product(a, ar[1, 2], ar[2, 1]) == one_at(a, c[1])
+    assert basis_product(a, ar[1, 2], ar[2, 3]) == z  # not a cycle
+    assert basis_product(a, c[1], c[1]) == z
+    assert basis_product(a, c[1], ar[1, 2]) == z
+    assert basis_product(a, e[1], ar[1, 2]) == one_at(a, ar[1, 2])
+    assert basis_product(a, ar[1, 2], e[2]) == one_at(a, ar[1, 2])
+    assert basis_product(a, ar[1, 2], e[1]) == z
+    assert basis_product(a, e[2], c[2]) == one_at(a, c[2])
 
 
 def test_identity_element(edge_algebra):
@@ -123,7 +115,7 @@ def test_associativity_exhaustive():
 def test_associativity_detects_a_patched_table(edge_algebra):
     a = edge_algebra
     # redefine a12 * a21 := e1 instead of c1; the exhaustive scan must notice
-    bad = with_patched_table(a, a.index(arrow(1, 2)), a.index(arrow(2, 1)), a.index(idem(1)))
+    bad = with_patched_table(a, a.a_at[(1, 2)], a.a_at[(2, 1)], a.e_at[1])
     assert not check_associativity(bad)
 
 
@@ -152,7 +144,7 @@ def test_products_are_row_major_and_patches_change_one_entry(edge_algebra):
     a = build_algebra(path_graph(3))
     assert list(a.products) == sorted(a.products)
     assert len(a.products) == 9 * 3 - 6  # 9n - 6 on a tree
-    e1, a12, c1 = a.index(idem(1)), a.index(arrow(1, 2)), a.index(cycle(1))
+    e1, a12, c1 = a.e_at[1], a.a_at[(1, 2)], a.c_at[1]
     before = dict(a.products)
     # set a vanishing entry, clear a nonzero one, move a nonzero one
     for p, q, r in ((a12, e1, c1), (e1, a12, -1), (e1, e1, c1)):
@@ -185,7 +177,7 @@ def test_center_single_edge(edge_algebra):
     a = edge_algebra
     cen = center(a)
     assert cen.dimension == 3
-    expected = [a.identity(), one_at(a, cycle(1)), one_at(a, cycle(2))]
+    expected = [a.identity(), one_at(a, a.c_at[1]), one_at(a, a.c_at[2])]
     assert span_equal(cen.rows, expected)
 
 
@@ -272,14 +264,16 @@ K4 = Graph(4, frozenset((i, j) for i in range(1, 5) for j in range(i + 1, 5)))
 
 @pytest.mark.parametrize("graph", [path_graph(5), star_graph(6), K4, "K4-patched"], ids=["path5", "star6", "K4", "K4-patched"])
 def test_layout_maps_agree_with_the_basis(graph):
-    # the algebra's own index maps name the same elements as index(...), on
-    # a patched table too
+    # the algebra's own index maps point at the elements the basis names,
+    # on a patched table too
     a = with_patched_table(build_algebra(K4), 4, 5, -1) if graph == "K4-patched" else build_algebra(graph)
     n = a.graph.n
-    assert a.e_at == {i: a.index(idem(i)) for i in range(1, n + 1)}
-    assert a.c_at == {i: a.index(cycle(i)) for i in range(1, n + 1)}
-    assert a.a_at == {(u, v): a.index(arrow(u, v)) for u, v in a.arrows}
-    assert {(b.at, b.to) for b in a.basis if b.kind == "a"} == set(a.arrows)
+    assert all(type(name) is str for name in a.basis)
+    assert sorted(a.e_at) == sorted(a.c_at) == list(range(1, n + 1))
+    assert all(a.basis[a.e_at[i]] == f"e{i}" for i in range(1, n + 1))
+    assert all(a.basis[a.c_at[i]] == f"c{i}" for i in range(1, n + 1))
+    assert all(a.basis[a.a_at[(u, v)]] == f"a({u}->{v})" for u, v in a.arrows)
+    assert set(a.a_at) == set(a.arrows)
     assert sorted([*a.e_at.values(), *a.a_at.values(), *a.c_at.values()]) == list(range(a.dim))
     assert list(a.arrows) == sorted(a.arrows)
     # the neighbor lists are the graph's edges, each vertex's in increasing order
