@@ -1,6 +1,8 @@
 """Simple graphs, their text format, connectivity, and seeded random labeled trees.
 
-The text format accepted by :func:`parse_graph` is line-oriented UTF-8:
+A :class:`Graph` checks its own vertex count and edges when built, and
+:func:`validate` decides connectivity.  The text format accepted by
+:func:`parse_graph` is line-oriented UTF-8:
 
     # comment
     vertices 4
@@ -8,15 +10,14 @@ The text format accepted by :func:`parse_graph` is line-oriented UTF-8:
     edge 2 3
     edge 2 4
 
-Vertices are 1..n.  Edges are unordered, loops and duplicates are rejected,
-and every parse error carries the offending 1-based line number.
+Vertices are 1..n.  Edges in a file are unordered, loops and duplicates are
+rejected, and every parse error carries the offending 1-based line number.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import NamedTuple
 
 
 class GraphParseError(ValueError):
@@ -29,30 +30,20 @@ class GraphParseError(ValueError):
 
 @dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 1..n; edges stored as (u, v), u < v."""
+    """Undirected simple graph on vertices 1..n, each edge the ordered pair
+    (u, v) with u < v.  Construction rejects a negative n and any other pair:
+    a loop, a reversed pair or an endpoint out of range.  A frozenset of
+    ordered pairs holds no duplicate edge."""
 
     n: int
     edges: frozenset
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"vertex count {self.n} is negative")
         for u, v in self.edges:
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {self.n} vertices")
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Graph":
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop edge ({u}, {v})")
-            e = (u, v) if u < v else (v, u)
-            if e in norm:
-                raise ValueError(f"duplicate edge {e}")
-            norm.add(e)
-        return cls(n, frozenset(norm))
-
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
 
 
 def parse_graph(text) -> Graph:
@@ -98,19 +89,14 @@ def parse_graph(text) -> Graph:
 def serialize_graph(g: Graph) -> str:
     """Inverse of :func:`parse_graph` up to comments and edge order."""
     lines = [f"vertices {g.n}"]
-    lines.extend(f"edge {u} {v}" for u, v in g.sorted_edges())
+    lines.extend(f"edge {u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
 
 
-class ValidationResult(NamedTuple):
-    connected: bool
-    is_tree: bool
-
-
-def validate(g: Graph) -> ValidationResult:
-    """Connectivity via breadth-first search; a tree is connected with n-1 edges."""
+def validate(g: Graph) -> bool:
+    """Whether g is connected, by one graph walk; the empty graph is not."""
     if g.n == 0 or len(g.edges) < g.n - 1:  # too few edges to connect
-        return ValidationResult(False, False)
+        return False
     adj = {v: [] for v in range(1, g.n + 1)}
     for u, v in g.edges:
         adj[u].append(v)
@@ -123,8 +109,7 @@ def validate(g: Graph) -> ValidationResult:
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
-    connected = len(seen) == g.n
-    return ValidationResult(connected, connected and len(g.edges) == g.n - 1)
+    return len(seen) == g.n
 
 
 _MASK64 = (1 << 64) - 1
@@ -153,7 +138,9 @@ class Xorshift64Star:
         return (x * 0x2545F4914F6CDD1D) & _MASK64
 
     def below(self, n: int) -> int:
-        """Uniform draw from 0..n-1 by rejection (no modulo bias)."""
+        """Uniform draw from 0..n-1 by rejection (no modulo bias), 1 <= n <= 2**64."""
+        if not 1 <= n <= 1 << 64:
+            raise ValueError(f"need 1 <= n <= 2**64, got {n}")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             r = self.next_u64()

@@ -13,8 +13,10 @@ so the dimension is 2n + (number of arrows).  All structure constants are 0
 or 1, so the algebra is its nonzero basis products, which is what makes the
 exhaustive checks downstream cheap.
 
-The basis layout is decided here alone: ``algebra.basis`` names the elements,
-and the index maps of a :class:`ZigzagAlgebra` are the one way to an index.
+The basis layout and the products are decided here alone, in the
+:class:`ZigzagAlgebra` constructor, which also checks the paper's hypotheses
+on the graph: at least 2 vertices and connected.  ``algebra.basis`` names the
+elements, and the index maps are the one way to an index.
 
 Elements are sparse dicts basis index -> nonzero scalar, against
 ``algebra.basis``.
@@ -30,16 +32,17 @@ from .quiver import Graph, validate
 
 
 class ZigzagAlgebra:
-    """The zigzag algebra of a graph, as its basis layout and its nonzero
-    basis products.
+    """The zigzag algebra of a connected graph on at least 2 vertices, as its
+    basis layout and its nonzero basis products.
 
-    The constructor reads the layout off the graph: trivial paths by vertex,
-    the ``arrows`` (i, j) by (source, target), cycles by vertex.
+    The constructor raises ValueError for a single-vertex, empty or
+    disconnected graph.  It reads the layout off the graph: trivial paths by
+    vertex, the ``arrows`` (i, j) by (source, target), cycles by vertex.
     ``e_at[i]``, ``a_at[(i, j)]`` and ``c_at[i]`` are the basis indices of
     e(i), a(i->j) and c(i), ``nbrs[i]`` the neighbors of i, increasing, and
-    ``is_tree`` whether the graph has n - 1 edges (on the connected graphs
-    :func:`build_algebra` accepts, a tree).  ``basis[k]`` names element k:
-    ``e{i}``, ``a({i}->{j})`` or ``c{i}``.  The products come after.
+    ``is_tree`` whether the graph, connected, has n - 1 edges.
+    ``basis[k]`` names element k: ``e{i}``, ``a({i}->{j})`` or ``c{i}``.
+    Then it writes the products.
 
     ``products`` maps (p, q) to r with b_p b_q = b_r, in row-major order; a
     missing pair is a vanishing product.  That is about 9 entries per vertex
@@ -50,23 +53,41 @@ class ZigzagAlgebra:
     """
 
     def __init__(self, graph: Graph, field) -> None:
+        n = graph.n
+        if n == 1:
+            raise ValueError("single-vertex graph has no zigzag algebra here: need at least one edge")
+        if n < 1:
+            raise ValueError("empty graph: need at least 2 vertices")
+        if not validate(graph):
+            raise ValueError(f"graph on {n} vertices is not connected")
         self.graph = graph
         self.field = field
-        n = graph.n
         self.arrows = tuple(sorted([(u, v) for u, v in graph.edges] + [(v, u) for u, v in graph.edges]))
-        self.e_at = {i: i - 1 for i in range(1, n + 1)}
-        self.a_at = {ar: n + k for k, ar in enumerate(self.arrows)}
-        self.c_at = {i: n + len(self.arrows) + i - 1 for i in range(1, n + 1)}
+        self.e_at = e_at = {i: i - 1 for i in range(1, n + 1)}
+        self.a_at = a_at = {ar: n + k for k, ar in enumerate(self.arrows)}
+        self.c_at = c_at = {i: n + len(self.arrows) + i - 1 for i in range(1, n + 1)}
         self.nbrs: dict = {i: [] for i in range(1, n + 1)}
         for u, v in self.arrows:
             self.nbrs[u].append(v)
         self.is_tree = len(graph.edges) == n - 1
         self.basis = (
-            *(f"e{i}" for i in self.e_at),
+            *(f"e{i}" for i in e_at),
             *(f"a({u}->{v})" for u, v in self.arrows),
-            *(f"c{i}" for i in self.c_at),
+            *(f"c{i}" for i in c_at),
         )
         self.dim = len(self.basis)
+        products: dict = {}
+        for i in e_at:
+            products[e_at[i], e_at[i]] = e_at[i]
+            products[e_at[i], c_at[i]] = c_at[i]
+            products[c_at[i], e_at[i]] = c_at[i]
+        for (u, v), k in a_at.items():
+            products[e_at[u], k] = k
+            products[k, e_at[v]] = k
+            products[k, a_at[(v, u)]] = c_at[u]
+        if len(products) != 3 * (n + len(self.arrows)):  # three writes per vertex and per arrow
+            raise AssertionError("a basis product was set twice")
+        self._set_products(products)
 
     def _set_products(self, products: dict) -> None:
         """Store the nonzero products and the indices read off them."""
@@ -86,38 +107,8 @@ class ZigzagAlgebra:
 
 
 def build_algebra(g: Graph, field=RATIONALS) -> ZigzagAlgebra:
-    """Construct the zigzag algebra of a connected simple graph on >= 2 vertices.
-
-    Raises ValueError for a single-vertex or disconnected input.
-    """
-    if g.n == 1:
-        raise ValueError("single-vertex graph has no zigzag algebra here: need at least one edge")
-    if g.n < 1:
-        raise ValueError("empty graph: need at least 2 vertices")
-    connected, _ = validate(g)
-    if not connected:
-        raise ValueError(f"graph on {g.n} vertices is not connected")
-
-    a = ZigzagAlgebra(g, field)
-    e_at, a_at, c_at = a.e_at, a.a_at, a.c_at
-    products: dict = {}
-
-    def put(p: int, q: int, r: int) -> None:
-        if (p, q) in products:
-            raise AssertionError(f"product ({p}, {q}) set twice")
-        products[p, q] = r
-
-    for i in a.e_at:
-        put(e_at[i], e_at[i], e_at[i])
-        put(e_at[i], c_at[i], c_at[i])
-        put(c_at[i], e_at[i], c_at[i])
-    for (u, v), k in a_at.items():
-        put(e_at[u], k, k)
-        put(k, e_at[v], k)
-        put(k, a_at[(v, u)], c_at[u])
-
-    a._set_products(products)
-    return a
+    """The zigzag algebra of g over field; see :class:`ZigzagAlgebra`."""
+    return ZigzagAlgebra(g, field)
 
 
 def multiply(a: ZigzagAlgebra, x: dict, y: dict) -> dict:

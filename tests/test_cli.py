@@ -10,10 +10,11 @@ import pytest
 
 import zigzagalg
 from zigzagalg import analysis, cli, quiver, zigzag
-from zigzagalg.analysis import CHECK_KEYS, NA, PASS, Report, analyze_graph
+from zigzagalg.analysis import CHECK_KEYS, FAIL, NA, PASS, Report, analyze_graph
 from zigzagalg.cli import main
 from zigzagalg.exactlin import RATIONALS, parse_field
-from zigzagalg.quiver import Graph, path_graph, random_tree, serialize_graph, star_graph
+from zigzagalg.linmaps import InternalInvariantError
+from zigzagalg.quiver import Graph, Xorshift64Star, parse_graph, path_graph, random_tree, serialize_graph, star_graph
 
 EDGE_FILE = "vertices 2\nedge 1 2\n"
 PATH3_FILE = "vertices 3\nedge 1 2\nedge 2 3\n"
@@ -349,6 +350,94 @@ def test_sweep_calls_analyze_graph_through_the_cli_module(monkeypatch, capsys):
     monkeypatch.setattr(cli, "analyze_graph", counting)
     assert main(["sweep", "--count", "3", "--n-max", "4", "--quiet"]) == 0
     assert len(calls) == 3
+
+
+def sweep_tree(seed, k, n_min, n_max):
+    """Tree #k of a sweep, drawn as README documents: one next_u64 per tree
+    from a generator seeded with the master seed, in order."""
+    rng = Xorshift64Star(seed)
+    tree_seed = [rng.next_u64() for _ in range(k + 1)][k]
+    return random_tree(n_min + k % (n_max - n_min + 1), tree_seed)
+
+
+REPLAY_SWEEP = ["sweep", "--seed", "7", "--count", "5", "--n-min", "3", "--n-max", "6"]
+
+
+def test_sweep_prints_a_replayable_graph_when_an_invariant_fails(monkeypatch, capsys):
+    seen = []
+
+    def analyze(g, *args):
+        if len(seen) == 3:
+            raise InternalInvariantError("planted")
+        seen.append(g)
+        return analysis.analyze_graph(g, *args)
+
+    monkeypatch.setattr(cli, "analyze_graph", analyze)
+    assert main(REPLAY_SWEEP) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    head, text = captured.err.split("\n", 1)
+    assert head == "internal invariant failed on tree #3: planted"
+    assert parse_graph(text) == sweep_tree(7, 3, 3, 6)
+    assert seen == [sweep_tree(7, k, 3, 6) for k in range(3)]
+
+
+def test_sweep_prints_each_failing_tree_and_its_warnings(monkeypatch, capsys):
+    def analyze(g, *args):
+        report, warnings = analysis.analyze_graph(g, *args)
+        if g == sweep_tree(7, 1, 3, 6):
+            warnings = warnings + ["planted warning"]
+        if g == sweep_tree(7, 2, 3, 6):
+            report.formula_checks["hh1_is_one"] = FAIL
+        return report, warnings
+
+    monkeypatch.setattr(cli, "analyze_graph", analyze)
+    assert main(REPLAY_SWEEP) == 2
+    captured = capsys.readouterr()
+    assert "sweep: 4/5 pass" in captured.out
+    assert re.search(r"^ +2 +5 .* FAIL$", captured.out, re.M)
+    expected = "warning: tree #1: planted warning\nfailing tree #2:\n"
+    assert captured.err == expected + serialize_graph(sweep_tree(7, 2, 3, 6))
+
+
+def test_analyze_reports_internal_invariants_and_warnings(monkeypatch, tmp_path, capsys):
+    path = write(tmp_path, PATH3_FILE)
+
+    def broken(*args):
+        raise InternalInvariantError("planted")
+
+    monkeypatch.setattr(cli, "analyze_graph", broken)
+    assert main(["analyze", path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal invariant failed: planted\n")
+
+    def warning(*args):
+        report, _ = analysis.analyze_graph(*args)
+        return report, ["planted warning"]
+
+    monkeypatch.setattr(cli, "analyze_graph", warning)
+    assert main(["analyze", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: planted warning\n"
+    assert "result: PASS" in captured.out
+
+
+@pytest.mark.parametrize("text, name", [(PATH3_FILE, "materialize"), (TRIANGLE_FILE, "solve")])
+def test_dump_derivations_reports_internal_invariants(monkeypatch, tmp_path, capsys, text, name):
+    # a tree is dumped through materialize, a graph with cycles through solve
+    def broken(*args):
+        raise InternalInvariantError("planted")
+
+    monkeypatch.setattr(cli, name, broken)
+    assert main(["dump-derivations", write(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal invariant failed: planted\n")
+
+
+def test_sweep_rejects_a_field_that_is_not_prime(capsys):
+    assert main(["sweep", "--count", "1", "--field", "gf:4"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: 4 is not prime\n")
 
 
 def test_sweep_timings_file_leaves_stdout_unchanged(tmp_path, capsys):

@@ -457,7 +457,7 @@ def test_systems_and_solutions_match_pinned_digest(spec):
 
 WIDE_GRAPHS = {f"tree{n}-{s}": random_tree(n, 1000 * s + n) for n in range(2, 17) for s in (1, 2)}
 WIDE_GRAPHS.update(
-    {f"cycle{k}": Graph.from_edges(k, [(i, i % k + 1) for i in range(1, k + 1)]) for k in range(3, 7)}
+    {f"cycle{k}": Graph(k, frozenset({(i, i + 1) for i in range(1, k)} | {(1, k)})) for k in range(3, 7)}
 )
 WIDE_GRAPHS["K5"] = Graph(5, frozenset((i, j) for i in range(1, 6) for j in range(i + 1, 6)))
 WIDE_GRAPHS["star12"] = star_graph(12)

@@ -30,7 +30,7 @@ def test_parse_accepts_comments_blanks_and_bytes():
     text = "# a comment\n\nvertices 3\nedge 2 1\n# another\nedge 2 3"
     g = parse_graph(text)
     assert g.n == 3
-    assert g.sorted_edges() == [(1, 2), (2, 3)]
+    assert sorted(g.edges) == [(1, 2), (2, 3)]
     assert parse_graph(text.encode("utf-8")) == g
 
 
@@ -62,14 +62,14 @@ def test_serialize_round_trip():
 
 
 def test_validate():
-    assert validate(path_graph(5)) == (True, True)
+    assert validate(path_graph(5)) is True
     tri = Graph(3, frozenset({(1, 2), (2, 3), (1, 3)}))
-    assert validate(tri) == (True, False)
+    assert validate(tri) is True
     forest = Graph(4, frozenset({(1, 2), (3, 4)}))
-    assert validate(forest) == (False, False)
-    assert validate(Graph(1, frozenset())) == (True, True)
+    assert validate(forest) is False
+    assert validate(Graph(1, frozenset())) is True
     n_minus_1_edges = Graph(5, frozenset({(1, 2), (2, 3), (1, 3), (4, 5)}))
-    assert validate(n_minus_1_edges) == (False, False)
+    assert validate(n_minus_1_edges) is False
 
 
 def test_validate_answers_at_once_with_too_few_edges(fresh_python):
@@ -78,7 +78,7 @@ def test_validate_answers_at_once_with_too_few_edges(fresh_python):
         "import time\n"
         "from zigzagalg.quiver import Graph, validate\n"
         "t0 = time.perf_counter()\n"
-        "assert validate(Graph(10**9, frozenset())) == (False, False)\n"
+        "assert validate(Graph(10**9, frozenset())) is False\n"
         "assert time.perf_counter() - t0 < 0.1\n"
     )
     proc = fresh_python("-c", code, max_bytes=2**30)
@@ -89,9 +89,11 @@ def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(2, frozenset({(1, 3)}))
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 1)])
+        Graph(3, frozenset({(1, 1)}))
     with pytest.raises(ValueError):
-        Graph.from_edges(3, [(1, 2), (2, 1)])
+        Graph(3, frozenset({(2, 1)}))
+    with pytest.raises(ValueError, match="vertex count -1 is negative"):
+        Graph(-1, frozenset())
 
 
 def test_double_quiver_order():
@@ -100,8 +102,8 @@ def test_double_quiver_order():
 
 def test_star_and_path_shapes():
     s = star_graph(4)
-    assert s.sorted_edges() == [(1, 2), (1, 3), (1, 4)]
-    assert path_graph(2).sorted_edges() == [(1, 2)]
+    assert sorted(s.edges) == [(1, 2), (1, 3), (1, 4)]
+    assert sorted(path_graph(2).edges) == [(1, 2)]
 
 
 def test_random_tree_two_vertices_any_seed():
@@ -111,8 +113,8 @@ def test_random_tree_two_vertices_any_seed():
 
 def test_random_tree_frozen_example():
     t = random_tree(5, 7)
-    assert t.sorted_edges() == [(1, 3), (2, 4), (3, 5), (4, 5)]
-    assert validate(t) == (True, True)
+    assert sorted(t.edges) == [(1, 3), (2, 4), (3, 5), (4, 5)]
+    assert validate(t) is True
 
 
 def test_random_tree_deterministic():
@@ -130,7 +132,7 @@ def test_random_tree_always_a_tree(n, seed):
     t = random_tree(n, seed)
     assert t.n == n
     assert len(t.edges) == n - 1
-    assert validate(t) == (True, True)
+    assert validate(t) is True
 
 
 def test_random_tree_covers_all_labeled_trees_on_four_vertices():
@@ -147,6 +149,11 @@ def test_xorshift_contract():
     assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
     c = Xorshift64Star(9)
     assert all(0 <= c.below(10) < 10 for _ in range(100))
+    # nothing to draw from when n < 1; above 2**64 rejection would never end
+    for n in (0, -3, 2**64 + 1):
+        with pytest.raises(ValueError, match=f"got {n}$"):
+            Xorshift64Star(5).below(n)
+    assert Xorshift64Star(5).below(2**64) == Xorshift64Star(5).next_u64()
 
 
 @settings(max_examples=30, deadline=None)

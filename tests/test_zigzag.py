@@ -7,9 +7,9 @@ from itertools import product
 import pytest
 
 from bruteforce import EDGE_TABLE, associative_literal, dense_table
-from zigzagalg.exactlin import PrimeField, span_equal
+from zigzagalg.exactlin import RATIONALS, PrimeField, span_equal
 from zigzagalg.quiver import Graph, path_graph, random_tree, star_graph
-from zigzagalg.zigzag import build_algebra, center, check_associativity, multiply, with_patched_table
+from zigzagalg.zigzag import ZigzagAlgebra, build_algebra, center, check_associativity, multiply, with_patched_table
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +103,9 @@ def test_build_rejects_unusable_graphs():
         build_algebra(Graph(4, frozenset({(1, 2), (3, 4)})))
     with pytest.raises(ValueError, match="empty"):
         build_algebra(Graph(0, frozenset()))
+    # the constructor checks too, so no algebra without products exists
+    with pytest.raises(ValueError, match="^graph on 4 vertices is not connected$"):
+        ZigzagAlgebra(Graph(4, frozenset({(1, 2), (2, 3), (1, 3)})), RATIONALS)
 
 
 def test_associativity_exhaustive():
