@@ -17,8 +17,10 @@ between the two, and HH^0 / HH^1, are left to :mod:`zigzagalg.analysis`,
 never assumed here.
 
 :func:`solve` emits, column by column, the equations over a pool of
-unknowns (those no single-entry family forces to zero), each restricted to
-the pool, and eliminates them once, so its cost follows the pool;
+unknowns (those no single-entry family forces to zero, nor, for jordan, a
+one-entry outer row doubled on the diagonal), each restricted to the pool,
+and eliminates them once, so its cost follows the pool, jordan's from one
+side (one outer table, each pair q <= r and each family read once);
 :func:`leibniz_system` is the same emission over every column.
 :func:`verify_map` audits in integers, off the product groupings of the
 algebra, which generation never reads.
@@ -114,8 +116,10 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str, pool=None):
     Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r), its small-int
     coefficients summed as ints, zeros in the field (-2 in GF(2)) kept.
     ``pool`` lists, increasing, the columns no single-entry family forces to
-    zero, unless given; ``eqs`` are the equations restricted to it,
-    emitted column by column, with pool[k] labelled len(pool) - 1 - k.
+    zero, unless given, less for jordan the x[u, y] of each one-entry outer
+    row {u: c} of b_y whose equation at (y, y) is 2c x[u, y] alone; ``eqs``
+    are the equations restricted to it, emitted column by column, with
+    pool[k] labelled len(pool) - 1 - k.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -125,28 +129,33 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str, pool=None):
         )
     inner, outer = FLAVOR_PRODUCTS[flavor]
     # with both products xy + yx the equations at (q, r) and (r, q) are the
-    # same, so a pair is kept in the order q <= r
+    # same, so a pair is kept in the order q <= r, and the two outer sides
+    # are one table, built, indexed and read once
     symmetric = set(inner) == set(outer) == {XY, YX}
+    sides = 1 if symmetric else 2
     dim = a.dim
 
     # right[y] / left[y]: p -> {u: c}, c the coefficient of x[u, q] in
     # coordinate p of Theta(b_q) . b_y / of x[u, r] in b_y . Theta(b_r);
     # inner_at[q][r]: s -> count of the terms Theta(b_s) of the pair (q, r)
-    right, left, inner_at = ([{} for _ in range(dim)] for _ in range(3))
+    right, inner_at = ([{} for _ in range(dim)] for _ in range(2))
+    left = right if symmetric else [{} for _ in range(dim)]
     for (x, y), p in a.products.items():  # b_x b_y = b_p
         for o in outer:
             # in order YX, Theta(b_q) . b_x is b_x Theta(b_q), and
-            # b_y . Theta(b_r) is Theta(b_r) b_y
-            for side, at, u in ((right, y, x), (left, x, y)) if o == XY else ((right, x, y), (left, y, x)):
+            # b_y . Theta(b_r) is Theta(b_r) b_y; if symmetric, the left side
+            # of one order is the right side of the other
+            for side, at, u in (((right, y, x), (left, x, y)) if o == XY else ((right, x, y), (left, y, x)))[:sides]:
                 row = side[at].setdefault(p, {})
                 row[u] = row.get(u, 0) - 1
         for o in inner:
             at = inner_at[x if o == XY else y].setdefault(y if o == XY else x, {})
             at[p] = at.get(p, 0) + 1
     # reverse indices: u -> (y, p, c) per side, p -> {y}; s -> (q, r, k), r -> {q}
-    right_by, left_by, inner_by = ([[] for _ in range(dim)] for _ in range(3))
-    right_ys, left_ys, inner_qs = ([set() for _ in range(dim)] for _ in range(3))
-    for side, by, ys in ((right, right_by, right_ys), (left, left_by, left_ys)):
+    right_by, inner_by = ([[] for _ in range(dim)] for _ in range(2))
+    right_ys, inner_qs = ([set() for _ in range(dim)] for _ in range(2))
+    left_by, left_ys = (right_by, right_ys) if symmetric else ([[] for _ in range(dim)], [set() for _ in range(dim)])
+    for side, by, ys in ((right, right_by, right_ys), (left, left_by, left_ys))[:sides]:
         for y, rows in enumerate(side):
             for p, row in rows.items():
                 ys[p].add(y)
@@ -165,39 +174,43 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str, pool=None):
     # every p in neither right[r] nor left[q] (c is +-1 or +-2, nonzero where
     # the flavor is defined).  A family is the pair of sets its exceptions lie
     # in; row u and column s of X keep the exceptions common to all their
-    # families, or every index (None) if they have none.
+    # families, or every index (None) if they have none.  If symmetric, the
+    # families of (q, r) and (r, q) are one, and a one-entry right[r][p] =
+    # {u: c} forces x[u, r] too if b_r b_r has no inner term: (r, r, p) is 2c x[u, r].
     if pool is None:
         row_fams, col_fams = ([[] for _ in range(dim)] for _ in range(2))
+        diagonal = set()
         for y in range(dim):
-            for side, fams, ys in ((right, inner_qs[y], left_ys), (left, inner_at[y], right_ys)):
+            for side, fams, ys in ((right, inner_qs[y], left_ys), (left, inner_at[y], right_ys))[:sides]:
                 for p, row in side[y].items():
                     if len(row) == 1:
                         row_fams[min(row)].append((fams, ys[p]))
+                        if symmetric and y not in inner_at[y]:
+                            diagonal.add(min(row) * dim + y)
             for r, terms in inner_at[y].items():
-                if len(terms) == 1:
+                if len(terms) == 1 and (y <= r or not symmetric):
                     col_fams[min(terms)].append((right[r], left[y]))
         cols_ok = [_common(f) for f in col_fams]
         pool = [
             u * dim + q
             for u, ok in enumerate(map(_common, row_fams))
             for q in (range(dim) if ok is None else sorted(ok))
-            if cols_ok[q] is None or u in cols_ok[q]
+            if (cols_ok[q] is None or u in cols_ok[q]) and u * dim + q not in diagonal
         ]
     # x[u, c] enters (c, y, p) by right terms, (y, c, p) by left and (q, r, u)
-    # by inner ones; if symmetric, q <= r
+    # by inner ones; if symmetric, q <= r, and a right term at (c, y) with
+    # y < c is the left one at (y, c), while at y = c it is both
     eqs = defaultdict(dict)
     top = len(pool) - 1
     for k, j in enumerate(pool):
         u, c = divmod(j, dim)
         label = top - k
         for y, p, v in right_by[u]:
-            if c <= y or not symmetric:
-                row = eqs[c, y, p]
-                row[label] = row.get(label, 0) + v
-        for y, p, v in left_by[u]:
-            if y <= c or not symmetric:
-                row = eqs[y, c, p]
-                row[label] = row.get(label, 0) + v
+            row = eqs[(y, c, p) if symmetric and y < c else (c, y, p)]
+            row[label] = row.get(label, 0) + (2 * v if symmetric and y == c else v)
+        for y, p, v in () if symmetric else left_by[u]:
+            row = eqs[y, c, p]
+            row[label] = row.get(label, 0) + v
         for q, r, v in inner_by[c]:
             row = eqs[q, r, u]
             row[label] = row.get(label, 0) + v

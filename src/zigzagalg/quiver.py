@@ -50,6 +50,7 @@ def parse_graph(text) -> Graph:
     """Parse the graph file format; see the module docstring."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
+    text = text.removeprefix("\ufeff")  # a byte-order mark some editors write
     n = None
     edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):

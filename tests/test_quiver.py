@@ -32,6 +32,9 @@ def test_parse_accepts_comments_blanks_and_bytes():
     assert g.n == 3
     assert sorted(g.edges) == [(1, 2), (2, 3)]
     assert parse_graph(text.encode("utf-8")) == g
+    # one leading byte-order mark is dropped, as text and as bytes
+    for bom in ("\ufeff" + text, b"\xef\xbb\xbf" + text.encode("utf-8")):
+        assert parse_graph(bom) == g
 
 
 @pytest.mark.parametrize(
@@ -47,6 +50,9 @@ def test_parse_accepts_comments_blanks_and_bytes():
         ("vertices 3\nedge 1 2\nedge 2 1\n", 3, "duplicate"),
         ("# only a comment\n", 1, "missing"),
         ("", 1, "missing"),
+        ("\ufeff\ufeffvertices 3\n", 1, "header"),
+        ("vertices 3\n\ufeffedge 1 2\n", 2, "expected 'edge"),
+        ("vertices 3\nedge 1 2\ufeff\n", 2, "not integers"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
