@@ -7,8 +7,11 @@ over the rationals, residues mod p), scaling ``Fraction`` rows where they
 enter and making ``Fraction``s only for a returned result; spans compare
 by canonical int rows (:func:`_canonical`).  Every kernel is one
 :func:`_eliminate` then :func:`_kernel`, of a validated ``Matrix`` or of the
-package's own int rows.  A field only converts values into itself
-(``convert``); arithmetic on its elements is plain Python, mod p in GF(p).
+package's own int rows, taken as they come: repeated or rescaled rows
+reduce to zero like any other dependent row, and only the results are
+scaled, canonical rows to primitive ints and kernel vectors at their free
+column.  A field only converts values into itself (``convert``);
+arithmetic on its elements is plain Python, mod p in GF(p).
 
 Matrices are stored as sparse rows (dict column -> nonzero scalar), as the
 Leibniz systems downstream need: many rows, a few nonzero entries each.
@@ -257,17 +260,19 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
     GF(2)) are dropped as rows are scanned.  A single-entry row is the pivot
     row ``{c: 1}`` of its column: these are installed first, and their
     columns are dropped from every other row before it is used.  The
-    remaining rows are deduplicated (after canonical scaling) and processed
-    shortest-first,
+    remaining rows, residues reduced mod p, are processed shortest-first,
     which keeps fill-in negligible on the near-diagonal systems this package
     generates; rows of one length go in decreasing order of their sorted
-    column tuples.  That matters at a hub: rows x_h - x_j sharing column h,
-    taken with j increasing, each reduce through the chain of all earlier
-    ones (x_j1 - x_j, then x_j2 - x_j, ...), O(degree^2) steps; taken with j
-    decreasing, each meets one earlier pivot and stops.  The reduced row
-    space is order-independent anyway: the RREF is unique.  Rows are reduced
-    as ints (:func:`_reduce`); the pivot row of c is its RREF row times
-    row[c].
+    column tuples, ties in input order.  That matters at a hub: rows
+    x_h - x_j sharing column h, taken with j increasing, each reduce through
+    the chain of all earlier ones (x_j1 - x_j, then x_j2 - x_j, ...),
+    O(degree^2) steps; taken with j decreasing, each meets one earlier pivot
+    and stops.  Rows are neither rescaled nor deduplicated first: a repeat
+    of a row, in any scaling, reduces to zero against the pivot the first
+    copy made, and the generated systems key every equation by its
+    coordinate, so they hold no repeats.  The reduced row space is
+    order-independent anyway: the RREF is unique.  Rows are reduced as ints
+    (:func:`_reduce`); the pivot row of c is its RREF row times row[c].
     """
     p = field.characteristic
     pivots: dict = {}
@@ -280,21 +285,10 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
             if v % p if p else v:
                 pivots[c] = {c: 1}
 
-    seen = set()
-    cands = []
-    for r in longer:
-        r = {j: v for j, v in r.items() if (v % p if p else v) and j not in pivots}
-        if not r:
-            continue
-        nr = normalize_row(field, r)
-        key = tuple(sorted(nr.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        cands.append((len(nr), [-j for j, _ in key], key, nr))
-    cands.sort(key=lambda t: t[:3])
+    cands = [{j: w for j, v in r.items() if j not in pivots and (w := v % p if p else v)} for r in longer]
+    cands.sort(key=lambda r: (len(r), [-j for j in sorted(r)]))
 
-    for *_, row in cands:
+    for row in cands:
         while row:
             c = min(row)
             if c in pivots:

@@ -116,10 +116,12 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str, pool=None):
     Theta(b_q * b_r) - Theta(b_q) . b_r - b_q . Theta(b_r), its small-int
     coefficients summed as ints, zeros in the field (-2 in GF(2)) kept.
     ``pool`` lists, increasing, the columns no single-entry family forces to
-    zero, unless given, less for jordan the x[u, y] of each one-entry outer
-    row {u: c} of b_y whose equation at (y, y) is 2c x[u, y] alone; ``eqs``
+    zero, unless given, less for jordan the x[u, y] of each outer row of b_y
+    whose one entry c x[u, y] makes its equation at (y, y) 2c x[u, y]; ``eqs``
     are the equations restricted to it, emitted column by column, with
-    pool[k] labelled len(pool) - 1 - k.
+    pool[k] labelled len(pool) - 1 - k, one row per coordinate (q, r, p)
+    (jordan: q <= r), so no two rows are one equation.  One pass over the
+    products builds every index; none outlives the call.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
@@ -135,61 +137,60 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str, pool=None):
     sides = 1 if symmetric else 2
     dim = a.dim
 
-    # right[y] / left[y]: p -> {u: c}, c the coefficient of x[u, q] in
-    # coordinate p of Theta(b_q) . b_y / of x[u, r] in b_y . Theta(b_r);
-    # inner_at[q][r]: s -> count of the terms Theta(b_s) of the pair (q, r)
-    right, inner_at = ([{} for _ in range(dim)] for _ in range(2))
-    left = right if symmetric else [{} for _ in range(dim)]
-    for (x, y), p in a.products.items():  # b_x b_y = b_p
-        for o in outer:
-            # in order YX, Theta(b_q) . b_x is b_x Theta(b_q), and
-            # b_y . Theta(b_r) is Theta(b_r) b_y; if symmetric, the left side
-            # of one order is the right side of the other
-            for side, at, u in (((right, y, x), (left, x, y)) if o == XY else ((right, x, y), (left, y, x)))[:sides]:
-                row = side[at].setdefault(p, {})
-                row[u] = row.get(u, 0) - 1
+    # One pass over the products writes every index.  Per side, right / left:
+    # S[y]: p -> u if coordinate p of Theta(b_q) . b_y / of b_y . Theta(b_r)
+    # holds one unknown, x[u, q] / x[u, r], and -1 if it holds more; by[u]:
+    # the (y, p) of each -1 term of x[u, .], once per product that writes
+    # it; ys[p]: the y with p in S[y].  inner_at[q]: r -> s if the pair
+    # (q, r) has the one inner term Theta(b_s), and -1 if more; inner_by[s]:
+    # the (q, r) of each +1 term (if symmetric, q <= r); inner_qs[r]: the q
+    # with an inner term at (q, r).
+    indices = [([{} for _ in range(dim)], [[] for _ in range(dim)], [set() for _ in range(dim)]) for _ in range(sides)]
+    (right, right_by, right_ys), (left, left_by, left_ys) = indices[0], indices[-1]
+    inner_at, inner_by, inner_qs = [{} for _ in range(dim)], [[] for _ in range(dim)], [set() for _ in range(dim)]
+    # b_x b_y = b_p puts x[x, .] in the right side at y in order XY, where
+    # Theta(b_q) . b_y is Theta(b_q) b_y, and x[y, .] in the left side at x;
+    # in order YX, Theta(b_q) . b_x is b_x Theta(b_q), and the two swap.  If
+    # symmetric, the left side of one order is the right side of the other.
+    writes = [(*indices[k], (o == XY) == (k == 0)) for o in outer for k in range(sides)]
+    for (x, y), p in a.products.items():
+        for side, by, ys, at_y in writes:
+            at, u = (y, x) if at_y else (x, y)
+            if side[at].setdefault(p, u) != u:
+                side[at][p] = -1
+            by[u].append((at, p))
+            ys[p].add(at)
         for o in inner:
-            at = inner_at[x if o == XY else y].setdefault(y if o == XY else x, {})
-            at[p] = at.get(p, 0) + 1
-    # reverse indices: u -> (y, p, c) per side, p -> {y}; s -> (q, r, k), r -> {q}
-    right_by, inner_by = ([[] for _ in range(dim)] for _ in range(2))
-    right_ys, inner_qs = ([set() for _ in range(dim)] for _ in range(2))
-    left_by, left_ys = (right_by, right_ys) if symmetric else ([[] for _ in range(dim)], [set() for _ in range(dim)])
-    for side, by, ys in ((right, right_by, right_ys), (left, left_by, left_ys))[:sides]:
-        for y, rows in enumerate(side):
-            for p, row in rows.items():
-                ys[p].add(y)
-                for u, c in row.items():
-                    by[u].append((y, p, c))
-    for q, at in enumerate(inner_at):
-        for r, terms in at.items():
+            q, r = (x, y) if o == XY else (y, x)
+            if inner_at[q].setdefault(r, p) != p:
+                inner_at[q][r] = -1
             inner_qs[r].add(q)
             if q <= r or not symmetric:
-                for s, k in terms.items():
-                    inner_by[s].append((q, r, k))
+                inner_by[p].append((q, r))
 
-    # A one-entry right[r][p] = {u: c} forces x[u, q] for every q with no
-    # inner term at (q, r) and p not in left[q]; a one-entry left[q][p] forces
+    # A one-entry right[r][p] = u forces x[u, q] for every q with no inner
+    # term at (q, r) and p not in left[q]; a one-entry left[q][p] = u forces
     # x[u, r] likewise; a single inner term s at (q, r) forces x[p, s] for
-    # every p in neither right[r] nor left[q] (c is +-1 or +-2, nonzero where
-    # the flavor is defined).  A family is the pair of sets its exceptions lie
+    # every p in neither right[r] nor left[q] (the coefficient c of a one
+    # entry is -1, or -2 where two products write it, nonzero where the
+    # flavor is defined).  A family is the pair of sets its exceptions lie
     # in; row u and column s of X keep the exceptions common to all their
     # families, or every index (None) if they have none.  If symmetric, the
-    # families of (q, r) and (r, q) are one, and a one-entry right[r][p] =
-    # {u: c} forces x[u, r] too if b_r b_r has no inner term: (r, r, p) is 2c x[u, r].
+    # families of (q, r) and (r, q) are one, and a one-entry right[r][p] = u
+    # forces x[u, r] too if b_r b_r has no inner term: (r, r, p) is 2c x[u, r].
     if pool is None:
         row_fams, col_fams = ([[] for _ in range(dim)] for _ in range(2))
         diagonal = set()
         for y in range(dim):
             for side, fams, ys in ((right, inner_qs[y], left_ys), (left, inner_at[y], right_ys))[:sides]:
-                for p, row in side[y].items():
-                    if len(row) == 1:
-                        row_fams[min(row)].append((fams, ys[p]))
+                for p, u in side[y].items():
+                    if u >= 0:
+                        row_fams[u].append((fams, ys[p]))
                         if symmetric and y not in inner_at[y]:
-                            diagonal.add(min(row) * dim + y)
-            for r, terms in inner_at[y].items():
-                if len(terms) == 1 and (y <= r or not symmetric):
-                    col_fams[min(terms)].append((right[r], left[y]))
+                            diagonal.add(u * dim + y)
+            for r, s in inner_at[y].items():
+                if s >= 0 and (y <= r or not symmetric):
+                    col_fams[s].append((right[r], left[y]))
         cols_ok = [_common(f) for f in col_fams]
         pool = [
             u * dim + q
@@ -198,30 +199,33 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str, pool=None):
             if (cols_ok[q] is None or u in cols_ok[q]) and u * dim + q not in diagonal
         ]
     # x[u, c] enters (c, y, p) by right terms, (y, c, p) by left and (q, r, u)
-    # by inner ones; if symmetric, q <= r, and a right term at (c, y) with
-    # y < c is the left one at (y, c), while at y = c it is both
+    # by inner ones, each term once per product that writes it, so a term two
+    # products write sums to -2 here; if symmetric, q <= r, and a right term
+    # at (c, y) with y < c is the left one at (y, c), while at y = c it is
+    # both
     eqs = defaultdict(dict)
     top = len(pool) - 1
     for k, j in enumerate(pool):
         u, c = divmod(j, dim)
         label = top - k
-        for y, p, v in right_by[u]:
+        for y, p in right_by[u]:
             row = eqs[(y, c, p) if symmetric and y < c else (c, y, p)]
-            row[label] = row.get(label, 0) + (2 * v if symmetric and y == c else v)
-        for y, p, v in () if symmetric else left_by[u]:
+            row[label] = row.get(label, 0) - (2 if symmetric and y == c else 1)
+        for y, p in () if symmetric else left_by[u]:
             row = eqs[y, c, p]
-            row[label] = row.get(label, 0) + v
-        for q, r, v in inner_by[c]:
+            row[label] = row.get(label, 0) - 1
+        for q, r in inner_by[c]:
             row = eqs[q, r, u]
-            row[label] = row.get(label, 0) + v
+            row[label] = row.get(label, 0) + 1
     return pool, list(eqs.values())
 
 
 def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     """Constraint matrix over the dim^2 coefficients x[p, q] of Theta: the
     equations :func:`_leibniz_equations` emits over every column, those
-    nonzero in the field normalized, deduplicated and sorted.  Its kernel is
-    the flavor's solution space."""
+    nonzero in the field normalized, deduplicated and sorted here (the
+    eliminator does neither), so the tests can compare it row for row with
+    their oracle's full system.  Its kernel is the flavor's solution space."""
     n = a.dim * a.dim
     _, eqs = _leibniz_equations(a, flavor, range(n - 1, -1, -1))  # each column labels itself
     field = a.field

@@ -629,3 +629,27 @@ def test_eliminate_drops_entries_that_vanish_in_the_field(spec):
 
     check()
     assert shrunk == {0, 1}
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:101", "gf:3", "gf:2"])
+def test_eliminate_is_blind_to_repeated_rescaled_and_reordered_rows(spec):
+    # the eliminator keeps no dedupe pass: each row repeated, every copy
+    # scaled by a unit of the field (a nonzero int over Q, an unreduced
+    # residue prime to p in GF(p)) and the copies shuffled give the pivot
+    # columns, canonical rows and kernel of the rows taken once each
+    field = parse_field(spec)
+    p = field.characteristic
+    units = st.integers(-2 * p, 2 * p).filter(lambda k: k % p) if p else st.integers(-6, 6).filter(bool)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_systems(field), st.data())
+    def check(m, data):
+        rows = exactlin._ints(m)
+        fed = [{j: k * v for j, v in r.items()} for r in rows for k in data.draw(st.lists(units, min_size=1, max_size=3))]
+        data.draw(st.randoms(use_true_random=False)).shuffle(fed)
+        got, want = exactlin._eliminate(field, fed), exactlin._eliminate(field, [dict(r) for r in rows])
+        assert sorted(got) == sorted(want)
+        assert exactlin._canonical(field, got) == exactlin._canonical(field, want)
+        assert exactlin._kernel(field, got, m.ncols) == exactlin._kernel(field, want, m.ncols)
+
+    check()

@@ -830,7 +830,8 @@ def test_a_hub_costs_no_more_row_work_than_a_random_tree(monkeypatch):
     # row work as a count that does not depend on wall time: the pivot-row
     # entries each stage's reductions apply on star_graph(400) stay within
     # twice those on a random tree of the same size (a hub once made them
-    # O(degree^2))
+    # O(degree^2)); the derivation rows fed twice each, as the eliminator
+    # keeps no dedupe pass, stay within that bound too
     calls = Counter()
     reduce = exactlin._reduce
 
@@ -839,7 +840,14 @@ def test_a_hub_costs_no_more_row_work_than_a_random_tree(monkeypatch):
         reduce(row, c, pivot, p)
 
     monkeypatch.setattr(exactlin, "_reduce", counting)
-    stages = {"center": center, "derivation": lambda a: solve(a, "derivation"), "structured": structured_space}
+    stages = {
+        "center": center,
+        "derivation": lambda a: solve(a, "derivation"),
+        "structured": structured_space,
+        "derivation rows twice": lambda a: exactlin._eliminate(
+            a.field, [dict(r) for r in _leibniz_equations(a, "derivation")[1] for _ in range(2)]
+        ),
+    }
     work = {}
     for graph, g in (("star", star_graph(400)), ("tree", random_tree(400, 12345))):
         a = build_algebra(g)
