@@ -12,7 +12,7 @@ in Der by their generators and the dimensions of their spans.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import dataclass, field as dc_field, fields
 
 from .exactlin import RATIONALS, span_dim, span_equal
 from .linmaps import FLAVORS, InternalInvariantError, ad_map, materialize, solve, structured_parameter_basis
@@ -55,8 +55,9 @@ class Report:
     timings_ms: dict = dc_field(default_factory=dict)
 
     def to_dict(self, include_timings: bool = True) -> dict:
-        d = asdict(self)
-        d["edges"] = [list(e) for e in self.edges]
+        # shallow: every field but these three is an int, a bool, a str or None
+        d = vars(self) | {"edges": [list(e) for e in self.edges], "formula_checks": dict(self.formula_checks)}
+        d["timings_ms"] = dict(self.timings_ms)
         if not include_timings:
             del d["timings_ms"]
         return d

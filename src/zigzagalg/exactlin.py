@@ -258,14 +258,14 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
 
     Entries are ints (any residues mod p); those zero in the field (-2 in
     GF(2)) are dropped as rows are scanned.  A single-entry row is the pivot
-    row ``{c: 1}`` of its column: these are installed first, and their
-    columns are dropped from every other row before it is used.  The
-    remaining rows, residues reduced mod p, are processed shortest-first,
-    which keeps fill-in negligible on the near-diagonal systems this package
+    row ``{c: 1}`` of its column: these are installed first, and their columns
+    are dropped from every other row before it is used; a row left empty goes.
+    The others, residues reduced mod p, are processed shortest-first, which
+    keeps fill-in negligible on the near-diagonal systems this package
     generates; rows of one length go in decreasing order of their sorted
-    column tuples, ties in input order.  That matters at a hub: rows
-    x_h - x_j sharing column h, taken with j increasing, each reduce through
-    the chain of all earlier ones (x_j1 - x_j, then x_j2 - x_j, ...),
+    columns, ties in input order (two stable sorts).  That matters at a hub:
+    rows x_h - x_j sharing column h, taken with j increasing, each reduce
+    through the chain of all earlier ones (x_j1 - x_j, then x_j2 - x_j, ...),
     O(degree^2) steps; taken with j decreasing, each meets one earlier pivot
     and stops.  Rows are neither rescaled nor deduplicated first: a repeat
     of a row, in any scaling, reduces to zero against the pivot the first
@@ -285,8 +285,9 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
             if v % p if p else v:
                 pivots[c] = {c: 1}
 
-    cands = [{j: w for j, v in r.items() if j not in pivots and (w := v % p if p else v)} for r in longer]
-    cands.sort(key=lambda r: (len(r), [-j for j in sorted(r)]))
+    cands = [row for r in longer if (row := {j: w for j, v in r.items() if j not in pivots and (w := v % p if p else v)})]
+    cands.sort(key=sorted, reverse=True)
+    cands.sort(key=len)
 
     for row in cands:
         while row:
@@ -304,11 +305,11 @@ def _eliminate(field, rows: Iterable[dict]) -> dict:
 
     # back-substitution, descending pivot order: each row only ever pulls in
     # rows that are already fully reduced, so work stays proportional to the
-    # actual nonzeros
+    # actual nonzeros; a single-entry pivot row has nothing to clear
     for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        for k in sorted(k for k in row if k != c and k in pivots):
-            _reduce(row, k, pivots[k], p)
+        if len(row := pivots[c]) > 1:
+            for k in sorted(k for k in row if k != c and k in pivots):
+                _reduce(row, k, pivots[k], p)
     return pivots
 
 

@@ -96,13 +96,19 @@ class MapSpace:
         return f"MapSpace({self.flavor!r}, dim={self.dimension})"
 
 
+def _size(fam) -> int:
+    return len(fam[0]) + len(fam[1])
+
+
 def _common(fams) -> set | None:
     """The indices in the exceptions (the union of the pair) of every family,
-    None for no family: the smallest family's, filtered by each other one, as
-    a union per family would cost O(degree) each at a hub."""
+    None for no family: the smallest family's (``fams`` sorted in place if
+    there are several), filtered by each other one, as a union per family
+    would cost O(degree) each at a hub."""
     if not fams:
         return None
-    fams = sorted(fams, key=lambda f: len(f[0]) + len(f[1]))
+    if len(fams) > 1:
+        fams.sort(key=_size)
     keep = {*fams[0][0], *fams[0][1]}
     for e, f in fams[1:]:
         keep = {k for k in keep if k in e or k in f}

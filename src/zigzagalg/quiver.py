@@ -31,9 +31,9 @@ class GraphParseError(ValueError):
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 1..n, each edge the ordered pair
-    (u, v) with u < v.  Construction rejects a negative n and any other pair:
-    a loop, a reversed pair or an endpoint out of range.  A frozenset of
-    ordered pairs holds no duplicate edge."""
+    (u, v) with u < v.  Construction rejects a negative n, edges that are
+    not a frozenset (so hold no duplicate edge, and the graph hashes) and
+    any other pair: a loop, a reversed pair or an endpoint out of range."""
 
     n: int
     edges: frozenset
@@ -41,6 +41,8 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"vertex count {self.n} is negative")
+        if not isinstance(self.edges, frozenset):
+            raise TypeError(f"edges is a {type(self.edges).__name__}, not a frozenset of pairs")
         for u, v in self.edges:
             if not (1 <= u < v <= self.n):
                 raise ValueError(f"edge ({u}, {v}) out of range for {self.n} vertices")

@@ -102,6 +102,17 @@ def test_graph_rejects_bad_edges():
         Graph(-1, frozenset())
 
 
+def test_graph_edges_must_be_a_frozenset():
+    # a list kept a repeated edge, which failed only in the algebra's table,
+    # and left the frozen graph unhashable
+    with pytest.raises(TypeError, match="edges is a list, not a frozenset"):
+        Graph(3, [(1, 2), (1, 2), (2, 3)])
+    with pytest.raises(TypeError, match="edges is a list, not a frozenset"):
+        Graph(3, [(1, 2), (2, 3)])
+    g = Graph(3, frozenset({(1, 2), (2, 3)}))
+    assert hash(g) == hash(Graph(3, frozenset({(2, 3), (1, 2)})))
+
+
 def test_double_quiver_order():
     assert build_algebra(path_graph(3)).arrows == ((1, 2), (2, 1), (2, 3), (3, 2))
 
