@@ -1,6 +1,8 @@
 """The one analysis pipeline: every space of one graph, HH^0, HH^1 and the checks.
 
-:func:`analyze_graph` solves every flavor of :data:`linmaps.FLAVORS` and takes
+:func:`analyze_graph` solves jordan and anti, reads Der off JDer's basis if
+each map of it passes the derivation audit (:func:`linmaps.derivation_space`)
+and else, or without JDer (characteristic 2, ``skip_jordan``), solves Der.
 HH^0 = dim center and HH^1 = dim Der - dim Inner, after two invariants whose
 failure is a bug in any field: dim Inner = dim A - dim center, Inner inside
 Der.  On trees over the rationals it checks the paper's formulas and routes;
@@ -15,7 +17,7 @@ import time
 from dataclasses import dataclass, field as dc_field, fields
 
 from .exactlin import RATIONALS, span_dim, span_equal
-from .linmaps import FLAVORS, InternalInvariantError, ad_map, materialize, solve, structured_parameter_basis
+from .linmaps import InternalInvariantError, ad_map, derivation_space, materialize, solve, structured_parameter_basis
 from .quiver import Graph
 from .zigzag import build_algebra, center, check_associativity
 
@@ -103,8 +105,9 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
         raise InternalInvariantError("the basis products are not associative")
     cen = stage("center", lambda: center(algebra))
     skip_jordan = skip_jordan or field.characteristic == 2
-    spaces = {f: stage(f, lambda: solve(algebra, f)) for f in FLAVORS if not (skip_jordan and f == "jordan")}
-    der, jor, anti = spaces["derivation"], spaces.get("jordan"), spaces["anti"]
+    jor = None if skip_jordan else stage("jordan", lambda: solve(algebra, "jordan"))
+    der = stage("derivation", lambda: derivation_space(algebra, jor))
+    anti = stage("anti", lambda: solve(algebra, "anti"))
     def spanned(maps):
         return maps, span_dim(maps, field)
 

@@ -117,7 +117,11 @@ def _sweep(args) -> int:
         print("error: need count >= 1 and 2 <= n-min <= n-max", file=sys.stderr)
         return 1
 
-    rng = Xorshift64Star(args.seed)
+    try:
+        rng = Xorshift64Star(args.seed)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     span = args.n_max - args.n_min + 1
     results = []
     failures = []

@@ -23,7 +23,8 @@ and eliminates them once, so its cost follows the pool, jordan's from one
 side (one outer table, each pair q <= r and each family read once);
 :func:`leibniz_system` is the same emission over every column.
 :func:`verify_map` audits in integers, off the product groupings of the
-algebra, which generation never reads.
+algebra, which generation never reads; :func:`derivation_space` reuses it
+to take Der off a solved jordan space.
 
 A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
@@ -312,6 +313,15 @@ def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
         if not verify_map(a, row, flavor):
             raise InternalInvariantError(f"solved {flavor} basis map fails the defining identity")
     return space
+
+
+def derivation_space(a: ZigzagAlgebra, jordan: MapSpace | None = None) -> MapSpace:
+    """Der as :func:`solve` gives it, but read off the solved ``jordan`` when
+    each of its basis maps passes the derivation audit: Der lies in JDer, as
+    D(xy + yx) = D(x) o y + x o D(y), so then Der = JDer."""
+    if jordan is not None and all(verify_map(a, row, "derivation") for row in jordan.ints):
+        return MapSpace("derivation", a.field, a.dim, jordan.ints)
+    return solve(a, "derivation")
 
 
 @dataclass

@@ -122,15 +122,17 @@ _SEED_FALLBACK = 0x9E3779B97F4A7C15
 class Xorshift64Star:
     """xorshift64* generator, fixed here so corpora are reproducible anywhere.
 
-    State is a nonzero 64-bit integer (a zero seed is remapped to the odd
-    constant 0x9E3779B97F4A7C15).  One step is
+    The seed is in 0..2**64-1 (else ValueError), and the state is nonzero: a
+    zero seed is remapped to the odd constant 0x9E3779B97F4A7C15.  One step is
 
         x ^= x >> 12;  x ^= (x << 25) & mask64;  x ^= x >> 27
         output = (x * 0x2545F4914F6CDD1D) & mask64
     """
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & _MASK64 or _SEED_FALLBACK
+        if not 0 <= seed <= _MASK64:
+            raise ValueError(f"need 0 <= seed < 2**64, got {seed}")
+        self.state = seed or _SEED_FALLBACK
 
     def next_u64(self) -> int:
         x = self.state

@@ -440,6 +440,13 @@ def test_sweep_rejects_a_field_that_is_not_prime(capsys):
     assert (captured.out, captured.err) == ("", "error: 4 is not prime\n")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_sweep_rejects_a_seed_outside_64_bits(capsys, seed):
+    assert main(["sweep", "--count", "1", "--seed", seed]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: need 0 <= seed < 2**64, got {seed}\n")
+
+
 def test_sweep_timings_file_leaves_stdout_unchanged(tmp_path, capsys):
     _, argv, digest = PINNED_OUTPUTS["sweep"]
     path = tmp_path / "timings.jsonl"

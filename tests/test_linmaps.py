@@ -43,6 +43,7 @@ from zigzagalg.linmaps import (
     MapSpace,
     _leibniz_equations,
     ad_map,
+    derivation_space,
     inner_space,
     leibniz_system,
     materialize,
@@ -600,6 +601,68 @@ def test_verify_map_agrees_with_literal_identity_on_jordan_maps_that_are_no_deri
                 assert verify_map(b, m, flavor) == verify_literal(table, m, flavor), (patch, flavor, m)
             no_derivations += not verify_literal(table, m, "derivation")
     assert no_derivations
+
+
+PREMISE_CASES = {
+    **{f"{name}-{k}": (ORACLE_GRAPHS[name], patch) for name, patches in PATCHES.items() for k, patch in enumerate(patches)},
+    **{name: (g, None) for name, g in WIDE_GRAPHS.items()},
+    **{f"tree{n}-12345": (random_tree(n, 12345), None) for n in (20, 24)},
+}
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:3", "gf:101"])
+def test_derivations_lie_in_the_jordan_space_and_are_read_off_it(spec):
+    # Der inside JDer holds for any bilinear product, the patched tables'
+    # non-associative ones too; derivation_space takes JDer's canonical
+    # rows exactly where every JDer map passes the derivation audit, which
+    # some patched edge tables' JDer maps fail, and solves Der otherwise
+    field = parse_field(spec)
+    solved = set()
+    for name, (g, patch) in PREMISE_CASES.items():
+        a = build_algebra(g, field)
+        b = a if patch is None else with_patched_table(a, *patch)
+        jordan, der = solve(b, "jordan"), solve(b, "derivation")
+        assert jordan.contains(der.ints), name
+        space = derivation_space(b, jordan)
+        assert (space.flavor, space.ints) == ("derivation", der.ints), name
+        if space.ints is not jordan.ints:
+            assert jordan.dimension > der.dimension, name
+            solved.add(name)
+    assert all(name.startswith(tuple(PATCHES)) for name in solved), solved
+    assert any(name.startswith("edge-") for name in solved)
+
+
+@pytest.mark.parametrize(
+    "spec, skip_jordan",
+    [("rat", False), ("gf:3", False), ("gf:101", False), ("gf:2", False), ("rat", True), ("gf:101", True)],
+)
+def test_analyze_graph_solves_derivations_only_without_jordan(monkeypatch, spec, skip_jordan):
+    # with JDer solved, Der comes from its audited basis: no literal
+    # derivation solve, and each basis map of every space audited once
+    real_solve, real_verify = linmaps.solve, linmaps.verify_map
+    solves, audits = Counter(), Counter()
+
+    def counting_solve(a, flavor):
+        solves[flavor] += 1
+        return real_solve(a, flavor)
+
+    def counting_verify(a, lin, flavor):
+        audits[flavor] += 1
+        return real_verify(a, lin, flavor)
+
+    for module in (linmaps, analysis):
+        monkeypatch.setattr(module, "solve", counting_solve)
+    monkeypatch.setattr(linmaps, "verify_map", counting_verify)
+    literal = skip_jordan or spec == "gf:2"
+    graphs = [random_tree(9, 909), random_tree(6, 3), path_graph(4), WIDE_GRAPHS["cycle3"]]
+    graphs += [OFF_TREE_GRAPHS[name] for name in ("cycle5", "K4", "K5")]
+    for g in graphs:
+        solves.clear()
+        audits.clear()
+        report, _ = analyze_graph(g, parse_field(spec), skip_jordan)
+        assert solves == Counter(derivation=int(literal), jordan=int(not literal), anti=1), g
+        dims = {"derivation": report.dim_der, "jordan": report.dim_jordan or 0, "anti": report.dim_anti}
+        assert audits == Counter(dims), g
 
 
 def test_patched_tables_give_multi_entry_outer_rows():

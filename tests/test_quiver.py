@@ -173,6 +173,15 @@ def test_xorshift_contract():
     assert Xorshift64Star(5).below(2**64) == Xorshift64Star(5).next_u64()
 
 
+def test_xorshift_rejects_a_seed_outside_64_bits():
+    # masking would run seed 2**64 - 1's stream for -1 and seed 0's for 2**64
+    for seed in (-1, 2**64, 2**64 + 7):
+        with pytest.raises(ValueError, match=f"got {seed}$"):
+            Xorshift64Star(seed)
+    top = Xorshift64Star(2**64 - 1)
+    assert top.state == 2**64 - 1 and top.next_u64() != Xorshift64Star(0).next_u64()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**32))
 def test_serialize_parse_round_trip_on_random_trees(n, seed):
