@@ -1,7 +1,7 @@
 """The one analysis pipeline: every space of one graph, HH^0, HH^1 and the checks.
 
-:func:`analyze_graph` solves jordan and anti, reads Der off JDer's basis if
-each map of it passes the derivation audit (:func:`linmaps.derivation_space`)
+:func:`analyze_graph` solves jordan and anti, takes Der as JDer if jordan's
+audit passed each JDer basis map as a derivation (:func:`linmaps.derivation_space`)
 and else, or without JDer (characteristic 2, ``skip_jordan``), solves Der.
 HH^0 = dim center and HH^1 = dim Der - dim Inner, after two invariants whose
 failure is a bug in any field: dim Inner = dim A - dim center, Inner inside

@@ -23,8 +23,8 @@ and eliminates them once, so its cost follows the pool, jordan's from one
 side (one outer table, each pair q <= r and each family read once);
 :func:`leibniz_system` is the same emission over every column.
 :func:`verify_map` audits in integers, off the product groupings of the
-algebra, which generation never reads; :func:`derivation_space` reuses it
-to take Der off a solved jordan space.
+algebra, which generation never reads; :func:`solve` walks jordan maps as
+derivations first, and :func:`derivation_space` takes Der = JDer if all pass.
 
 A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
@@ -67,10 +67,13 @@ class MapSpace:
 
     ``ints`` are its canonical int rows (see :mod:`exactlin`), sparse
     flat-index maps in pivot order, so equal spaces have equal ``ints``;
-    ``rows``, the RREF rows in the field, are built on first read.
+    ``rows``, the RREF rows in the field, are built on first read;
+    ``derivations``, set by :func:`solve` on jordan spaces only, whether
+    every basis map passed the derivation audit.
     """
 
     def __init__(self, flavor: str, field, dim: int, ints: list) -> None:
+        self.derivations = False
         self.flavor = flavor
         self.field = field
         self.dim = dim
@@ -263,8 +266,11 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
       (q, r) and (r, q) are the same.
 
     The map passes iff every sum is zero (mod p over GF(p)), the verdict of
-    a walk over all dim^2 pairs.  At (q, q) the folded jordan equation is
-    the derivation one, half the doubled x o x sum: the same verdict
+    a walk over all dim^2 pairs.  A folded jordan sum at (q, r, p), q < r,
+    is the derivation sum there plus the one at (r, q, p), and likewise for
+    the anti sums; at (q, q) it is the derivation (and anti) one, half the
+    doubled x o x sum.  So a map passing the derivation or the anti walk
+    passes jordan's, and jordan's verdict at (q, q) is the derivation one
     outside characteristic 2, and over GF(2), where :func:`solve` refuses
     jordan, D(x^2) = D(x)x + xD(x) instead of a vacuous check.  Raises
     ValueError for an unknown flavor or a key outside 0..dim^2-1.
@@ -301,25 +307,27 @@ def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     that of :func:`leibniz_system`.  Labelled in decreasing order, the pool
     makes the int kernel read off the pivot rows canonical, read backwards
     (see :mod:`exactlin`), so no second elimination, RREF or ``Fraction``
-    is needed.  Every basis map is re-verified against the defining
-    identity on all basis pairs; a failure there is a solver bug, reported
-    as InternalInvariantError rather than a wrong answer.
+    is needed.  Every basis map is re-verified on all basis pairs, jordan's
+    as derivations and, only where that fails, as jordan maps; a failure is
+    a solver bug, reported as InternalInvariantError, not a wrong answer.
     """
     pool, eqs = _leibniz_equations(a, flavor)
     top = len(pool) - 1
     kernel = _kernel(a.field, exactlin._eliminate(a.field, eqs), len(pool))
     space = MapSpace(flavor, a.field, a.dim, [{pool[top - k]: v for k, v in vec.items()} for vec in reversed(kernel.values())])
-    for row in space.ints:
-        if not verify_map(a, row, flavor):
-            raise InternalInvariantError(f"solved {flavor} basis map fails the defining identity")
+    walk = "derivation" if flavor == "jordan" else flavor
+    failed = [row for row in space.ints if not verify_map(a, row, walk)]
+    if any(walk == flavor or not verify_map(a, row, flavor) for row in failed):
+        raise InternalInvariantError(f"solved {flavor} basis map fails the defining identity")
+    space.derivations = flavor == "jordan" and not failed
     return space
 
 
 def derivation_space(a: ZigzagAlgebra, jordan: MapSpace | None = None) -> MapSpace:
-    """Der as :func:`solve` gives it, but read off the solved ``jordan`` when
-    each of its basis maps passes the derivation audit: Der lies in JDer, as
-    D(xy + yx) = D(x) o y + x o D(y), so then Der = JDer."""
-    if jordan is not None and all(verify_map(a, row, "derivation") for row in jordan.ints):
+    """Der as :func:`solve` gives it, but read off ``jordan`` when :func:`solve`
+    recorded that its basis passed the derivation audit: Der lies in JDer, as
+    D(x o y) = D(x) o y + x o D(y), so Der = JDer."""
+    if jordan is not None and jordan.derivations:
         return MapSpace("derivation", a.field, a.dim, jordan.ints)
     return solve(a, "derivation")
 

@@ -5,11 +5,14 @@ import copy
 import hashlib
 import inspect
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 from bruteforce import (
@@ -632,27 +635,35 @@ def test_derivations_lie_in_the_jordan_space_and_are_read_off_it(spec):
     assert any(name.startswith("edge-") for name in solved)
 
 
+def count_solves_and_audits(monkeypatch, solve_modules):
+    """Counters of the flavors ``solve``, patched in each of
+    ``solve_modules``, and ``linmaps.verify_map`` are called with."""
+    solves, audits = Counter(), Counter()
+
+    def counting_solve(a, flavor):
+        solves[flavor] += 1
+        return solve(a, flavor)
+
+    def counting_verify(a, lin, flavor):
+        audits[flavor] += 1
+        return verify_map(a, lin, flavor)
+
+    for module in solve_modules:
+        monkeypatch.setattr(module, "solve", counting_solve)
+    monkeypatch.setattr(linmaps, "verify_map", counting_verify)
+    return solves, audits
+
+
 @pytest.mark.parametrize(
     "spec, skip_jordan",
     [("rat", False), ("gf:3", False), ("gf:101", False), ("gf:2", False), ("rat", True), ("gf:101", True)],
 )
 def test_analyze_graph_solves_derivations_only_without_jordan(monkeypatch, spec, skip_jordan):
     # with JDer solved, Der comes from its audited basis: no literal
-    # derivation solve, and each basis map of every space audited once
-    real_solve, real_verify = linmaps.solve, linmaps.verify_map
-    solves, audits = Counter(), Counter()
-
-    def counting_solve(a, flavor):
-        solves[flavor] += 1
-        return real_solve(a, flavor)
-
-    def counting_verify(a, lin, flavor):
-        audits[flavor] += 1
-        return real_verify(a, lin, flavor)
-
-    for module in (linmaps, analysis):
-        monkeypatch.setattr(module, "solve", counting_solve)
-    monkeypatch.setattr(linmaps, "verify_map", counting_verify)
+    # derivation solve, and each basis map of every reported space walked
+    # once, under an identity at least as strong as its flavor's (JDer's
+    # under the derivation one, which implies the jordan one)
+    solves, audits = count_solves_and_audits(monkeypatch, (linmaps, analysis))
     literal = skip_jordan or spec == "gf:2"
     graphs = [random_tree(9, 909), random_tree(6, 3), path_graph(4), WIDE_GRAPHS["cycle3"]]
     graphs += [OFF_TREE_GRAPHS[name] for name in ("cycle5", "K4", "K5")]
@@ -661,8 +672,9 @@ def test_analyze_graph_solves_derivations_only_without_jordan(monkeypatch, spec,
         audits.clear()
         report, _ = analyze_graph(g, parse_field(spec), skip_jordan)
         assert solves == Counter(derivation=int(literal), jordan=int(not literal), anti=1), g
-        dims = {"derivation": report.dim_der, "jordan": report.dim_jordan or 0, "anti": report.dim_anti}
-        assert audits == Counter(dims), g
+        assert audits["jordan"] == 0, g
+        walked = report.dim_der if literal else report.dim_jordan
+        assert audits == Counter(derivation=walked, anti=report.dim_anti), g
 
 
 def test_patched_tables_give_multi_entry_outer_rows():
@@ -1190,6 +1202,109 @@ def test_the_audit_catches_a_dropped_equation(monkeypatch, flavor):
             with pytest.raises(InternalInvariantError):
                 solve(a, flavor)
     assert enlarging > 0, flavor
+
+
+# an edge table with an anti map that is no derivation
+ANTI_CHAIN = ((1, 5, -1), (3, 0, 1))
+# (graph, patches): the built oracle graphs, the PATCHES and ANTI_CHAIN
+# tables, and the CHAINED ones, named by their seed
+PATCHES_TABLES = [(name, (patch,)) for name, patches in PATCHES.items() for patch in patches]
+LEMMA_TABLES = [(name, ()) for name in ORACLE_GRAPHS] + PATCHES_TABLES + [("edge", ANTI_CHAIN)]
+LEMMA_TABLES += [(name, seed) for name, seeds in CHAINED.items() for seed in seeds]
+LEMMA_SPECS = ["rat", "gf:3", "gf:101"]
+
+
+@lru_cache(maxsize=None)
+def lemma_table(name, patches, spec):
+    """The algebra of a LEMMA_TABLES entry over ``spec``, and the solved int
+    rows of each flavor on it."""
+    a = build_algebra(ORACLE_GRAPHS[name], parse_field(spec))
+    if isinstance(patches, str):
+        a = chained_patches(a, patches)
+    else:
+        for patch in patches:
+            a = with_patched_table(a, *patch)
+    return a, {flavor: solve(a, flavor).ints for flavor in FLAVORS}
+
+
+COEFFICIENTS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+@st.composite
+def lemma_maps(draw):
+    """A LEMMA_TABLES algebra and a sparse map on it with int and Fraction
+    entries: a combination of one flavor's solved rows plus a few random
+    entries, so that each walk passes on some draws and fails on others."""
+    a, spaces = lemma_table(*draw(st.sampled_from(LEMMA_TABLES)), draw(st.sampled_from(LEMMA_SPECS)))
+    lin = defaultdict(int)
+    for row in spaces[draw(st.sampled_from(FLAVORS))]:
+        c = draw(COEFFICIENTS)
+        for j, v in row.items():
+            lin[j] += c * v
+    for j, v in draw(st.dictionaries(st.integers(0, a.dim * a.dim - 1), COEFFICIENTS, max_size=2)).items():
+        lin[j] += v
+    return a, {j: v for j, v in lin.items() if v}
+
+
+@settings(max_examples=300, deadline=None)
+@given(lemma_maps())
+def test_a_map_passing_the_derivation_or_anti_walk_passes_the_jordan_one(case):
+    # each folded jordan sum of verify_map at (q, r, p) is the derivation
+    # (and the anti) sum there plus the one at (r, q, p), and at (q, q) that
+    # sum itself, so solve may walk a jordan row as a derivation alone
+    a, lin = case
+    jordan = verify_map(a, lin, "jordan")
+    for flavor in ("derivation", "anti"):
+        assert jordan or not verify_map(a, lin, flavor), flavor
+
+
+@pytest.mark.parametrize("spec", LEMMA_SPECS)
+def test_the_jordan_walk_is_strictly_weaker(spec):
+    # the implications above are no equivalences: some PATCHES JDer map and
+    # the ANTI_CHAIN anti map pass the jordan walk but not the derivation one
+    witnesses = set()
+    for name, patches in LEMMA_TABLES:
+        a, spaces = lemma_table(name, patches, spec)
+        for flavor in ("jordan", "anti"):
+            for row in spaces[flavor]:
+                if verify_map(a, row, "jordan") and not verify_map(a, row, "derivation"):
+                    witnesses.add((flavor, "PATCHES" if (name, patches) in PATCHES_TABLES else patches))
+    assert ("jordan", "PATCHES") in witnesses and ("anti", ANTI_CHAIN) in witnesses, witnesses
+
+
+@pytest.mark.parametrize("spec", LEMMA_SPECS)
+def test_a_jordan_map_that_is_no_derivation_gets_one_more_walk(monkeypatch, spec):
+    # on the PATCHES and CHAINED tables whose JDer maps fail the derivation
+    # walk, solve walks each failing row once more, as a jordan map, and
+    # records the failure; derivation_space then solves Der from its own
+    # system without walking JDer again, as it does for a JDer space that
+    # solve did not audit, whose maps it never walks
+    solves, audits = count_solves_and_audits(monkeypatch, (linmaps,))
+    field = parse_field(spec)
+    tables = [with_patched_table(build_algebra(EDGE, field), *patch) for patch in PATCHES["edge"]]
+    tables += [chained_patches(build_algebra(ORACLE_GRAPHS[name], field), seed) for name, seeds in CHAINED.items() for seed in seeds]
+    failing_tables = 0
+    for b in tables:
+        audits.clear()
+        jordan = solve(b, "jordan")  # the unpatched name, whose audit is counted
+        failing = [k for k, row in enumerate(jordan.ints) if not verify_map(b, row, "derivation")]
+        assert audits == Counter(derivation=jordan.dimension, jordan=len(failing))
+        assert jordan.derivations is (not failing)
+        der = solve(b, "derivation")
+        unaudited = MapSpace("jordan", field, b.dim, jordan.ints)
+        assert not der.derivations and not unaudited.derivations
+        for space in (jordan, unaudited):
+            audits.clear()
+            solves.clear()
+            got = derivation_space(b, space)
+            if failing or space is unaudited:
+                assert solves == Counter(derivation=1) and got.ints == der.ints
+                assert audits == Counter(derivation=der.dimension)
+            else:
+                assert not solves and got.ints is jordan.ints
+                assert not audits
+        failing_tables += bool(failing)
+    assert failing_tables == 3, failing_tables
 
 
 @pytest.mark.parametrize("spec", ["rat", "gf:3"])
