@@ -2,7 +2,7 @@
 
 :func:`analyze_graph` solves jordan and anti, takes Der as JDer if jordan's
 audit passed each JDer basis map as a derivation (:func:`linmaps.derivation_space`)
-and else, or without JDer (characteristic 2, ``skip_jordan``), solves Der.
+and else, or without JDer (characteristic 2), solves Der.
 HH^0 = dim center and HH^1 = dim Der - dim Inner, after two invariants whose
 failure is a bug in any field: dim Inner = dim A - dim center, Inner inside
 Der.  On trees over the rationals it checks the paper's formulas and routes;
@@ -74,14 +74,14 @@ class Report:
         return all(v != FAIL for v in self.formula_checks.values())
 
 
-def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
+def analyze_graph(g: Graph, field=RATIONALS):
     """Full pipeline on an in-memory graph.
 
     Returns (report, warnings).  Formula checks are asserted over the
     rationals; under gf:p they are recorded not-applicable and tree-formula
     mismatches come back as warnings.  Internal invariants raise
-    InternalInvariantError in any field.  In characteristic 2 the jordan
-    flavor is always skipped (see :class:`linmaps.CharacteristicTwoError`).
+    InternalInvariantError in any field.  Jordan is solved unless the
+    characteristic is 2 (see :class:`linmaps.CharacteristicTwoError`).
     """
     timings: dict = {}
     warnings: list = []
@@ -104,8 +104,7 @@ def analyze_graph(g: Graph, field=RATIONALS, skip_jordan: bool = False):
     if not stage("associativity", lambda: check_associativity(algebra)):
         raise InternalInvariantError("the basis products are not associative")
     cen = stage("center", lambda: center(algebra))
-    skip_jordan = skip_jordan or field.characteristic == 2
-    jor = None if skip_jordan else stage("jordan", lambda: solve(algebra, "jordan"))
+    jor = None if field.characteristic == 2 else stage("jordan", lambda: solve(algebra, "jordan"))
     der = stage("derivation", lambda: derivation_space(algebra, jor))
     anti = stage("anti", lambda: solve(algebra, "anti"))
     def spanned(maps):

@@ -70,7 +70,7 @@ def _parse_field_flag(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    if field.characteristic == 2 and not args.skip_jordan:
+    if field.characteristic == 2:
         print("warning: characteristic 2, jordan flavor skipped automatically", file=sys.stderr)
     return field
 
@@ -85,7 +85,7 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        report, warnings = analyze_graph(g, field, args.skip_jordan)
+        report, warnings = analyze_graph(g, field)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -130,7 +130,7 @@ def _sweep(args) -> int:
         tree_seed = rng.next_u64()
         g = random_tree(n, tree_seed)
         try:
-            report, warnings = analyze_graph(g, field, args.skip_jordan)
+            report, warnings = analyze_graph(g, field)
         except InternalInvariantError as exc:
             print(f"internal invariant failed on tree #{k}: {exc}", file=sys.stderr)
             print(serialize_graph(g), file=sys.stderr, end="")
@@ -253,12 +253,10 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_jordan=True):
+    def common(p):
         p.add_argument("--field", default="rat", help="coefficient field: rat (default) or gf:<p>")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--quiet", action="store_true", help="suppress the table")
-        if with_jordan:
-            p.add_argument("--skip-jordan", action="store_true", help="skip the jordan flavor")
 
     p_an = sub.add_parser("analyze", help="analyze one graph file")
     p_an.add_argument("graph", help="path to a graph file")
@@ -281,7 +279,7 @@ def main(argv=None) -> int:
 
     p_du = sub.add_parser("dump-derivations", help="print a derivation basis for one graph file")
     p_du.add_argument("graph", help="path to a graph file")
-    common(p_du, with_jordan=False)
+    common(p_du)
     p_du.set_defaults(fn=cmd_dump)
 
     try:

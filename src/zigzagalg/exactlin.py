@@ -86,7 +86,7 @@ class Rationals:
     def convert(self, x) -> Fraction:
         if isinstance(x, float):
             raise FieldMismatchError(f"floating point entry {x!r} rejected: exact arithmetic only")
-        if isinstance(x, (int, Fraction, str)):
+        if isinstance(x, (int, Fraction)):
             return Fraction(x)
         raise FieldMismatchError(f"cannot interpret {x!r} as a rational")
 

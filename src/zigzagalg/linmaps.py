@@ -262,8 +262,8 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
     * -v at (c, r, p) for each b_u b_r = b_p (``a.left_products[u]``) and at
       (q, c, p) for each b_q b_u = b_p (``a.right_products[u]``); anti swaps
       the two: (c, r, p) for b_r b_u = b_p, (q, c, p) for b_u b_q = b_p;
-    * jordan folds each key to (min(q, r), max(q, r), p): its equations at
-      (q, r) and (r, q) are the same.
+    * jordan then adds each finished sum at (q, r, p), q > r, into the one
+      at (r, q, p): its equations at (q, r) and (r, q) are the same.
 
     The map passes iff every sum is zero (mod p over GF(p)), the verdict of
     a walk over all dim^2 pairs.  A folded jordan sum at (q, r, p), q < r,
@@ -282,7 +282,6 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
     scale = lcm(*(v.denominator for v in lin.values()))
     # the products by which Theta(b_c) meets the pairs (c, r) and (q, c)
     at_left, at_right = (a.right_products, a.left_products) if flavor == "anti" else (a.left_products, a.right_products)
-    fold = flavor == "jordan"
     acc = defaultdict(int)
     for j, v in lin.items():
         u, c = divmod(j, dim)
@@ -290,11 +289,14 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
             raise ValueError(f"map key {j} out of range for dimension {dim}")
         v = v.numerator * (scale // v.denominator)
         for q, r in a.factors[c]:
-            acc[(r, q, u) if fold and r < q else (q, r, u)] += v
+            acc[(q, r, u)] += v
         for r, p in at_left[u]:
-            acc[(r, c, p) if fold and r < c else (c, r, p)] -= v
+            acc[(c, r, p)] -= v
         for q, p in at_right[u]:
-            acc[(c, q, p) if fold and c < q else (q, c, p)] -= v
+            acc[(q, c, p)] -= v
+    if flavor == "jordan":
+        for q, r, p in [key for key in acc if key[0] > key[1]]:
+            acc[(r, q, p)] += acc.pop((q, r, p))
     return not any(v % mod for v in acc.values()) if mod else not any(acc.values())
 
 
@@ -323,7 +325,7 @@ def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     return space
 
 
-def derivation_space(a: ZigzagAlgebra, jordan: MapSpace | None = None) -> MapSpace:
+def derivation_space(a: ZigzagAlgebra, jordan: MapSpace | None) -> MapSpace:
     """Der as :func:`solve` gives it, but read off ``jordan`` when :func:`solve`
     recorded that its basis passed the derivation audit: Der lies in JDer, as
     D(x o y) = D(x) o y + x o D(y), so Der = JDer."""

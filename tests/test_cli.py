@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import zigzagalg
-from zigzagalg import analysis, cli, quiver, zigzag
+from zigzagalg import analysis, cli, linmaps, quiver, zigzag
 from zigzagalg.analysis import CHECK_KEYS, FAIL, NA, PASS, Report, analyze_graph
 from zigzagalg.cli import main
 from zigzagalg.exactlin import RATIONALS, parse_field
-from zigzagalg.linmaps import InternalInvariantError
+from zigzagalg.linmaps import InternalInvariantError, MapSpace
 from zigzagalg.quiver import Graph, Xorshift64Star, parse_graph, path_graph, random_tree, serialize_graph, star_graph
 
 EDGE_FILE = "vertices 2\nedge 1 2\n"
@@ -62,11 +62,14 @@ def test_analyze_non_tree_gates_tree_checks(tmp_path, capsys):
     assert doc["hh1"] == 2
 
 
-def test_analyze_skip_jordan_flag(tmp_path, capsys):
-    assert main(["analyze", write(tmp_path, EDGE_FILE), "--json", "--skip-jordan"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["dim_jordan"] is None
-    assert doc["formula_checks"]["jordan_eq_der"] == NA
+def test_jordan_flag_is_retired(tmp_path, capsys):
+    # the field alone decides whether jordan is solved: --skip-jordan is
+    # an unrecognized argument on both subcommands
+    for argv in (["analyze", write(tmp_path, EDGE_FILE)], ["sweep", "--count", "1"]):
+        assert main(argv + ["--skip-jordan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --skip-jordan" in captured.err
 
 
 def test_analyze_gf2_skips_jordan_with_warning(tmp_path, capsys):
@@ -82,11 +85,11 @@ def test_analyze_gf2_skips_jordan_with_warning(tmp_path, capsys):
 
 def test_analyze_graph_skips_jordan_in_characteristic_2():
     # the rule lives in analyze_graph, so a library caller over GF(2) gets
-    # the report --skip-jordan gives, not a CharacteristicTwoError
-    gf2 = parse_field("gf:2")
-    default, skipped = (analyze_graph(path_graph(3), gf2, *flag) for flag in ((), (True,)))
-    assert default[0].to_dict(include_timings=False) == skipped[0].to_dict(include_timings=False)
-    assert default[1] == skipped[1] and default[0].dim_jordan is None
+    # a report without jordan, not a CharacteristicTwoError
+    report, warnings = analyze_graph(path_graph(3), parse_field("gf:2"))
+    assert report.dim_jordan is None and "jordan" not in report.timings_ms
+    assert report.formula_checks["jordan_eq_der"] == NA
+    assert (report.dim_der, report.hh1, warnings) == (7, 1, [])
 
 
 def test_analyze_gf5_runs_clean(tmp_path, capsys):
@@ -265,20 +268,20 @@ ANALYZE_GRAPHS = [
     Graph(4, frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})),
 ]
 PINNED_ANALYSES = {
-    ("rat", False): "2a6794419f764f0e7b60345448a4d06a4c6ae06807cff21424ca1f1d6b093e69",
-    ("gf:3", False): "74e90031e21aeaa32b12f000dbc90dcc81bf61734528947691524b116278728b",
-    ("gf:2", True): "96559e256d84cdc751962205580da4f7a79e9b8904684419fe2fdbc735ad3e59",
+    "rat": "2a6794419f764f0e7b60345448a4d06a4c6ae06807cff21424ca1f1d6b093e69",
+    "gf:3": "74e90031e21aeaa32b12f000dbc90dcc81bf61734528947691524b116278728b",
+    "gf:2": "96559e256d84cdc751962205580da4f7a79e9b8904684419fe2fdbc735ad3e59",
 }
 
 
-@pytest.mark.parametrize("spec, skip_jordan", sorted(PINNED_ANALYSES), ids=str)
-def test_analyses_match_pinned_digest(spec, skip_jordan):
+@pytest.mark.parametrize("spec", sorted(PINNED_ANALYSES))
+def test_analyses_match_pinned_digest(spec):
     digest = hashlib.sha256()
     for g in ANALYZE_GRAPHS:
-        report, warnings = analyze_graph(g, parse_field(spec), skip_jordan)
+        report, warnings = analyze_graph(g, parse_field(spec))
         digest.update(json.dumps(report.to_dict(include_timings=False), sort_keys=True).encode())
         digest.update(json.dumps(warnings).encode())
-    assert digest.hexdigest() == PINNED_ANALYSES[(spec, skip_jordan)]
+    assert digest.hexdigest() == PINNED_ANALYSES[spec]
 
 
 def test_analyze_graph_walks_the_graph_once(monkeypatch):
@@ -420,6 +423,58 @@ def test_analyze_reports_internal_invariants_and_warnings(monkeypatch, tmp_path,
     captured = capsys.readouterr()
     assert captured.err == "warning: planted warning\n"
     assert "result: PASS" in captured.out
+
+
+@pytest.mark.parametrize(
+    "name, broken, message",
+    [
+        ("check_associativity", lambda a: False, "the basis products are not associative"),
+        # one more center dimension than the solved center has
+        ("center", lambda a: (c := zigzag.center(a))._replace(dimension=c.dimension + 1), "inner dimension 6 != dim algebra 10 - dim center 5"),
+    ],
+    ids=["associativity", "center"],
+)
+def test_analyze_graph_internal_invariants(monkeypatch, tmp_path, capsys, name, broken, message):
+    monkeypatch.setattr(analysis, name, broken)
+    with pytest.raises(InternalInvariantError, match=message):
+        analyze_graph(path_graph(3))
+    assert main(["analyze", write(tmp_path, PATH3_FILE)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"internal invariant failed: {message}\n")
+
+
+def test_analyze_fails_a_center_span_that_differs_at_equal_dimension(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(analysis, "span_equal", lambda *args: False)
+    report, _ = analyze_graph(path_graph(3))
+    assert {k for k, v in report.formula_checks.items() if v != PASS} == {"center_formula"}
+    assert report.formula_checks["center_formula"] == FAIL
+    assert main(["analyze", write(tmp_path, PATH3_FILE)]) == 2
+    assert "result: FAIL" in capsys.readouterr().out
+
+
+def larger_derivation_space(a, jordan):
+    """Der with the identity map, which is no derivation, added to its basis."""
+    der = linmaps.derivation_space(a, jordan)
+    identity = {p * a.dim + p: a.field.one for p in range(a.dim)}
+    return MapSpace.from_generators("derivation", a, der.rows + [identity])
+
+
+def test_tree_formula_mismatches_are_warnings_over_gf_p(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(analysis, "derivation_space", larger_derivation_space)
+    report, warnings = analyze_graph(path_graph(3), parse_field("gf:3"))
+    assert (report.dim_der, report.hh1) == (8, 2)
+    assert all(v == NA for v in report.formula_checks.values())
+    assert main(["analyze", write(tmp_path, PATH3_FILE), "--field", "gf:3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: informational (gf:3): derivation dimension is 8, rational-baseline formula gives 7\n"
+        "warning: informational (gf:3): hh1 is 2, rational-baseline formula gives 1\n"
+    )
+    assert [f"warning: {w}" for w in warnings] == captured.err.splitlines()
+    assert "result: PASS" in captured.out
+    # over the rationals the same mismatches fail their checks
+    report, warnings = analyze_graph(path_graph(3))
+    assert warnings == [] and report.formula_checks["der_formula"] == report.formula_checks["hh1_is_one"] == FAIL
 
 
 @pytest.mark.parametrize("text, name", [(PATH3_FILE, "materialize"), (TRIANGLE_FILE, "solve")])

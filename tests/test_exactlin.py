@@ -273,6 +273,14 @@ def test_span_functions_answer_sparse_input_in_sparse_form():
     assert nullspace_basis(qq([[1, 0, 2], [0, 1, -1]])) == [{2: 1, 0: -2, 1: 1}]
 
 
+def test_from_sparse_checks_the_row_count_and_column_range():
+    with pytest.raises(ValueError, match="expected 2 rows, got 1"):
+        Matrix.from_sparse(RATIONALS, 2, 2, [{0: 1}])
+    for j in (-1, 2):
+        with pytest.raises(ValueError, match=f"column index {j} out of range for 2 columns"):
+            Matrix.from_sparse(PrimeField(5), 1, 2, [{j: 1}])
+
+
 def test_dense_vectors_are_rejected():
     # a dense tuple is no sparse row: rejected by name, not read as a dict
     q = Fraction
@@ -292,6 +300,15 @@ def test_float_entries_are_rejected():
         RATIONALS.convert(0.5)
     with pytest.raises(FieldMismatchError):
         PrimeField(5).convert(1.0)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, PrimeField(7)], ids=lambda f: f.name)
+def test_strings_and_other_non_numbers_are_rejected(field):
+    # both fields take ints and Fractions only, so '1/0' cannot escape as a
+    # bare ZeroDivisionError
+    for x in ("3", "1/0", None, [1]):
+        with pytest.raises(FieldMismatchError, match="cannot interpret"):
+            field.convert(x)
 
 
 def test_fraction_with_bad_denominator_rejected_mod_p():

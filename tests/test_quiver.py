@@ -53,6 +53,7 @@ def test_parse_accepts_comments_blanks_and_bytes():
         ("\ufeff\ufeffvertices 3\n", 1, "header"),
         ("vertices 3\n\ufeffedge 1 2\n", 2, "expected 'edge"),
         ("vertices 3\nedge 1 2\ufeff\n", 2, "not integers"),
+        ("# header next\nvertices -2\n", 2, "vertex count -2 is negative"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
