@@ -1,8 +1,8 @@
 """The one analysis pipeline: every space of one graph, HH^0, HH^1 and the checks.
 
-:func:`analyze_graph` solves jordan and anti, takes Der as JDer if jordan's
-audit passed each JDer basis map as a derivation (:func:`linmaps.derivation_space`)
-and else, or without JDer (characteristic 2), solves Der.
+:func:`analyze_graph` solves jordan and, if its audit passed each JDer basis
+map as a derivation, reads Der and Anti off JDer (:func:`linmaps.derivation_space`,
+:func:`linmaps.anti_space`); else, or without JDer (characteristic 2), solves both.
 HH^0 = dim center and HH^1 = dim Der - dim Inner, after two invariants whose
 failure is a bug in any field: dim Inner = dim A - dim center, Inner inside
 Der.  On trees over the rationals it checks the paper's formulas and routes;
@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field as dc_field, fields
 
 from .exactlin import RATIONALS, span_dim, span_equal
-from .linmaps import InternalInvariantError, ad_map, derivation_space, materialize, solve, structured_parameter_basis
+from .linmaps import InternalInvariantError, ad_map, anti_space, derivation_space, materialize, solve, structured_parameter_basis
 from .quiver import Graph
 from .zigzag import build_algebra, center, check_associativity
 
@@ -106,7 +106,7 @@ def analyze_graph(g: Graph, field=RATIONALS):
     cen = stage("center", lambda: center(algebra))
     jor = None if field.characteristic == 2 else stage("jordan", lambda: solve(algebra, "jordan"))
     der = stage("derivation", lambda: derivation_space(algebra, jor))
-    anti = stage("anti", lambda: solve(algebra, "anti"))
+    anti = stage("anti", lambda: anti_space(algebra, jor))
     def spanned(maps):
         return maps, span_dim(maps, field)
 

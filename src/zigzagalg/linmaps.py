@@ -24,7 +24,8 @@ side (one outer table, each pair q <= r and each family read once);
 :func:`leibniz_system` is the same emission over every column.
 :func:`verify_map` audits in integers, off the product groupings of the
 algebra, which generation never reads; :func:`solve` walks jordan maps as
-derivations first, and :func:`derivation_space` takes Der = JDer if all pass.
+derivations first; if all pass, :func:`derivation_space` takes Der = JDer and
+:func:`anti_space` Anti as the JDer maps that vanish on commutators.
 
 A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
@@ -34,13 +35,13 @@ work on these dicts.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
 from . import exactlin
-from .exactlin import Matrix, _in_span, _int_row, _kernel, _nullspace, field_rows, normalize_row, span_canonical_basis
+from .exactlin import Matrix, _canonical, _in_span, _int_row, _kernel, _nullspace, field_rows, normalize_row, span_canonical_basis
 from .zigzag import ZigzagAlgebra
 
 # flavor -> (inner, outer): the orders (xy, yx) of the algebra's product that
@@ -332,6 +333,34 @@ def derivation_space(a: ZigzagAlgebra, jordan: MapSpace | None) -> MapSpace:
     if jordan is not None and jordan.derivations:
         return MapSpace("derivation", a.field, a.dim, jordan.ints)
     return solve(a, "derivation")
+
+
+def anti_space(a: ZigzagAlgebra, jordan: MapSpace | None) -> MapSpace:
+    """Anti as :func:`solve` gives it, read off ``jordan`` if its record says
+    JDer = Der: Anti lies in JDer, and a derivation D has the anti defect
+    D(xy) - yD(x) - D(y)x = D(xy - yx).  Audited as :func:`solve`'s rows."""
+    if jordan is None or not jordan.derivations:
+        return solve(a, "anti")
+    at = defaultdict(list)  # c -> the (i, u, v) of each term v b_u of D_i(b_c), D_i JDer's row i
+    for i, row in enumerate(jordan.ints):
+        for s, v in row.items():
+            at[s % a.dim].append((i, s // a.dim, v))
+    eqs, done = defaultdict(dict), set()  # (p, t, u): coordinate u of D(b_p - b_t), b_None = 0
+    for (q, r), p in a.products.items():
+        if (t := a.products.get((r, q))) != p and (t is None or q < r) and (p, t) not in done:
+            done.add((p, t))  # each nonzero commutator b_q b_r - b_r b_q = b_p - b_t once
+            for s, sign in ((p, 1), (t, -1)):
+                for i, u, v in at[s]:
+                    eqs[p, t, u][i] = eqs[p, t, u].get(i, 0) + sign * v
+    kernel = _kernel(a.field, exactlin._eliminate(a.field, eqs.values()), jordan.dimension)
+    maps = [Counter() for _ in kernel]
+    for m, vec in zip(maps, kernel.values()):
+        for i, w in vec.items():
+            m.update({s: w * v for s, v in jordan.ints[i].items()})
+    space = MapSpace("anti", a.field, a.dim, _canonical(a.field, exactlin._eliminate(a.field, maps)))
+    if not all(verify_map(a, row, "anti") for row in space.ints):
+        raise InternalInvariantError("anti basis map read off JDer fails the defining identity")
+    return space
 
 
 @dataclass

@@ -356,6 +356,16 @@ def test_primes_are_certified_only_below_the_miller_rabin_bound():
     assert parse_field(f"gf:{2**61 - 1}").p == 2**61 - 1
 
 
+def test_fields_hash_by_value_and_show_their_constructor():
+    # equal fields are interchangeable dict keys, and a repr rebuilds the field
+    keyed = {RATIONALS: "rat", PrimeField(3): "gf:3", PrimeField(101): "gf:101"}
+    for spec in ("rat", "gf:3", "gf:101"):
+        field = parse_field(spec)
+        assert hash(field) == hash(eval(repr(field))) and keyed[field] == spec
+    assert len({Rationals(), RATIONALS, PrimeField(5), PrimeField(5), PrimeField(7)}) == 3
+    assert (repr(RATIONALS), repr(PrimeField(7))) == ("Rationals()", "PrimeField(7)")
+
+
 def test_normalize_row_is_primitive_integer_over_rationals():
     # rows come in as ints (fraction-free over the rationals, any residues mod p)
     assert normalize_row(RATIONALS, {0: -2, 2: 4}) == {0: 1, 2: -2}

@@ -46,6 +46,7 @@ from zigzagalg.linmaps import (
     MapSpace,
     _leibniz_equations,
     ad_map,
+    anti_space,
     derivation_space,
     inner_space,
     leibniz_system,
@@ -124,6 +125,13 @@ def test_unknown_flavor_rejected(edge_algebra):
         leibniz_system(edge_algebra, "antiderivation")
     with pytest.raises(ValueError, match="unknown flavor 'jordon'"):
         verify_map(edge_algebra, {}, "jordon")
+    with pytest.raises(ValueError, match="unknown flavor 'jordon'"):
+        MapSpace.from_generators("jordon", edge_algebra, [])
+
+
+def test_map_space_repr_names_flavor_and_dimension(edge_algebra):
+    assert repr(solve(edge_algebra, "derivation")) == "MapSpace('derivation', dim=4)"
+    assert repr(MapSpace.from_generators("anti", edge_algebra, [])) == "MapSpace('anti', dim=0)"
 
 
 def test_verify_map_and_ad_map_reject_indices_outside_the_basis(edge_algebra):
@@ -656,8 +664,8 @@ def count_solves_and_audits(monkeypatch, solve_modules):
 
 @pytest.mark.parametrize("spec", ["rat", "gf:3", "gf:101", "gf:2"])
 def test_analyze_graph_solves_derivations_only_without_jordan(monkeypatch, spec):
-    # with JDer solved, Der comes from its audited basis: no literal
-    # derivation solve, and each basis map of every reported space walked
+    # with JDer solved, Der and Anti come from its audited basis: no literal
+    # derivation or anti solve, and each basis map of every reported space walked
     # once, under an identity at least as strong as its flavor's (JDer's
     # under the derivation one, which implies the jordan one)
     solves, audits = count_solves_and_audits(monkeypatch, (linmaps, analysis))
@@ -668,7 +676,7 @@ def test_analyze_graph_solves_derivations_only_without_jordan(monkeypatch, spec)
         solves.clear()
         audits.clear()
         report, _ = analyze_graph(g, parse_field(spec))
-        assert solves == Counter(derivation=int(literal), jordan=int(not literal), anti=1), g
+        assert solves == Counter(derivation=int(literal), jordan=int(not literal), anti=int(literal)), g
         assert audits["jordan"] == 0, g
         walked = report.dim_der if literal else report.dim_jordan
         assert audits == Counter(derivation=walked, anti=report.dim_anti), g
@@ -1302,6 +1310,176 @@ def test_a_jordan_map_that_is_no_derivation_gets_one_more_walk(monkeypatch, spec
                 assert not audits
         failing_tables += bool(failing)
     assert failing_tables == 3, failing_tables
+
+
+def random_patched(a, seed):
+    """``a`` with one to three seeded random patches of its table."""
+    rng = random.Random(seed)
+    for _ in range(rng.randrange(1, 4)):
+        a = with_patched_table(a, rng.randrange(a.dim), rng.randrange(a.dim), rng.randrange(-1, a.dim))
+    return a
+
+
+def anti_route_cases(field):
+    """The algebras of the POOL_TREES, OFF_TREE_GRAPHS and ORACLE_GRAPHS over
+    ``field``, their PATCHES and CHAINED tables, and four seeded random
+    patches of each table up to dimension 30."""
+    for name, g in {**POOL_TREES, **OFF_TREE_GRAPHS, **ORACLE_GRAPHS}.items():
+        a = build_algebra(g, field)
+        yield a
+        yield from (with_patched_table(a, *patch) for patch in PATCHES.get(name, ()))
+        yield from (chained_patches(a, seed) for seed in CHAINED.get(name, ()))
+        if a.dim <= 30:
+            yield from (random_patched(a, f"{name}-{k}") for k in range(4))
+
+
+def mixed_basis(rows):
+    """Another basis of the span of ``rows`` outside characteristic 2: twice
+    each row plus the next, last first."""
+    out = []
+    for row, after in zip(rows, rows[1:] + [{}]):
+        mixed = Counter({j: 2 * v for j, v in row.items()})
+        mixed.update(after)
+        out.append({j: v for j, v in mixed.items() if v})
+    return out[::-1]
+
+
+@pytest.mark.parametrize("spec", LEMMA_SPECS)
+def test_anti_is_read_off_the_jordan_space(monkeypatch, spec):
+    # where JDer's basis passed the derivation walk, JDer = Der and Anti is
+    # the JDer maps killing every commutator: solve's canonical rows with no
+    # anti solve, each basis map walked once as an anti map; elsewhere the
+    # literal solve.  Some CHAINED and random tables read a nonzero Anti off
+    # JDer, so the kernel's maps are combined, and canonicalised: JDer given
+    # by another basis gives the same rows.
+    solves, audits = count_solves_and_audits(monkeypatch, (linmaps,))
+    seen = Counter()
+    for b in anti_route_cases(parse_field(spec)):
+        jordan, want = solve(b, "jordan"), solve(b, "anti")  # the unpatched name
+        solves.clear()
+        audits.clear()
+        got = anti_space(b, jordan)
+        assert (got.flavor, got.ints) == ("anti", want.ints)
+        assert solves == Counter(anti=int(not jordan.derivations)) and audits == Counter(anti=want.dimension)
+        seen["read" if jordan.derivations else "solved", bool(want.dimension)] += 1
+        if jordan.derivations and want.dimension:
+            mixed = MapSpace("jordan", b.field, b.dim, mixed_basis(jordan.ints))
+            mixed.derivations = True
+            assert anti_space(b, mixed).ints == want.ints
+    assert seen["read", True] and seen["read", False] and seen["solved", False], seen
+
+
+def test_anti_is_solved_literally_without_jordan(monkeypatch):
+    # over GF(2) there is no JDer to read Anti off
+    solves, _ = count_solves_and_audits(monkeypatch, (linmaps,))
+    for g in (random_tree(9, 909), *OFF_TREE_GRAPHS.values()):
+        b = build_algebra(g, PrimeField(2))
+        solves.clear()
+        got = anti_space(b, None)
+        assert solves == Counter(anti=1) and got.ints == solve(b, "anti").ints
+
+
+def kills_commutators(a, lin):
+    """Whether the int map ``lin`` vanishes on every b_q b_r - b_r b_q, in
+    the field, read off the plain table."""
+    table, dim, mod = dense_table(a), a.dim, a.field.characteristic
+    for q in range(dim):
+        for r in range(dim):
+            for u in range(dim):
+                v = sum(sign * lin.get(u * dim + s, 0) for s, sign in ((table[q][r], 1), (table[r][q], -1)) if s >= 0)
+                if v % mod if mod else v:
+                    return False
+    return True
+
+
+@st.composite
+def lemma_derivations(draw):
+    """A LEMMA_TABLES algebra and an int combination of its solved Der rows,
+    or of those anti rows that are derivations."""
+    a, spaces = lemma_table(*draw(st.sampled_from(LEMMA_TABLES)), draw(st.sampled_from(LEMMA_SPECS)))
+    rows = spaces["derivation"]
+    if draw(st.booleans()):
+        rows = [row for row in spaces["anti"] if verify_map(a, row, "derivation")]
+    lin = defaultdict(int)
+    for row in rows:
+        c = draw(st.integers(-3, 3))
+        for j, v in row.items():
+            lin[j] += c * v
+    return a, {j: v for j, v in lin.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(lemma_derivations())
+def test_a_derivation_is_anti_iff_it_kills_every_commutator(case):
+    # D(xy) - yD(x) - D(y)x = D(xy - yx) for a derivation D, any product
+    a, lin = case
+    assert verify_map(a, lin, "anti") == kills_commutators(a, lin)
+
+
+def test_nonzero_derivations_kill_every_commutator_on_chained_tables():
+    # the lemma's True side is reached by nonzero maps, not only by D = 0
+    hits = [
+        (name, patches, spec)
+        for name, patches in LEMMA_TABLES
+        for spec in LEMMA_SPECS
+        for a, spaces in [lemma_table(name, patches, spec)]
+        if any(verify_map(a, row, "derivation") and kills_commutators(a, row) for row in spaces["anti"])
+    ]
+    assert any(isinstance(patches, str) for _, patches, _ in hits), hits
+
+
+def up_to_sign(row, mod):
+    """The int row and its negative, mod ``mod`` if nonzero, as the lesser of
+    their sorted nonzero items."""
+    return min(tuple(sorted((i, c) for i, v in row.items() if (c := sign * v % mod if mod else sign * v))) for sign in (1, -1))
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:3"])
+def test_the_anti_route_lists_each_commutator_once(monkeypatch, spec):
+    # the route emits, up to sign, coordinate u of D(b_q b_r - b_r b_q) over
+    # the JDer rows D, once per nonzero commutator and per output u some JDer
+    # row writes at either product: the pair (r, q) gives the same equation
+    # negated, and on a tree b_a = e_u a = a e_v is one commutator of two
+    # pairs for each arrow a: u -> v (summed twice, it would read 2 D(b_a))
+    eliminate, emitted = exactlin._eliminate, []
+
+    def recording(field, rows):
+        emitted.append(list(rows))
+        return eliminate(field, emitted[-1])
+
+    for g in (random_tree(9, 909), OFF_TREE_GRAPHS["K4"], OFF_TREE_GRAPHS["theta"]):
+        a = build_algebra(g, parse_field(spec))
+        jordan = solve(a, "jordan")
+        emitted.clear()
+        monkeypatch.setattr(exactlin, "_eliminate", recording)
+        anti_space(a, jordan)
+        monkeypatch.undo()
+        table, dim, outputs = dense_table(a), a.dim, defaultdict(set)
+        for row in jordan.ints:
+            for j in row:
+                outputs[j % dim].add(j // dim)
+        # b_q b_r - b_r b_q = b_p - b_t up to sign, b_-1 = 0
+        commutators = {frozenset((table[q][r], table[r][q])) for q in range(dim) for r in range(q) if table[q][r] != table[r][q]}
+        want = [
+            {i: row.get(u * dim + p, 0) - (row.get(u * dim + t, 0) if t >= 0 else 0) for i, row in enumerate(jordan.ints)}
+            for t, p in map(sorted, commutators)
+            for u in outputs[p] | outputs[t]
+        ]
+        mod = a.field.characteristic
+        assert sorted(up_to_sign(row, mod) for row in emitted[0]) == sorted(up_to_sign(row, mod) for row in want), g
+
+
+def test_the_anti_audit_catches_a_dropped_pivot(monkeypatch):
+    # the route's elimination losing any one pivot row: the kernel gains a
+    # JDer map that is no anti map on a tree, and the audit must raise
+    a = build_algebra(random_tree(6, 7))
+    jordan = solve(a, "jordan")
+    assert jordan.derivations and jordan.dimension and not anti_space(a, jordan).dimension
+    kernel = linmaps._kernel
+    for drop in range(jordan.dimension):
+        monkeypatch.setattr(linmaps, "_kernel", lambda f, pivots, n: kernel(f, {c: r for c, r in pivots.items() if c != drop}, n))
+        with pytest.raises(InternalInvariantError, match="anti"):
+            anti_space(a, jordan)
 
 
 @pytest.mark.parametrize("spec", ["rat", "gf:3"])

@@ -23,6 +23,11 @@ def test_single_edge_basis_and_dim(edge_algebra):
     assert a.basis == ("e1", "e2", "a(1->2)", "a(2->1)", "c1", "c2")
 
 
+def test_repr_names_the_graph_size_dimension_and_field():
+    assert repr(build_algebra(path_graph(3), PrimeField(5))) == "ZigzagAlgebra(n=3, dim=10, field=gf:5)"
+    assert repr(build_algebra(Graph(2, frozenset({(1, 2)})))) == "ZigzagAlgebra(n=2, dim=6, field=rat)"
+
+
 def test_dims_match_graph_size():
     assert build_algebra(path_graph(3)).dim == 10
     assert build_algebra(star_graph(4)).dim == 14  # one center, three leaves
