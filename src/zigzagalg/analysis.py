@@ -8,7 +8,8 @@ failure is a bug in any field: dim Inner = dim A - dim center, Inner inside
 Der.  On trees over the rationals it checks the paper's formulas and routes;
 only there does the structured route run.  Relations between spaces are
 decided in ints: jordan = der on canonical int rows, Inner and structured
-in Der by their generators and the dimensions of their spans.
+in Der by their int generators and the dimensions of their spans, so over
+the rationals only the center's rows hold ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from dataclasses import dataclass, field as dc_field, fields
 
 from .exactlin import RATIONALS, span_dim, span_equal
-from .linmaps import InternalInvariantError, ad_map, anti_space, derivation_space, materialize, solve, structured_parameter_basis
+from .linmaps import InternalInvariantError, ad_map, anti_space, derivation_space, solve, structured_generators
 from .quiver import Graph
 from .zigzag import build_algebra, center, check_associativity
 
@@ -111,7 +112,7 @@ def analyze_graph(g: Graph, field=RATIONALS):
         return maps, span_dim(maps, field)
 
     if rational and is_tree:
-        struct, dim_struct = stage("structured", lambda: spanned([materialize(algebra, p) for p in structured_parameter_basis(algebra)]))
+        struct, dim_struct = stage("structured", lambda: spanned(structured_generators(algebra)))
     inner, dim_inner = stage("inner", lambda: spanned([ad_map(algebra, k) for k in range(algebra.dim)]))
 
     t_checks = elapsed_us()

@@ -102,26 +102,27 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    try:
-        return _sweep(args)
-    finally:
-        if args.timings is not None:
-            args.timings.close()
-
-
-def _sweep(args) -> int:
     field = _parse_field_flag(args)
     if field is None:
         return 1
     if args.count < 1 or args.n_min < 2 or args.n_max < args.n_min:
         print("error: need count >= 1 and 2 <= n-min <= n-max", file=sys.stderr)
         return 1
-
     try:
         rng = Xorshift64Star(args.seed)
-    except ValueError as exc:
+        # opened only now, so a rejected sweep leaves an existing FILE as it was
+        timings = None if args.timings is None else open(args.timings, "w", encoding="utf-8")
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        return _sweep(args, field, rng, timings)
+    finally:
+        if timings is not None:
+            timings.close()
+
+
+def _sweep(args, field, rng, timings) -> int:
     span = args.n_max - args.n_min + 1
     results = []
     failures = []
@@ -137,9 +138,9 @@ def _sweep(args) -> int:
             return 2
         for w in warnings:
             print(f"warning: tree #{k}: {w}", file=sys.stderr)
-        if args.timings is not None:
+        if timings is not None:
             record = {"index": k, "tree_seed": tree_seed, "n": n, "timings_ms": report.timings_ms}
-            print(json.dumps(record), file=args.timings)
+            print(json.dumps(record), file=timings)
         results.append((k, tree_seed, report))
         if not report.all_pass():
             failures.append((k, g, report))
@@ -269,10 +270,7 @@ def main(argv=None) -> int:
     p_sw.add_argument("--n-max", type=int, default=12)
     p_sw.add_argument("--seed", type=int, default=0)
     p_sw.add_argument(
-        "--timings",
-        type=argparse.FileType("w", encoding="utf-8"),
-        metavar="FILE",
-        help="write each graph's stage timings to FILE, one JSON object per line",
+        "--timings", metavar="FILE", help="write each graph's stage timings to FILE, one JSON object per line"
     )
     common(p_sw)
     p_sw.set_defaults(fn=cmd_sweep)

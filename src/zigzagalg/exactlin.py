@@ -4,14 +4,14 @@ Everything in this package that looks like linear algebra goes through this
 module: reduced row-echelon forms, kernels, and span comparisons, all with
 exact arithmetic and no floating point.  It works on ints (fraction-free
 over the rationals, residues mod p), scaling ``Fraction`` rows where they
-enter and making ``Fraction``s only for a returned result; spans compare
-by canonical int rows (:func:`_canonical`).  Every kernel is one
-:func:`_eliminate` then :func:`_kernel`, of a validated ``Matrix`` or of the
-package's own int rows, taken as they come: repeated or rescaled rows
-reduce to zero like any other dependent row, and only the results are
-scaled, canonical rows to primitive ints and kernel vectors at their free
-column.  A field only converts values into itself (``convert``);
-arithmetic on its elements is plain Python, mod p in GF(p).
+enter (an int row is only copied) and making ``Fraction``s only for a
+returned result; spans compare by canonical int rows (:func:`_canonical`).
+Every kernel is one :func:`_eliminate` then :func:`_kernel`, of a validated
+``Matrix`` or of the package's own int rows, taken as they come: repeated
+or rescaled rows reduce to zero like any other dependent row, and only the
+results are scaled, canonical rows to primitive ints and kernel vectors at
+their free column.  A field only converts values into itself
+(``convert``); arithmetic on its elements is plain Python, mod p in GF(p).
 
 Matrices are stored as sparse rows (dict column -> nonzero scalar), as the
 Leibniz systems downstream need: many rows, a few nonzero entries each.
@@ -194,7 +194,9 @@ class RrefResult(NamedTuple):
 
 
 def _int_row(row: dict) -> dict:
-    """``row`` times the lcm of its denominators: ints."""
+    """``row`` times the lcm of its denominators: ints, a copy if they are."""
+    if all(type(x) is int for x in row.values()):
+        return dict(row)
     L = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (L // x.denominator) for j, x in row.items()}
 
@@ -358,10 +360,10 @@ def _kernel(field, pivots: dict, ncols: int) -> dict:
     return vecs
 
 
-def _nullspace(field, rows: Iterable[dict], ncols: int) -> list:
-    """:func:`nullspace_basis` of int ``rows`` (any residues mod p), unvalidated."""
+def _nullspace(field, rows: Iterable[dict], ncols: int, ints: bool = False) -> list:
+    """:func:`nullspace_basis` of int ``rows`` (any residues mod p), unvalidated; with ``ints``, :func:`_kernel`'s int vectors."""
     kernel = _kernel(field, _eliminate(field, rows), ncols)
-    if field.characteristic:
+    if ints or field.characteristic:
         return list(kernel.values())
     return [{f: field.one} | {j: Fraction(v, vec[f]) for j, v in vec.items() if j != f} for f, vec in kernel.items()]
 

@@ -29,8 +29,9 @@ derivations first; if all pass, :func:`derivation_space` takes Der = JDer and
 
 A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
-checks, the generators of the structured and inner spaces and the audit all
-work on these dicts.
+checks and the audit all work on these dicts; :func:`structured_generators`
+and :func:`ad_map` build theirs in ints (residues mod p over GF(p)), so the
+span checks on them make no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -382,16 +383,19 @@ def materialize(a: ZigzagAlgebra, params: DerivationParams) -> dict:
     """The sparse flat-index map the parameters describe, built from their
     nonzeros, each converted into the field.  Raises ValueError if the
     parameters mention a non-arrow or violate per-vertex consistency."""
-    field = a.field
-    zero = field.zero
-    mod = field.characteristic
-    a_at, e_at, c_at = a.a_at, a.e_at, a.c_at
     for key in list(params.t) + list(params.d):
-        if key not in a_at:
+        if key not in a.a_at:
             raise ValueError(f"parameter for non-arrow {key}")
-    t = {ar: c for ar, v in params.t.items() if (c := field.convert(v)) != zero}
-    d = {ar: c for ar, v in params.d.items() if (c := field.convert(v)) != zero}
+    t = {ar: c for ar, v in params.t.items() if (c := a.field.convert(v))}
+    d = {ar: c for ar, v in params.d.items() if (c := a.field.convert(v))}
+    return _materialize(a, t, d)
 
+
+def _materialize(a: ZigzagAlgebra, t: dict, d: dict) -> dict:
+    """:func:`materialize` of nonzero arrow parameters ``t`` and ``d`` taken as
+    they are: field elements, or ints (residues over GF(p)) for an int map."""
+    mod = a.field.characteristic
+    a_at, e_at, c_at = a.a_at, a.e_at, a.c_at
     # no two terms below share a coordinate, so each entry is stored as is
     dim = a.dim
     out: dict = {}
@@ -408,27 +412,28 @@ def materialize(a: ZigzagAlgebra, params: DerivationParams) -> dict:
     # j; each edge d touches gives its sum at both ends
     sums: dict = {}
     for u, v in {(min(ar), max(ar)) for ar in d}:
-        s = d.get((u, v), zero) + d.get((v, u), zero)
+        s = d.get((u, v), 0) + d.get((v, u), 0)
         s = s % mod if mod else s
         for i in (u, v):
             sums.setdefault(i, []).append(s)
     for i, at_i in sorted(sums.items()):
         if len(at_i) < len(a.nbrs[i]):  # an edge d does not touch gives zero
-            at_i.append(zero)
+            at_i.append(0)
         if len(set(at_i)) > 1:
             raise ValueError(
                 f"inconsistent parameters: cycle coefficients at vertex {i} disagree across neighbors"
             )
-        if at_i[0] != zero:
+        if at_i[0]:
             out[c_at[i] * dim + c_at[i]] = at_i[0]
     return out
 
 
-def structured_parameter_basis(a: ZigzagAlgebra) -> list:
+def structured_parameter_basis(a: ZigzagAlgebra, ints: bool = False) -> list:
     """Canonical basis of the parameter space (t_a, d_a) modulo consistency.
 
     Free coordinates: one t per arrow, one d per arrow, in ``a.arrows`` order;
-    the per-vertex cycle-consistency conditions are solved exactly.
+    the per-vertex cycle-consistency conditions are solved exactly (with
+    ``ints``, each vector scaled to the ints :func:`exactlin._kernel` gives).
     """
     arrows = a.arrows
     m = len(arrows)
@@ -438,12 +443,18 @@ def structured_parameter_basis(a: ZigzagAlgebra) -> list:
         for j in nb[1:]:  # d[(i, j)] + d[(j, i)] = d[(i, j0)] + d[(j0, i)], j0 = nb[0]
             rows.append({m + pos[(i, nb[0])]: 1, m + pos[(nb[0], i)]: 1, m + pos[(i, j)]: -1, m + pos[(j, i)]: -1})
     out = []
-    for vec in _nullspace(a.field, rows, 2 * m):
+    for vec in _nullspace(a.field, rows, 2 * m, ints):
         coords = sorted(vec.items())
         t = {arrows[k]: v for k, v in coords if k < m}
         d = {arrows[k - m]: v for k, v in coords if k >= m}
         out.append(DerivationParams(t=t, d=d))
     return out
+
+
+def structured_generators(a: ZigzagAlgebra) -> list:
+    """Int maps spanning the structured space: :func:`materialize`'s
+    arithmetic on the int parameter basis, no value converted."""
+    return [_materialize(a, p.t, p.d) for p in structured_parameter_basis(a, ints=True)]
 
 
 def structured_space(a: ZigzagAlgebra) -> MapSpace:
@@ -453,13 +464,14 @@ def structured_space(a: ZigzagAlgebra) -> MapSpace:
 
 
 def ad_map(a: ZigzagAlgebra, k: int) -> dict:
-    """The commutator map [b_k, -] as a sparse flat-index map.  Raises
-    ValueError for k outside 0..dim-1."""
+    """The commutator map [b_k, -] as a sparse flat-index map of ints: 1 and
+    -1 over the rationals, 1 and p - 1 over GF(p).  Raises ValueError for k
+    outside 0..dim-1."""
     if not 0 <= k < a.dim:
         raise ValueError(f"basis index {k} out of range for dimension {a.dim}")
-    one, minus_one = a.field.one, a.field.convert(-1)
+    minus_one = a.field.characteristic - 1  # -1 over the rationals
     dim = a.dim
-    out = {p * dim + q: one for q, p in a.left_products[k]}  # b_k b_q = b_p
+    out = {p * dim + q: 1 for q, p in a.left_products[k]}  # b_k b_q = b_p
     for q, p in a.right_products[k]:  # b_q b_k = b_p
         if out.pop(p * dim + q, None) is None:  # else b_k b_q = b_q b_k: it cancels
             out[p * dim + q] = minus_one

@@ -526,6 +526,17 @@ def test_sweep_timings_file_that_cannot_be_opened_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--field", "gf:4"], ["--count", "0"], ["--n-min", "3", "--n-max", "2"], ["--seed", "-1"]])
+def test_a_rejected_sweep_leaves_an_existing_timings_file_unchanged(tmp_path, capsys, flags):
+    # the file is opened only after the field, range and seed checks pass
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"kept": true}\n')
+    assert main(["sweep", "--count", "1", *flags, "--timings", str(path)]) == 1
+    assert path.read_bytes() == b'{"kept": true}\n'
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
 def test_console_script_installed(tmp_path):
     exe = shutil.which("zigzagalg")
     if exe is None:

@@ -52,6 +52,7 @@ from zigzagalg.linmaps import (
     leibniz_system,
     materialize,
     solve,
+    structured_generators,
     structured_parameter_basis,
     structured_space,
     verify_map,
@@ -1098,9 +1099,65 @@ def test_solve_and_the_relation_checks_make_no_fraction():
         basis = span_canonical_basis(maps)
         assert [list(r.items()) for r in space.rows] == [list(r.items()) for r in basis]
         assert all(type(x) is Fraction for r in space.rows for x in r.values())
+    # the center's off-identity entries are the only Fractions analyze makes
+    # (737 with Fraction generators, 891 with field.neg and field.add, 2,843
+    # with Fraction canonical bases)
+    g = random_tree(40, 12345)
     with counting_fractions() as made:
-        analyze_graph(random_tree(40, 12345))
-    assert made["fractions"] <= 737, made  # 891 with field.neg and field.add; 2,843 with Fraction canonical bases
+        analyze_graph(g)
+    assert made["fractions"] == sum(len(r) - 1 for r in center(build_algebra(g)).rows), made
+
+
+INT_ROUTE_GRAPHS = {**{f"tree{n}": random_tree(n, 3000 + n) for n in range(2, 13)}, "star7": star_graph(7)}
+
+
+def int_values(maps, field) -> bool:
+    """Whether every value is an int, in 1..p-1 over GF(p)."""
+    p = field.characteristic
+    return all(type(v) is int and (0 < v < p if p else v) for m in maps for v in m.values())
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:3", "gf:101"])
+def test_int_structured_generators_span_the_materialized_parameter_basis(spec):
+    # each int generator is a nonzero multiple of the map materialize makes
+    # of the parameter vector in its place, so the two span one space
+    field = parse_field(spec)
+    p = field.characteristic
+    for name, g in INT_ROUTE_GRAPHS.items():
+        a = build_algebra(g, field)
+        ints = structured_generators(a)
+        maps = [materialize(a, params) for params in structured_parameter_basis(a)]
+        assert len(ints) == len(maps) == 3 * g.n - 2 and int_values(ints, field), name
+        for m, f in zip(ints, maps):
+            j = min(f)
+            c = m[j] * pow(f[j], -1, p) % p if p else m[j] / f[j]
+            assert m == {i: c * v % p if p else c * v for i, v in f.items()}, name
+        assert span_canonical_basis(ints, field) == span_canonical_basis(maps, field), name
+
+
+def int_route_tables(field) -> dict:
+    """The algebras of ``INT_ROUTE_GRAPHS``, C4 and K4, and the PATCHES and
+    CHAINED tables, over ``field``."""
+    graphs = {**INT_ROUTE_GRAPHS, "cycle4": REFERENCE_GRAPHS["cycle4"], "K4": OFF_TREE_GRAPHS["K4"]}
+    cases = {name: build_algebra(g, field) for name, g in graphs.items()}
+    for name in CHAINED:
+        base = build_algebra(ORACLE_GRAPHS[name], field)
+        cases |= {f"{name}-patch{k}": with_patched_table(base, *patch) for k, patch in enumerate(PATCHES[name])}
+        cases |= {seed: chained_patches(base, seed) for seed in CHAINED[name]}
+    return cases
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:3", "gf:101"])
+def test_int_ad_maps_span_the_field_valued_commutators(spec):
+    # ad_map's ints are the literal commutator's coefficients converted into
+    # the field, entry for entry, so they span what the field values span
+    field = parse_field(spec)
+    for name, a in int_route_tables(field).items():
+        table = dense_table(a)
+        literal = [{j: c for j, v in commutator_literal(table, k).items() if (c := field.convert(v))} for k in range(a.dim)]
+        ints = [ad_map(a, k) for k in range(a.dim)]
+        assert ints == literal and int_values(ints, field), name
+        assert span_canonical_basis(ints, field) == span_canonical_basis(literal, field), name
 
 
 @pytest.mark.parametrize("relation", ["jordan", "structured", "inner"])
@@ -1111,10 +1168,10 @@ def test_a_relation_is_more_than_a_dimension(monkeypatch, relation):
     a = build_algebra(random_tree(6, 3))
     e = a.e_at[1]
     E = e * a.dim + e
-    real = {name: getattr(analysis, name) for name in ("solve", "materialize", "ad_map")}
+    real = {name: getattr(analysis, name) for name in ("solve", "structured_generators", "ad_map")}
     maps = {
         "jordan": real["solve"](a, "derivation").rows,
-        "structured": [real["materialize"](a, p) for p in structured_parameter_basis(a)],
+        "structured": real["structured_generators"](a),
         "inner": [real["ad_map"](a, k) for k in range(a.dim)],
     }[relation]
     j = min(j for m in maps for j in m)
@@ -1132,7 +1189,7 @@ def test_a_relation_is_more_than_a_dimension(monkeypatch, relation):
         report, _ = analyze_graph(random_tree(6, 3))
         assert report.dim_jordan == report.dim_der and report.formula_checks["jordan_eq_der"] == "fail"
     elif relation == "structured":
-        monkeypatch.setattr(analysis, "materialize", lambda b, p: skew(real["materialize"](b, p)))
+        monkeypatch.setattr(analysis, "structured_generators", lambda b: [skew(m) for m in real["structured_generators"](b)])
         report, _ = analyze_graph(random_tree(6, 3))
         assert report.formula_checks["structured_eq_solver"] == "fail"
     else:
