@@ -9,11 +9,13 @@ Der.  On trees over the rationals it checks the paper's formulas and routes;
 only there does the structured route run.  Relations between spaces are
 decided in ints: jordan = der on canonical int rows, Inner and structured
 in Der by their int generators and the dimensions of their spans, so over
-the rationals only the center's rows hold ``Fraction``s.
+the rationals only the center's rows hold ``Fraction``s.  The pipeline
+builds no reference cycles, so it runs with the cyclic collector paused.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field as dc_field, fields
 
@@ -83,94 +85,102 @@ def analyze_graph(g: Graph, field=RATIONALS):
     mismatches come back as warnings.  Internal invariants raise
     InternalInvariantError in any field.  Jordan is solved unless the
     characteristic is 2 (see :class:`linmaps.CharacteristicTwoError`).
+    The cyclic collector is paused, and left as found on return or raise:
+    no object built here is in a cycle, so reference counting frees them all.
     """
-    timings: dict = {}
-    warnings: list = []
-    t_start = time.perf_counter()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        timings: dict = {}
+        warnings: list = []
+        t_start = time.perf_counter()
 
-    def elapsed_us() -> int:
-        return round((time.perf_counter() - t_start) * 1e6)
+        def elapsed_us() -> int:
+            return round((time.perf_counter() - t_start) * 1e6)
 
-    # stage bounds are read off one rounded clock, so the stages never sum to
-    # more than the total
-    def stage(name, fn):
-        t0 = elapsed_us()
-        out = fn()
-        timings[name] = (elapsed_us() - t0) / 1000
-        return out
+        # stage bounds are read off one rounded clock, so the stages never sum to
+        # more than the total
+        def stage(name, fn):
+            t0 = elapsed_us()
+            out = fn()
+            timings[name] = (elapsed_us() - t0) / 1000
+            return out
 
-    rational = field.characteristic == 0
-    algebra = stage("build", lambda: build_algebra(g, field))
-    is_tree = algebra.is_tree
-    if not stage("associativity", lambda: check_associativity(algebra)):
-        raise InternalInvariantError("the basis products are not associative")
-    cen = stage("center", lambda: center(algebra))
-    jor = None if field.characteristic == 2 else stage("jordan", lambda: solve(algebra, "jordan"))
-    der = stage("derivation", lambda: derivation_space(algebra, jor))
-    anti = stage("anti", lambda: anti_space(algebra, jor))
-    def spanned(maps):
-        return maps, span_dim(maps, field)
+        rational = field.characteristic == 0
+        algebra = stage("build", lambda: build_algebra(g, field))
+        is_tree = algebra.is_tree
+        if not stage("associativity", lambda: check_associativity(algebra)):
+            raise InternalInvariantError("the basis products are not associative")
+        cen = stage("center", lambda: center(algebra))
+        jor = None if field.characteristic == 2 else stage("jordan", lambda: solve(algebra, "jordan"))
+        der = stage("derivation", lambda: derivation_space(algebra, jor))
+        anti = stage("anti", lambda: anti_space(algebra, jor))
+        def spanned(maps):
+            return maps, span_dim(maps, field)
 
-    if rational and is_tree:
-        struct, dim_struct = stage("structured", lambda: spanned(structured_generators(algebra)))
-    inner, dim_inner = stage("inner", lambda: spanned([ad_map(algebra, k) for k in range(algebra.dim)]))
+        if rational and is_tree:
+            struct, dim_struct = stage("structured", lambda: spanned(structured_generators(algebra)))
+        inner, dim_inner = stage("inner", lambda: spanned([ad_map(algebra, k) for k in range(algebra.dim)]))
 
-    t_checks = elapsed_us()
-    if dim_inner != algebra.dim - cen.dimension:
-        raise InternalInvariantError(
-            f"inner dimension {dim_inner} != dim algebra {algebra.dim} - dim center {cen.dimension}"
+        t_checks = elapsed_us()
+        if dim_inner != algebra.dim - cen.dimension:
+            raise InternalInvariantError(
+                f"inner dimension {dim_inner} != dim algebra {algebra.dim} - dim center {cen.dimension}"
+            )
+        if not der.contains(inner):
+            raise InternalInvariantError("inner derivations do not sit inside the solved derivation space")
+        hh1 = der.dimension - dim_inner
+
+        n = g.n
+        n_arrows = len(algebra.arrows)
+        checks = {k: NA for k in CHECK_KEYS}
+
+        # the tree formulas: checks over the rationals, warnings over gf:p
+        tree_formulas = [
+            ("der_formula", "derivation dimension", der.dimension, 3 * n - 2),
+            ("inner_formula", "inner dimension", dim_inner, n + n_arrows - 1),
+            ("center_formula", "center dimension", cen.dimension, n + 1),
+            ("hh1_is_one", "hh1", hh1, 1),
+        ] if is_tree else []
+        if rational:
+            checks["dim_algebra_formula"] = PASS if algebra.dim == 2 * n + n_arrows else FAIL
+            for key, _, got, want in tree_formulas:
+                checks[key] = PASS if got == want else FAIL
+            if is_tree:
+                # the center is spanned by the identity and the cycles
+                span = [algebra.identity()] + [{c: field.one} for c in algebra.c_at.values()]
+                if checks["center_formula"] == PASS and not span_equal(cen.rows, span, field):
+                    checks["center_formula"] = FAIL
+                if jor is not None:
+                    checks["jordan_eq_der"] = PASS if jor.ints == der.ints else FAIL
+                checks["anti_is_zero"] = PASS if anti.dimension == 0 else FAIL
+                checks["structured_eq_solver"] = PASS if dim_struct == der.dimension and der.contains(struct) else FAIL
+        else:
+            for _, label, got, want in tree_formulas:
+                if got != want:
+                    warnings.append(
+                        f"informational ({field.name}): {label} is {got}, rational-baseline formula gives {want}"
+                    )
+
+        timings["checks"] = (elapsed_us() - t_checks) / 1000
+        timings["total"] = elapsed_us() / 1000
+        report = Report(
+            n=n,
+            edges=[tuple(e) for e in sorted(g.edges)],
+            is_tree=is_tree,
+            field=field.name,
+            dim_algebra=algebra.dim,
+            dim_center=cen.dimension,
+            dim_der=der.dimension,
+            dim_jordan=None if jor is None else jor.dimension,
+            dim_anti=anti.dimension,
+            dim_inner=dim_inner,
+            hh0=cen.dimension,
+            hh1=hh1,
+            formula_checks=checks,
+            timings_ms=timings,
         )
-    if not der.contains(inner):
-        raise InternalInvariantError("inner derivations do not sit inside the solved derivation space")
-    hh1 = der.dimension - dim_inner
-
-    n = g.n
-    n_arrows = len(algebra.arrows)
-    checks = {k: NA for k in CHECK_KEYS}
-
-    # the tree formulas: checks over the rationals, warnings over gf:p
-    tree_formulas = [
-        ("der_formula", "derivation dimension", der.dimension, 3 * n - 2),
-        ("inner_formula", "inner dimension", dim_inner, n + n_arrows - 1),
-        ("center_formula", "center dimension", cen.dimension, n + 1),
-        ("hh1_is_one", "hh1", hh1, 1),
-    ] if is_tree else []
-    if rational:
-        checks["dim_algebra_formula"] = PASS if algebra.dim == 2 * n + n_arrows else FAIL
-        for key, _, got, want in tree_formulas:
-            checks[key] = PASS if got == want else FAIL
-        if is_tree:
-            # the center is spanned by the identity and the cycles
-            span = [algebra.identity()] + [{c: field.one} for c in algebra.c_at.values()]
-            if checks["center_formula"] == PASS and not span_equal(cen.rows, span, field):
-                checks["center_formula"] = FAIL
-            if jor is not None:
-                checks["jordan_eq_der"] = PASS if jor.ints == der.ints else FAIL
-            checks["anti_is_zero"] = PASS if anti.dimension == 0 else FAIL
-            checks["structured_eq_solver"] = PASS if dim_struct == der.dimension and der.contains(struct) else FAIL
-    else:
-        for _, label, got, want in tree_formulas:
-            if got != want:
-                warnings.append(
-                    f"informational ({field.name}): {label} is {got}, rational-baseline formula gives {want}"
-                )
-
-    timings["checks"] = (elapsed_us() - t_checks) / 1000
-    timings["total"] = elapsed_us() / 1000
-    report = Report(
-        n=n,
-        edges=[tuple(e) for e in sorted(g.edges)],
-        is_tree=is_tree,
-        field=field.name,
-        dim_algebra=algebra.dim,
-        dim_center=cen.dimension,
-        dim_der=der.dimension,
-        dim_jordan=None if jor is None else jor.dimension,
-        dim_anti=anti.dimension,
-        dim_inner=dim_inner,
-        hh0=cen.dimension,
-        hh1=hh1,
-        formula_checks=checks,
-        timings_ms=timings,
-    )
-    return report, warnings
+        return report, warnings
+    finally:
+        if enabled:
+            gc.enable()

@@ -39,7 +39,6 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 
 from . import exactlin
 from .exactlin import Matrix, _canonical, _in_span, _int_row, _kernel, _nullspace, field_rows, normalize_row, span_canonical_basis
@@ -108,13 +107,15 @@ def _size(fam) -> int:
 
 def _common(fams) -> set | None:
     """The indices in the exceptions (the union of the pair) of every family,
-    None for no family: the smallest family's (``fams`` sorted in place if
-    there are several), filtered by each other one, as a union per family
+    None for no family: the smallest family's (``fams`` put first in place
+    if there are several), filtered by each other one, as a union per family
     would cost O(degree) each at a hub."""
     if not fams:
         return None
-    if len(fams) > 1:
+    if len(fams) > 2:
         fams.sort(key=_size)
+    elif len(fams) == 2 and _size(fams[0]) > _size(fams[1]):
+        fams.reverse()
     keep = {*fams[0][0], *fams[0][1]}
     for e, f in fams[1:]:
         keep = {k for k in keep if k in e or k in f}
@@ -215,20 +216,27 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str, pool=None):
     # products write sums to -2 here; if symmetric, q <= r, and a right term
     # at (c, y) with y < c is the left one at (y, c), while at y = c it is
     # both
-    eqs = defaultdict(dict)
+    eqs = {}
+    get = eqs.get
     top = len(pool) - 1
     for k, j in enumerate(pool):
         u, c = divmod(j, dim)
         label = top - k
         for y, p in right_by[u]:
-            row = eqs[(y, c, p) if symmetric and y < c else (c, y, p)]
-            row[label] = row.get(label, 0) - (2 if symmetric and y == c else 1)
+            key = (y, c, p) if symmetric and y < c else (c, y, p)
+            d = -2 if symmetric and y == c else -1
+            if (row := get(key)) is None:
+                eqs[key] = {label: d}
+            else:
+                row[label] = row.get(label, 0) + d
         for y, p in () if symmetric else left_by[u]:
-            row = eqs[y, c, p]
+            row = eqs.setdefault((y, c, p), {})
             row[label] = row.get(label, 0) - 1
         for q, r in inner_by[c]:
-            row = eqs[q, r, u]
-            row[label] = row.get(label, 0) + 1
+            if (row := get(key := (q, r, u))) is None:
+                eqs[key] = {label: 1}
+            else:
+                row[label] = row.get(label, 0) + 1
     return pool, list(eqs.values())
 
 
@@ -255,10 +263,10 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
     ordered basis pair, in integers.
 
     This is the post-hoc audit of solver output; by bilinearity, holding on
-    basis pairs is holding everywhere.  A rational map is first scaled by
-    the lcm of its denominators (the identity is homogeneous).  Each entry
-    x[u, c] = v (b_u in Theta(b_c)) is then added into the equations it
-    meets, keyed (q, r, p) for coordinate p at (b_q, b_r):
+    basis pairs is holding everywhere.  A map holding a non-int value is
+    first scaled by the lcm of its denominators (the identity is
+    homogeneous).  Each entry x[u, c] = v (b_u in Theta(b_c)) is then added
+    into the equations it meets, keyed (q, r, p) for coordinate p at (b_q, b_r):
 
     * +v at (q, r, u) for each (q, r) in ``a.factors[c]``;
     * -v at (c, r, p) for each b_u b_r = b_p (``a.left_products[u]``) and at
@@ -281,24 +289,25 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
         raise ValueError(f"unknown flavor {flavor!r}")
     mod = a.field.characteristic
     dim = a.dim
-    scale = lcm(*(v.denominator for v in lin.values()))
+    if type(sum(lin.values())) is not int:  # a Fraction makes the sum one
+        lin = _int_row(lin)
     # the products by which Theta(b_c) meets the pairs (c, r) and (q, c)
     at_left, at_right = (a.right_products, a.left_products) if flavor == "anti" else (a.left_products, a.right_products)
-    acc = defaultdict(int)
+    acc = {}
+    get = acc.get  # each sum's key is built once, bound by := for the store
     for j, v in lin.items():
         u, c = divmod(j, dim)
         if not 0 <= u < dim:  # c is in range whatever j is
             raise ValueError(f"map key {j} out of range for dimension {dim}")
-        v = v.numerator * (scale // v.denominator)
         for q, r in a.factors[c]:
-            acc[(q, r, u)] += v
+            acc[k] = get(k := (q, r, u), 0) + v
         for r, p in at_left[u]:
-            acc[(c, r, p)] -= v
+            acc[k] = get(k := (c, r, p), 0) - v
         for q, p in at_right[u]:
-            acc[(q, c, p)] -= v
+            acc[k] = get(k := (q, c, p), 0) - v
     if flavor == "jordan":
         for q, r, p in [key for key in acc if key[0] > key[1]]:
-            acc[(r, q, p)] += acc.pop((q, r, p))
+            acc[k] = get(k := (r, q, p), 0) + acc.pop((q, r, p))
     return not any(v % mod for v in acc.values()) if mod else not any(acc.values())
 
 
@@ -352,7 +361,8 @@ def anti_space(a: ZigzagAlgebra, jordan: MapSpace | None) -> MapSpace:
             done.add((p, t))  # each nonzero commutator b_q b_r - b_r b_q = b_p - b_t once
             for s, sign in ((p, 1), (t, -1)):
                 for i, u, v in at[s]:
-                    eqs[p, t, u][i] = eqs[p, t, u].get(i, 0) + sign * v
+                    row = eqs[p, t, u]
+                    row[i] = row.get(i, 0) + sign * v
     kernel = _kernel(a.field, exactlin._eliminate(a.field, eqs.values()), jordan.dimension)
     maps = [Counter() for _ in kernel]
     for m, vec in zip(maps, kernel.values()):

@@ -4,8 +4,11 @@ pytest captures stdout at the file-descriptor level, so the per-criterion
 lines printed inside tests are only visible under -s. The terminal-summary
 hook below repeats them where every run can see them, including piped ones.
 The ``fresh_python`` fixture runs a new interpreter on the package in src/.
+An autouse fixture fails any test that ends with the cyclic collector
+disabled: ``analyze_graph`` pauses it, and must restore it on every path.
 """
 
+import gc
 import os
 import resource
 import subprocess
@@ -16,6 +19,14 @@ import pytest
 
 ACCEPTANCE_VERDICTS: list = []
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic collector disabled")
 
 
 @pytest.fixture

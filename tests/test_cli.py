@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import json
@@ -585,3 +586,63 @@ def test_paper_claims_hold_on_a_200_vertex_tree():
     assert report.formula_checks == {k: PASS for k in CHECK_KEYS}
     assert (report.dim_der, report.dim_jordan, report.dim_anti, report.hh1) == (598, 598, 0, 1)
     assert warnings == []
+
+
+# analyze_graph runs with the cyclic collector paused: it must hand the
+# collector back as it found it on every way out, and the pause is only free
+# if the pipeline builds no reference cycle for a collection to find
+DISCONNECTED = Graph(4, frozenset({(1, 2), (3, 4)}))
+PAUSE_GRAPHS = [random_tree(n, 7000 + n) for n in range(2, 13)] + [
+    star_graph(7),
+    path_graph(6),
+    Graph(4, frozenset({(1, 2), (2, 3), (3, 4), (1, 4)})),
+    Graph(4, frozenset((i, j) for i in range(1, 5) for j in range(i + 1, 5))),
+    # three paths of lengths 1, 2 and 3 between vertices 1 and 2
+    Graph(5, frozenset({(1, 2), (1, 3), (2, 3), (1, 4), (4, 5), (2, 5)})),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_analyze_graph_leaves_the_collector_as_found(monkeypatch, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        analyze_graph(path_graph(3))
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="connected"):
+            analyze_graph(DISCONNECTED)
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(linmaps, "verify_map", lambda *args: False)
+        with pytest.raises(InternalInvariantError):
+            analyze_graph(path_graph(3))
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+def test_analyze_graph_solves_with_the_collector_paused(monkeypatch):
+    seen = []
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return linmaps.solve(*args)
+
+    monkeypatch.setattr(analysis, "solve", recording)
+    analyze_graph(path_graph(3))
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:101"])
+def test_a_paused_analysis_leaves_no_cycle_to_collect(spec):
+    field = parse_field(spec)
+    gc.collect()
+    gc.disable()
+    try:
+        for g in PAUSE_GRAPHS:
+            analyze_graph(g, field)
+            assert gc.collect() == 0, g
+        with pytest.raises(ValueError, match="connected"):
+            analyze_graph(DISCONNECTED, field)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
