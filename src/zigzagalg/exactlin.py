@@ -360,10 +360,10 @@ def _kernel(field, pivots: dict, ncols: int) -> dict:
     return vecs
 
 
-def _nullspace(field, rows: Iterable[dict], ncols: int, ints: bool = False) -> list:
-    """:func:`nullspace_basis` of int ``rows`` (any residues mod p), unvalidated; with ``ints``, :func:`_kernel`'s int vectors."""
+def _nullspace(field, rows: Iterable[dict], ncols: int) -> list:
+    """:func:`nullspace_basis` of int ``rows`` (any residues mod p), unvalidated."""
     kernel = _kernel(field, _eliminate(field, rows), ncols)
-    if ints or field.characteristic:
+    if field.characteristic:
         return list(kernel.values())
     return [{f: field.one} | {j: Fraction(v, vec[f]) for j, v in vec.items() if j != f} for f, vec in kernel.items()]
 

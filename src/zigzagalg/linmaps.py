@@ -29,9 +29,10 @@ derivations first; if all pass, :func:`derivation_space` takes Der = JDer and
 
 A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
-checks and the audit all work on these dicts; :func:`structured_generators`
-and :func:`ad_map` build theirs in ints (residues mod p over GF(p)), so the
-span checks on them make no ``Fraction``.
+checks and the audit all work on these dicts.  :func:`structured_space` and
+:func:`inner_space` are the canonical spans of the int maps (residues mod p
+over GF(p)) that :func:`structured_generators` and :func:`ad_map` build, so
+neither makes a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import exactlin
-from .exactlin import Matrix, _canonical, _in_span, _int_row, _kernel, _nullspace, field_rows, normalize_row, span_canonical_basis
+# span_canonical_basis is not called here: benchmarks/test_tracing.py asserts this binding
+from .exactlin import Matrix, _canonical, _in_span, _int_row, _kernel, _span, field_rows, normalize_row, span_canonical_basis
 from .zigzag import ZigzagAlgebra
 
 # flavor -> (inner, outer): the orders (xy, yx) of the algebra's product that
@@ -91,7 +93,7 @@ class MapSpace:
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
         field = algebra.field
-        return cls(flavor, field, algebra.dim, [_int_row(r) for r in span_canonical_basis(generators, field)])
+        return cls(flavor, field, algebra.dim, _canonical(field, _span(generators, field)))
 
     def contains(self, maps) -> bool:
         """Whether every sparse flat-index map in ``maps`` lies in this space."""
@@ -230,8 +232,10 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str, pool=None):
             else:
                 row[label] = row.get(label, 0) + d
         for y, p in () if symmetric else left_by[u]:
-            row = eqs.setdefault((y, c, p), {})
-            row[label] = row.get(label, 0) - 1
+            if (row := get(key := (y, c, p))) is None:
+                eqs[key] = {label: -1}
+            else:
+                row[label] = row.get(label, 0) - 1
         for q, r in inner_by[c]:
             if (row := get(key := (q, r, u))) is None:
                 eqs[key] = {label: 1}
@@ -438,12 +442,13 @@ def _materialize(a: ZigzagAlgebra, t: dict, d: dict) -> dict:
     return out
 
 
-def structured_parameter_basis(a: ZigzagAlgebra, ints: bool = False) -> list:
+def structured_parameter_basis(a: ZigzagAlgebra) -> list:
     """Canonical basis of the parameter space (t_a, d_a) modulo consistency.
 
     Free coordinates: one t per arrow, one d per arrow, in ``a.arrows`` order;
-    the per-vertex cycle-consistency conditions are solved exactly (with
-    ``ints``, each vector scaled to the ints :func:`exactlin._kernel` gives).
+    the per-vertex cycle-consistency conditions are solved exactly, each
+    vector the ints :func:`exactlin._kernel` gives: entries 1 and -1 (p - 1
+    over GF(p)), 1 at the free coordinate.
     """
     arrows = a.arrows
     m = len(arrows)
@@ -453,7 +458,7 @@ def structured_parameter_basis(a: ZigzagAlgebra, ints: bool = False) -> list:
         for j in nb[1:]:  # d[(i, j)] + d[(j, i)] = d[(i, j0)] + d[(j0, i)], j0 = nb[0]
             rows.append({m + pos[(i, nb[0])]: 1, m + pos[(nb[0], i)]: 1, m + pos[(i, j)]: -1, m + pos[(j, i)]: -1})
     out = []
-    for vec in _nullspace(a.field, rows, 2 * m, ints):
+    for vec in _kernel(a.field, exactlin._eliminate(a.field, rows), 2 * m).values():
         coords = sorted(vec.items())
         t = {arrows[k]: v for k, v in coords if k < m}
         d = {arrows[k - m]: v for k, v in coords if k >= m}
@@ -464,13 +469,12 @@ def structured_parameter_basis(a: ZigzagAlgebra, ints: bool = False) -> list:
 def structured_generators(a: ZigzagAlgebra) -> list:
     """Int maps spanning the structured space: :func:`materialize`'s
     arithmetic on the int parameter basis, no value converted."""
-    return [_materialize(a, p.t, p.d) for p in structured_parameter_basis(a, ints=True)]
+    return [_materialize(a, p.t, p.d) for p in structured_parameter_basis(a)]
 
 
 def structured_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of the materialized parameter basis, as a canonical MapSpace."""
-    maps = [materialize(a, p) for p in structured_parameter_basis(a)]
-    return MapSpace.from_generators("derivation", a, maps)
+    return MapSpace.from_generators("derivation", a, structured_generators(a))
 
 
 def ad_map(a: ZigzagAlgebra, k: int) -> dict:

@@ -242,6 +242,24 @@ def commutator_literal(table, k):
     return {j: c for j, c in out.items() if c}
 
 
+def parameter_basis_literal(arrows, characteristic=0):
+    """The (t, d) of each vector of the closed-form basis of the structured
+    parameters, from the sorted ``arrows`` alone: a unit t per arrow, in
+    order; then, per arrow (u, v) in order, d = 1 on it and on the first
+    arrow (min, max) of every other edge if it is an arrow of the last edge
+    (the largest (min, max) pair), else, if u > v, d = -1 on (v, u) and 1
+    on (u, v).  Over GF(p) -1 is written p - 1."""
+    minus_one = characteristic - 1 if characteristic else -1
+    last = max((min(ar), max(ar)) for ar in arrows)
+    vectors = [({ar: 1}, {}) for ar in arrows]
+    for u, v in arrows:
+        if (min(u, v), max(u, v)) == last:
+            vectors.append(({}, {ar: 1 for ar in arrows if ar == (u, v) or ar[0] < ar[1] and ar != last}))
+        elif u > v:
+            vectors.append(({}, {(v, u): minus_one, (u, v): 1}))
+    return vectors
+
+
 def associative_literal(table):
     """Whether (b_x b_y) b_z == b_x (b_y b_z) for all dim^3 basis triples of
     a plain list-of-lists table (-1 for a vanishing product)."""

@@ -38,7 +38,7 @@ def test_analyze_single_edge_passes(tmp_path, capsys):
 def test_analyze_json_round_trip(tmp_path, capsys):
     assert main(["analyze", write(tmp_path, EDGE_FILE), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    report = Report.from_dict(doc)
+    report = Report(**doc)
     assert report.to_dict() == doc
     assert (report.n, report.dim_algebra, report.dim_der) == (2, 6, 4)
     assert (report.dim_inner, report.hh0, report.hh1) == (3, 3, 1)

@@ -235,6 +235,27 @@ def test_parameter_count_on_random_trees(n):
     assert len(structured_parameter_basis(a)) == 3 * n - 2
 
 
+PARAMETER_GRAPHS = {
+    **{f"tree{n}": random_tree(n, 4000 + n) for n in range(2, 13)},
+    **{f"star{n}": star_graph(n) for n in (3, 5, 8)},
+    **{f"path{n}": path_graph(n) for n in (2, 4, 7)},
+    **{f"cycle{n}": Graph(n, frozenset({(i, i + 1) for i in range(1, n)} | {(1, n)})) for n in range(3, 9)},
+    "K5": Graph(5, frozenset((i, j) for i in range(1, 6) for j in range(i + 1, 6))),
+}
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:101"])
+def test_parameter_basis_is_the_closed_form(spec):
+    # the elimination gives the paper's parametrisation itself, in order,
+    # as ints with 1 at the free coordinate: no value to convert
+    field = parse_field(spec)
+    for name, g in PARAMETER_GRAPHS.items():
+        a = build_algebra(g, field)
+        got = [(p.t, p.d) for p in structured_parameter_basis(a)]
+        assert got == bruteforce.parameter_basis_literal(a.arrows, field.characteristic), name
+        assert all(type(v) is int for t, d in got for v in (*t.values(), *d.values())), name
+
+
 def test_every_materialized_parameter_is_a_derivation():
     a = build_algebra(random_tree(6, 17))
     for p in structured_parameter_basis(a):
@@ -999,17 +1020,49 @@ def test_a_hub_costs_the_family_intersection_no_more_visits(monkeypatch):
         assert work["jordan", graph] <= 1.5 * work["derivation", graph], (graph, work)
 
 
-def test_a_hub_costs_the_structured_route_no_more_additions():
-    # the Fractions structured_space makes on star_graph(400), every rational
-    # sum among them, stay within twice those on a random tree of the same
-    # size; the cycle-consistency check once walked every neighbor of each
-    # vertex a map touches
+class CountingDict(dict):
+    """A dict that counts its lookups by ``get``, ``[]`` and ``in``."""
+
+    def __init__(self, items, calls):
+        super().__init__(items)
+        self.calls = calls
+
+    def get(self, k, default=None):
+        self.calls["lookups"] += 1
+        return super().get(k, default)
+
+    def __getitem__(self, k):
+        self.calls["lookups"] += 1
+        return super().__getitem__(k)
+
+    def __contains__(self, k):
+        self.calls["lookups"] += 1
+        return super().__contains__(k)
+
+
+def test_a_hub_costs_the_structured_route_no_more_additions(monkeypatch):
+    # structured_space and inner_space span int maps, so over the rationals
+    # they make no Fraction (1,086 and 390 on this tree when structured_space
+    # materialized Fraction parameters and both canonicalized in the field)
+    a = build_algebra(random_tree(40, 12345))
+    with counting_fractions() as made:
+        structured_space(a)
+        inner_space(a)
+    assert made["fractions"] == 0, made
+    # the d parameters the cycle-consistency sums of structured_space look
+    # up on star_graph(400), each term of each sum, stay within twice those
+    # on a random tree of the same size; the check once walked every
+    # neighbor of each vertex a map touches
+    calls = Counter()
+    basis = linmaps.structured_parameter_basis
+    monkeypatch.setattr(
+        linmaps, "structured_parameter_basis", lambda b: [DerivationParams(p.t, CountingDict(p.d, calls)) for p in basis(b)]
+    )
     work = {}
     for graph, g in (("star", star_graph(400)), ("tree", random_tree(400, 12345))):
-        a = build_algebra(g)
-        with counting_fractions() as made:
-            structured_space(a)
-        work[graph] = made["fractions"]
+        before = calls["lookups"]
+        structured_space(build_algebra(g))
+        work[graph] = calls["lookups"] - before
     assert 0 < work["star"] <= 2 * work["tree"], work
 
 
@@ -1168,7 +1221,7 @@ def test_a_relation_is_more_than_a_dimension(monkeypatch, relation):
     a = build_algebra(random_tree(6, 3))
     e = a.e_at[1]
     E = e * a.dim + e
-    real = {name: getattr(analysis, name) for name in ("solve", "structured_generators", "ad_map")}
+    real = {"solve": analysis.solve, "structured_generators": linmaps.structured_generators, "ad_map": analysis.ad_map}
     maps = {
         "jordan": real["solve"](a, "derivation").rows,
         "structured": real["structured_generators"](a),
@@ -1189,7 +1242,7 @@ def test_a_relation_is_more_than_a_dimension(monkeypatch, relation):
         report, _ = analyze_graph(random_tree(6, 3))
         assert report.dim_jordan == report.dim_der and report.formula_checks["jordan_eq_der"] == "fail"
     elif relation == "structured":
-        monkeypatch.setattr(analysis, "structured_generators", lambda b: [skew(m) for m in real["structured_generators"](b)])
+        monkeypatch.setattr(linmaps, "structured_generators", lambda b: [skew(m) for m in real["structured_generators"](b)])
         report, _ = analyze_graph(random_tree(6, 3))
         assert report.formula_checks["structured_eq_solver"] == "fail"
     else:
