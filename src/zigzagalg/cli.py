@@ -4,6 +4,10 @@
 
 Exit codes: 0 all applicable checks pass, 1 invalid input (bad file, bad
 flags, unusable graph), 2 a formula check or an internal invariant failed.
+A command returns 0 or 2 for its verdict; :func:`main` turns every error,
+for every command, into exit 1 (``error: ...``) or 2 (``internal invariant
+failed: ...``), an error while writing output (``--timings``) included.
+Only ``sweep`` prints the failing tree, so that it can be replayed.
 """
 
 from __future__ import annotations
@@ -63,13 +67,9 @@ def _print_report(report: Report, quiet: bool, out) -> None:
 
 
 def _parse_field_flag(args):
-    """The field named by --field, or None after printing why it is invalid.
-    In characteristic 2 it warns that jordan is skipped (analyze_graph skips it)."""
-    try:
-        field = parse_field(args.field)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+    """The field named by --field. In characteristic 2 it warns that jordan
+    is skipped (analyze_graph skips it)."""
+    field = parse_field(args.field)
     if field.characteristic == 2:
         print("warning: characteristic 2, jordan flavor skipped automatically", file=sys.stderr)
     return field
@@ -77,21 +77,8 @@ def _parse_field_flag(args):
 
 def cmd_analyze(args) -> int:
     field = _parse_field_flag(args)
-    if field is None:
-        return 1
-    try:
-        g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report, warnings = analyze_graph(g, field)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except InternalInvariantError as exc:
-        print(f"internal invariant failed: {exc}", file=sys.stderr)
-        return 2
+    g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
+    report, warnings = analyze_graph(g, field)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.json:
@@ -103,23 +90,14 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     field = _parse_field_flag(args)
-    if field is None:
-        return 1
     if args.count < 1 or args.n_min < 2 or args.n_max < args.n_min:
-        print("error: need count >= 1 and 2 <= n-min <= n-max", file=sys.stderr)
-        return 1
-    try:
-        rng = Xorshift64Star(args.seed)
-        # opened only now, so a rejected sweep leaves an existing FILE as it was
-        timings = None if args.timings is None else open(args.timings, "w", encoding="utf-8")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        raise ValueError("need count >= 1 and 2 <= n-min <= n-max")
+    rng = Xorshift64Star(args.seed)
+    if args.timings is None:
+        return _sweep(args, field, rng, None)
+    # opened only now, so a rejected sweep leaves an existing FILE as it was
+    with open(args.timings, "w", encoding="utf-8") as timings:
         return _sweep(args, field, rng, timings)
-    finally:
-        if timings is not None:
-            timings.close()
 
 
 def _sweep(args, field, rng, timings) -> int:
@@ -177,23 +155,14 @@ def _sweep(args, field, rng, timings) -> int:
 
 
 def cmd_dump(args) -> int:
-    try:
-        field = parse_field(args.field)
-        g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
-        algebra = build_algebra(g, field)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    field = parse_field(args.field)
+    g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
+    algebra = build_algebra(g, field)
     is_tree = algebra.is_tree
-    try:
-        if is_tree:
-            params = structured_parameter_basis(algebra)
-            maps = [(p, materialize(algebra, p)) for p in params]
-        else:
-            maps = [(None, m) for m in solve(algebra, "derivation").rows]
-    except InternalInvariantError as exc:
-        print(f"internal invariant failed: {exc}", file=sys.stderr)
-        return 2
+    if is_tree:
+        maps = [(p, materialize(algebra, p)) for p in structured_parameter_basis(algebra)]
+    else:
+        maps = [(None, m) for m in solve(algebra, "derivation").rows]
 
     dim = algebra.dim
     if args.json:
@@ -238,17 +207,8 @@ def cmd_dump(args) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 1 like every other invalid input; --help keeps exit 0."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def main(argv=None) -> int:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="zigzagalg",
         description="Derivations and low-degree Hochschild cohomology of zigzag algebras of graphs.",
     )
@@ -282,9 +242,16 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help exits 0, usage errors exit 1
-        return int(exc.code or 0)
-    return args.fn(args)
+    except SystemExit as exc:  # --help exits 0; a usage error, 2 in argparse, is invalid input
+        return 1 if exc.code else 0
+    try:
+        return args.fn(args)
+    except InternalInvariantError as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

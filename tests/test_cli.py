@@ -1,7 +1,10 @@
+import errno
 import gc
 import hashlib
 import importlib
+import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -127,15 +130,27 @@ def test_analyze_bad_field(tmp_path, capsys):
 
 
 def test_bad_flags_exit_one(tmp_path, capsys):
-    assert main(["analyze", write(tmp_path, EDGE_FILE), "--bogus"]) == 1
-    assert main(["frobnicate"]) == 1
-    assert main([]) == 1
-    capsys.readouterr()
+    # argparse's usage and error lines, whose wording differs across CPython
+    # versions, so only their shape is checked
+    for argv in ([], ["frobnicate"], ["analyze"], ["analyze", write(tmp_path, EDGE_FILE), "--bogus"], ["sweep", "--count", "x"]):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: zigzagalg"), argv
+        assert re.match(r"^zigzagalg( [a-z-]+)?: error: ", lines[-1]), argv
 
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "analyze" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep", "dump-derivations"])
+def test_subcommand_help_exits_zero(capsys, command):
+    assert main([command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: zigzagalg {command}") and captured.err == ""
 
 
 SWEEP_ARGS = ["sweep", "--seed", "3", "--count", "6", "--n-min", "2", "--n-max", "4"]
@@ -205,6 +220,24 @@ def test_dump_rejects_unusable_graph(tmp_path, capsys):
     assert main(["dump-derivations", write(tmp_path, "vertices 1\n")]) == 1
     assert main(["dump-derivations", write(tmp_path, "vertices 0\n")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "text, flags, fragment",
+    [
+        (None, [], "No such file"),
+        (EDGE_FILE, ["--field", "gf:9"], "9 is not prime"),
+        ("vertices 2\nedge 1 two\n", [], "line 2"),
+    ],
+    ids=["missing-file", "bad-field", "unparsable"],
+)
+def test_dump_input_errors_exit_1(tmp_path, capsys, text, flags, fragment):
+    path = str(tmp_path / "missing.txt") if text is None else write(tmp_path, text)
+    assert main(["dump-derivations", path, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert fragment in captured.err
 
 
 # sha256 of stdout, pinned so that a refactor must keep the output byte for byte
@@ -527,6 +560,43 @@ def test_sweep_timings_file_that_cannot_be_opened_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+class FullDevice(io.RawIOBase):
+    """A sink whose every write fails as on a full disk."""
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("sink", ["dev-full", "patched-open"])
+def test_sweep_timings_sink_that_fails_exits_1(monkeypatch, capsys, sink):
+    # the records are buffered, so the write fails when the file is closed
+    argv = ["sweep", "--count", "2", "--json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    if sink == "dev-full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        path = "/dev/full"
+    else:
+        opened = []
+
+        def full_open(*args, **kwargs):
+            opened.append(io.TextIOWrapper(io.BufferedWriter(FullDevice()), encoding="utf-8"))
+            return opened[0]
+
+        monkeypatch.setattr(cli, "open", full_open, raising=False)
+        path = "timings.jsonl"
+    assert main(argv + ["--timings", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    if sink == "patched-open":
+        assert opened[0].closed
+
+
 @pytest.mark.parametrize("flags", [["--field", "gf:4"], ["--count", "0"], ["--n-min", "3", "--n-max", "2"], ["--seed", "-1"]])
 def test_a_rejected_sweep_leaves_an_existing_timings_file_unchanged(tmp_path, capsys, flags):
     # the file is opened only after the field, range and seed checks pass
@@ -546,6 +616,13 @@ def test_console_script_installed(tmp_path):
     proc = subprocess.run([exe, "analyze", g], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+    # the installed script keeps main's exit codes: a usage error and a missing file exit 1
+    proc = subprocess.run([exe, "frobnicate"], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("usage: zigzagalg")
+    proc = subprocess.run([exe, "analyze", str(tmp_path / "missing.txt")], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_console_script_entry_point_runs(tmp_path, fresh_python):
