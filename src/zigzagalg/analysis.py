@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field as dc_field
 
 from .exactlin import RATIONALS, span_dim, span_equal
 from .linmaps import InternalInvariantError, ad_map, anti_space, derivation_space, solve, structured_space
@@ -40,24 +39,24 @@ FAIL = "fail"
 NA = "not-applicable"
 
 
-@dataclass
 class Report:
     """Everything one analysis run produced, JSON-serializable and comparable."""
 
-    n: int
-    edges: list
-    is_tree: bool
-    field: str
-    dim_algebra: int
-    dim_center: int
-    dim_der: int
-    dim_jordan: object  # int, or None when the flavor was skipped
-    dim_anti: int
-    dim_inner: int
-    hh0: int
-    hh1: int
-    formula_checks: dict
-    timings_ms: dict = dc_field(default_factory=dict)
+    def __init__(self, n: int, edges: list, is_tree: bool, field: str, dim_algebra: int, dim_center: int, dim_der: int,
+                 dim_jordan, dim_anti: int, dim_inner: int, hh0: int, hh1: int, formula_checks: dict,
+                 timings_ms: dict | None = None) -> None:
+        self.n, self.edges, self.is_tree, self.field = n, edges, is_tree, field  # field order: to_dict's and the repr's
+        self.dim_algebra, self.dim_center, self.dim_der = dim_algebra, dim_center, dim_der
+        self.dim_jordan = dim_jordan  # int, or None when the flavor was skipped
+        self.dim_anti, self.dim_inner, self.hh0, self.hh1 = dim_anti, dim_inner, hh0, hh1
+        self.formula_checks = formula_checks
+        self.timings_ms = {} if timings_ms is None else timings_ms  # a new dict per report
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"Report({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
     def to_dict(self, include_timings: bool = True) -> dict:
         # shallow: every field but these three is an int, a bool, a str or None

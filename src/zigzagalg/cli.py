@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .analysis import CHECK_KEYS, Report, analyze_graph
@@ -207,7 +208,8 @@ def cmd_dump(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache  # built on the first call, not at import
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zigzagalg",
         description="Derivations and low-degree Hochschild cohomology of zigzag algebras of graphs.",
@@ -222,7 +224,7 @@ def main(argv=None) -> int:
     p_an = sub.add_parser("analyze", help="analyze one graph file")
     p_an.add_argument("graph", help="path to a graph file")
     common(p_an)
-    p_an.set_defaults(fn=cmd_analyze)
+    p_an.set_defaults(fn="cmd_analyze")
 
     p_sw = sub.add_parser("sweep", help="analyze a deterministic corpus of random trees")
     p_sw.add_argument("--count", type=int, default=50)
@@ -233,19 +235,22 @@ def main(argv=None) -> int:
         "--timings", metavar="FILE", help="write each graph's stage timings to FILE, one JSON object per line"
     )
     common(p_sw)
-    p_sw.set_defaults(fn=cmd_sweep)
+    p_sw.set_defaults(fn="cmd_sweep")
 
     p_du = sub.add_parser("dump-derivations", help="print a derivation basis for one graph file")
     p_du.add_argument("graph", help="path to a graph file")
     common(p_du)
-    p_du.set_defaults(fn=cmd_dump)
+    p_du.set_defaults(fn="cmd_dump")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # --help exits 0; a usage error, 2 in argparse, is invalid input
         return 1 if exc.code else 0
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)  # looked up now, so a replaced cmd_* runs
     except InternalInvariantError as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return 2

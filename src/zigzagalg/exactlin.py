@@ -35,10 +35,9 @@ and return this form; :meth:`Matrix.from_sparse` validates outside rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Sequence
 
 
 class FieldMismatchError(ValueError):
@@ -151,14 +150,23 @@ def parse_field(spec: str):
     raise ValueError(f"bad field spec {spec!r}: expected 'rat' or 'gf:<p>'")
 
 
-@dataclass(frozen=True)
 class Matrix:
     """Immutable sparse matrix: ``rows[i]`` maps column -> nonzero scalar."""
 
-    field: object
-    nrows: int
-    ncols: int
-    rows: tuple
+    def __init__(self, field, nrows: int, ncols: int, rows: tuple) -> None:
+        vars(self).update(field=field, nrows=nrows, ncols=ncols, rows=rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"Matrix(field={self.field!r}, nrows={self.nrows!r}, ncols={self.ncols!r}, rows={self.rows!r})"
 
     @classmethod
     def from_sparse(cls, field, nrows: int, ncols: int, rows: Sequence[dict]) -> "Matrix":
@@ -187,10 +195,22 @@ class Matrix:
         return cls(field, nrows, ncols, tuple(dict(r) for r in rows))
 
 
-class RrefResult(NamedTuple):
-    reduced: Matrix
-    pivot_cols: tuple
-    rank: int
+class RrefResult(tuple):
+    """The triple (reduced, pivot_cols, rank), its items also read by name."""
+
+    __slots__ = ()
+    reduced = property(lambda self: self[0])
+    pivot_cols = property(lambda self: self[1])
+    rank = property(lambda self: self[2])
+
+    def __new__(cls, reduced: Matrix, pivot_cols: tuple, rank: int):
+        return tuple.__new__(cls, (reduced, pivot_cols, rank))
+
+    def __getnewargs__(self):  # so that copy and pickle call __new__ with the items
+        return tuple(self)
+
+    def __repr__(self):
+        return "RrefResult(reduced=%r, pivot_cols=%r, rank=%r)" % self
 
 
 def _int_row(row: dict) -> dict:

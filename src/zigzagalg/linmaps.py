@@ -38,7 +38,6 @@ neither makes a ``Fraction``.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import exactlin
@@ -378,7 +377,6 @@ def anti_space(a: ZigzagAlgebra, jordan: MapSpace | None) -> MapSpace:
     return space
 
 
-@dataclass
 class DerivationParams:
     """Closed-form derivation data: per arrow (u, v), an ``e``-part coefficient
     t[(u, v)] (the coefficient of a(u->v) in the image of e(v); its negative
@@ -389,8 +387,14 @@ class DerivationParams:
     for any neighbor j, so those sums must agree across the neighbors of i.
     """
 
-    t: dict
-    d: dict
+    def __init__(self, t: dict, d: dict) -> None:
+        self.t, self.d = t, d
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        return f"DerivationParams(t={self.t!r}, d={self.d!r})"
 
 
 def materialize(a: ZigzagAlgebra, params: DerivationParams) -> dict:

@@ -17,7 +17,6 @@ rejected, and every parse error carries the offending 1-based line number.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 
 class GraphParseError(ValueError):
@@ -28,24 +27,36 @@ class GraphParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
 class Graph:
-    """Undirected simple graph on vertices 1..n, each edge the ordered pair
-    (u, v) with u < v.  Construction rejects a negative n, edges that are
-    not a frozenset (so hold no duplicate edge, and the graph hashes) and
-    any other pair: a loop, a reversed pair or an endpoint out of range."""
+    """Immutable undirected simple graph on vertices 1..n, each edge the
+    ordered pair (u, v) with u < v.  Construction rejects a negative n, edges
+    that are not a frozenset (so hold no duplicate edge, and the graph hashes)
+    and any other pair: a loop, a reversed pair or an endpoint out of range."""
 
-    n: int
-    edges: frozenset
+    def __init__(self, n: int, edges: frozenset) -> None:
+        if n < 0:
+            raise ValueError(f"vertex count {n} is negative")
+        if not isinstance(edges, frozenset):
+            raise TypeError(f"edges is a {type(edges).__name__}, not a frozenset of pairs")
+        for u, v in edges:
+            if not (1 <= u < v <= n):
+                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+        vars(self).update(n=n, edges=edges)
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"vertex count {self.n} is negative")
-        if not isinstance(self.edges, frozenset):
-            raise TypeError(f"edges is a {type(self.edges).__name__}, not a frozenset of pairs")
-        for u, v in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for {self.n} vertices")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
+
+    def __repr__(self):
+        return f"Graph(n={self.n!r}, edges={self.edges!r})"
 
 
 def parse_graph(text) -> Graph:

@@ -25,7 +25,6 @@ Elements are sparse dicts basis index -> nonzero scalar, against
 from __future__ import annotations
 
 import copy
-from typing import NamedTuple
 
 from .exactlin import RATIONALS, _nullspace
 from .quiver import Graph, validate
@@ -168,9 +167,21 @@ def with_patched_table(a: ZigzagAlgebra, p: int, q: int, r: int) -> ZigzagAlgebr
     return patched
 
 
-class CenterResult(NamedTuple):
-    rows: list  # the canonical basis, sparse
-    dimension: int
+class CenterResult(tuple):
+    """The pair (rows, dimension) of the center's sparse canonical basis and its length."""
+
+    __slots__ = ()
+    rows = property(lambda self: self[0])
+    dimension = property(lambda self: self[1])
+
+    def __new__(cls, rows: list, dimension: int):
+        return tuple.__new__(cls, (rows, dimension))
+
+    def __getnewargs__(self):  # so that copy and pickle call __new__ with the items
+        return tuple(self)
+
+    def __repr__(self):
+        return "CenterResult(rows=%r, dimension=%r)" % self
 
 
 def center(a: ZigzagAlgebra) -> CenterResult:

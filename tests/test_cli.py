@@ -141,6 +141,45 @@ def test_bad_flags_exit_one(tmp_path, capsys):
         assert re.match(r"^zigzagalg( [a-z-]+)?: error: ", lines[-1]), argv
 
 
+def test_one_parser_serves_a_usage_error_and_then_a_sweep(monkeypatch, capsys):
+    # main builds its parser on the first call and keeps it: a usage error and
+    # then a sweep print what each prints with a parser built for it alone
+    usage, sweep = ["sweep", "--count", "x"], PINNED_OUTPUTS["sweep"][1]
+
+    def run(argv, fresh):
+        if fresh:
+            cli._parser.cache_clear()
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = [run(usage, True), run(sweep, True)]
+    cli._parser.cache_clear()
+    assert [run(usage, False), run(sweep, False)] == alone
+    assert cli._parser.cache_info().misses == 1
+    (code, out, err), (sweep_code, sweep_out, sweep_err) = alone
+    # argparse's wording differs across CPython versions: its shape is checked
+    assert (code, out) == (1, "") and err.startswith("usage: zigzagalg sweep")
+    assert err.splitlines()[-1].startswith("zigzagalg sweep: error: argument --count")
+    assert (sweep_code, sweep_err) == (0, "")
+    assert hashlib.sha256(sweep_out.encode("utf-8")).hexdigest() == PINNED_OUTPUTS["sweep"][2]
+    # the kept parser names each command by its function, looked up on each call
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: 2)
+    assert main(["sweep", "--count", "1"]) == 2
+
+
+def test_import_generates_no_code(fresh_python):
+    # the record types are plain classes, so importing the package loads
+    # none of the modules that generate their methods; under -S a bare
+    # interpreter has not loaded them either
+    script = (
+        "import sys; before = set(sys.modules); import zigzagalg.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+    )
+    proc = fresh_python("-S", "-c", script)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "analyze" in capsys.readouterr().out
@@ -464,7 +503,7 @@ def test_analyze_reports_internal_invariants_and_warnings(monkeypatch, tmp_path,
     [
         ("check_associativity", lambda a: False, "the basis products are not associative"),
         # one more center dimension than the solved center has
-        ("center", lambda a: (c := zigzag.center(a))._replace(dimension=c.dimension + 1), "inner dimension 6 != dim algebra 10 - dim center 5"),
+        ("center", lambda a: zigzag.CenterResult((c := zigzag.center(a)).rows, c.dimension + 1), "inner dimension 6 != dim algebra 10 - dim center 5"),
     ],
     ids=["associativity", "center"],
 )
