@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from pathlib import Path
 
 from .analysis import CHECK_KEYS, Report, analyze_graph
 from .exactlin import parse_field
@@ -78,7 +77,8 @@ def _parse_field_flag(args):
 
 def cmd_analyze(args) -> int:
     field = _parse_field_flag(args)
-    g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
+    with open(args.graph, encoding="utf-8") as text:
+        g = parse_graph(text.read())
     report, warnings = analyze_graph(g, field)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -157,7 +157,8 @@ def _sweep(args, field, rng, timings) -> int:
 
 def cmd_dump(args) -> int:
     field = parse_field(args.field)
-    g = parse_graph(Path(args.graph).read_text(encoding="utf-8"))
+    with open(args.graph, encoding="utf-8") as text:
+        g = parse_graph(text.read())
     algebra = build_algebra(g, field)
     is_tree = algebra.is_tree
     if is_tree:

@@ -25,7 +25,7 @@ Canonical conventions, relied on by callers and tests:
   in increasing order: entry v at f of the int pivot row of c, pivot value
   d, gives -v/d.  Every other coordinate of the vector of free column f is a
   pivot column below f; read with the column order reversed, the vectors
-  are the kernel's own RREF.
+  are the kernel's own RREF, which :func:`_canonical_kernel` reads off.
 * ``span_dim`` / ``span_equal`` do not depend on generator order or scaling.
 
 A vector is a sparse dict index -> nonzero scalar in the field (dim^2
@@ -380,18 +380,20 @@ def _kernel(field, pivots: dict, ncols: int) -> dict:
     return vecs
 
 
-def _nullspace(field, rows: Iterable[dict], ncols: int) -> list:
-    """:func:`nullspace_basis` of int ``rows`` (any residues mod p), unvalidated."""
-    kernel = _kernel(field, _eliminate(field, rows), ncols)
-    if field.characteristic:
-        return list(kernel.values())
-    return [{f: field.one} | {j: Fraction(v, vec[f]) for j, v in vec.items() if j != f} for f, vec in kernel.items()]
+def _canonical_kernel(field, rows: Iterable[dict], pool: Sequence) -> list:
+    """Canonical int rows of the kernel of int ``rows`` (any residues mod p)
+    that label column pool[k] len(pool) - 1 - k: its vectors read backwards."""
+    kernel = _kernel(field, _eliminate(field, rows), len(pool))
+    return [{pool[~k]: v for k, v in vec.items()} for vec in reversed(kernel.values())]  # pool[~k] = pool[len(pool) - 1 - k]
 
 
 def nullspace_basis(m: Matrix) -> list:
     """Canonical kernel basis: one vector per free column, free variable 1,
     each a dict column -> nonzero scalar."""
-    return _nullspace(m.field, _ints(m), m.ncols)
+    kernel = _kernel(m.field, _eliminate(m.field, _ints(m)), m.ncols)
+    if m.field.characteristic:
+        return list(kernel.values())
+    return [{f: m.field.one} | {j: Fraction(v, vec[f]) for j, v in vec.items() if j != f} for f, vec in kernel.items()]
 
 
 def _span(vectors: Sequence[dict], field) -> dict:

@@ -32,7 +32,7 @@ coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
 checks and the audit all work on these dicts.  :func:`structured_space` and
 :func:`inner_space` are the canonical spans of the int maps (residues mod p
 over GF(p)) that :func:`structured_generators` and :func:`ad_map` build, so
-neither makes a ``Fraction``.
+neither makes a ``Fraction``.  ``a`` is a ``ZigzagAlgebra``, not imported here.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from collections import Counter, defaultdict
 from functools import cached_property
 
 from . import exactlin
-# span_canonical_basis is not called here: benchmarks/test_tracing.py asserts this binding
-from .exactlin import Matrix, _canonical, _in_span, _int_row, _kernel, _span, field_rows, normalize_row, span_canonical_basis
-from .zigzag import ZigzagAlgebra
+from .exactlin import Matrix, _canonical, _canonical_kernel, _in_span, _int_row, _kernel, _span, field_rows, normalize_row
+from .exactlin import span_canonical_basis  # not called here: benchmarks/test_tracing.py asserts this binding
 
 # flavor -> (inner, outer): the orders (xy, yx) of the algebra's product that
 # each of the two products of the flavor identity sums
@@ -65,10 +64,11 @@ class InternalInvariantError(RuntimeError):
 
 
 class MapSpace:
-    """A subspace of maps of one flavor, stored as its canonical basis.
+    """A subspace, stored as its canonical basis: the maps of one flavor, or,
+    labelled ``"center"``, elements of the algebra (:func:`zigzag.center`).
 
-    ``ints`` are its canonical int rows (see :mod:`exactlin`), sparse
-    flat-index maps in pivot order, so equal spaces have equal ``ints``;
+    ``ints`` are its canonical int rows (see :mod:`exactlin`), sparse maps
+    or elements in pivot order, so equal spaces have equal ``ints``;
     ``rows``, the RREF rows in the field, are built on first read;
     ``derivations``, set by :func:`solve` on jordan spaces only, whether
     every basis map passed the derivation audit.
@@ -328,9 +328,7 @@ def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     a solver bug, reported as InternalInvariantError, not a wrong answer.
     """
     pool, eqs = _leibniz_equations(a, flavor)
-    top = len(pool) - 1
-    kernel = _kernel(a.field, exactlin._eliminate(a.field, eqs), len(pool))
-    space = MapSpace(flavor, a.field, a.dim, [{pool[top - k]: v for k, v in vec.items()} for vec in reversed(kernel.values())])
+    space = MapSpace(flavor, a.field, a.dim, _canonical_kernel(a.field, eqs, pool))
     walk = "derivation" if flavor == "jordan" else flavor
     failed = [row for row in space.ints if not verify_map(a, row, walk)]
     if any(walk == flavor or not verify_map(a, row, flavor) for row in failed):

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import copy
 
-from .exactlin import RATIONALS, _nullspace
+from .exactlin import RATIONALS, _canonical_kernel
+from .linmaps import MapSpace
 from .quiver import Graph, validate
 
 
@@ -167,35 +168,19 @@ def with_patched_table(a: ZigzagAlgebra, p: int, q: int, r: int) -> ZigzagAlgebr
     return patched
 
 
-class CenterResult(tuple):
-    """The pair (rows, dimension) of the center's sparse canonical basis and its length."""
-
-    __slots__ = ()
-    rows = property(lambda self: self[0])
-    dimension = property(lambda self: self[1])
-
-    def __new__(cls, rows: list, dimension: int):
-        return tuple.__new__(cls, (rows, dimension))
-
-    def __getnewargs__(self):  # so that copy and pickle call __new__ with the items
-        return tuple(self)
-
-    def __repr__(self):
-        return "CenterResult(rows=%r, dimension=%r)" % self
-
-
-def center(a: ZigzagAlgebra) -> CenterResult:
-    """Canonical basis of the center, via the kernel of all commutator maps.
+def center(a: ZigzagAlgebra) -> MapSpace:
+    """The center, as the canonical ``MapSpace`` labelled ``"center"``: its
+    rows are elements of the algebra, the kernel of all commutator maps.
 
     Unknowns are the coordinates of x; for every basis element b_k and output
-    coordinate p this imposes (x b_k)_p - (b_k x)_p = 0.
+    coordinate p this imposes (x b_k)_p - (b_k x)_p = 0, with x_u labelled
+    dim - 1 - u, as :func:`linmaps.solve` labels its pool, for one elimination.
     """
+    top = a.dim - 1
     eqs = {}  # the +-1 coefficients sum as ints; the elimination drops zeros
-    for (u, k), r in a.products.items():  # b_u b_k = b_r: x_u enters (x b_k)_r
-        row = eqs.setdefault((k, r), {})
-        row[u] = row.get(u, 0) + 1
-    for (k, u), r in a.products.items():  # b_k b_u = b_r: x_u enters (b_k x)_r
-        row = eqs.setdefault((k, r), {})
-        row[u] = row.get(u, 0) - 1
-    vecs = _nullspace(a.field, eqs.values(), a.dim)
-    return CenterResult(vecs, len(vecs))
+    for (u, v), r in a.products.items():  # b_u b_v = b_r: x_u enters (x b_v)_r, x_v enters (b_u x)_r
+        row = eqs.setdefault((v, r), {})
+        row[j] = row.get(j := top - u, 0) + 1
+        row = eqs.setdefault((u, r), {})
+        row[j] = row.get(j := top - v, 0) - 1
+    return MapSpace("center", a.field, a.dim, _canonical_kernel(a.field, eqs.values(), range(a.dim)))

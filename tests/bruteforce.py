@@ -311,3 +311,17 @@ def edge_leibniz_rows():
 def edge_derivation_family():
     """The brute-force derivation space of the single-edge algebra."""
     return dense_nullspace(edge_leibniz_rows(), EDGE_DIM * EDGE_DIM)
+
+
+def center_literal(table):
+    """Kernel basis of the commutator equations x b_k - b_k x = 0 of a plain
+    table, one dense row per k and output coordinate p, zero rows dropped:
+    x_u enters (x b_k)_p with +1 where table[u][k] = p and (b_k x)_p with -1
+    where table[k][u] = p."""
+    dim = len(table)
+    rows = []
+    for k, p in product(range(dim), repeat=2):
+        row = [(table[u][k] == p) - (table[k][u] == p) for u in range(dim)]
+        if any(row):
+            rows.append(row)
+    return dense_nullspace(rows, dim)

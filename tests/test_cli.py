@@ -170,11 +170,13 @@ def test_one_parser_serves_a_usage_error_and_then_a_sweep(monkeypatch, capsys):
 
 def test_import_generates_no_code(fresh_python):
     # the record types are plain classes, so importing the package loads
-    # none of the modules that generate their methods; under -S a bare
+    # none of the modules that generate their methods, and the CLI reads its
+    # files with open, so none of pathlib's imports; under -S a bare
     # interpreter has not loaded them either
     script = (
         "import sys; before = set(sys.modules); import zigzagalg.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'pathlib', 'urllib.parse', 'ipaddress'}"
+        " & (set(sys.modules) - before)))"
     )
     proc = fresh_python("-S", "-c", script)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
@@ -502,8 +504,8 @@ def test_analyze_reports_internal_invariants_and_warnings(monkeypatch, tmp_path,
     "name, broken, message",
     [
         ("check_associativity", lambda a: False, "the basis products are not associative"),
-        # one more center dimension than the solved center has
-        ("center", lambda a: zigzag.CenterResult((c := zigzag.center(a)).rows, c.dimension + 1), "inner dimension 6 != dim algebra 10 - dim center 5"),
+        # one more center row than the solved center has
+        ("center", lambda a: MapSpace("center", a.field, a.dim, zigzag.center(a).ints + [{0: 1}]), "inner dimension 6 != dim algebra 10 - dim center 5"),
     ],
     ids=["associativity", "center"],
 )
@@ -517,7 +519,11 @@ def test_analyze_graph_internal_invariants(monkeypatch, tmp_path, capsys, name, 
 
 
 def test_analyze_fails_a_center_span_that_differs_at_equal_dimension(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(analysis, "span_equal", lambda *args: False)
+    # the last cycle's row swapped for the first arrow's: equal dimension, not central
+    def swapped(a):
+        return MapSpace("center", a.field, a.dim, zigzag.center(a).ints[:-1] + [{a.a_at[a.arrows[0]]: 1}])
+
+    monkeypatch.setattr(analysis, "center", swapped)
     report, _ = analyze_graph(path_graph(3))
     assert {k for k, v in report.formula_checks.items() if v != PASS} == {"center_formula"}
     assert report.formula_checks["center_formula"] == FAIL

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 from bruteforce import (
+    center_literal,
     check_structure,
     commutator_literal,
     dense_nullspace,
@@ -58,7 +59,7 @@ from zigzagalg.linmaps import (
     verify_map,
 )
 from zigzagalg.quiver import Graph, path_graph, random_tree, star_graph
-from zigzagalg.zigzag import build_algebra, center, with_patched_table
+from zigzagalg.zigzag import build_algebra, center, multiply, with_patched_table
 
 EDGE = Graph(2, frozenset({(1, 2)}))
 
@@ -859,6 +860,31 @@ def test_solve_and_leibniz_system_match_the_oracle_on_patched_tables(name, spec)
             assert solve(b, flavor).rows == span_canonical_basis(nullspace_basis(system), b.field), flavor
 
 
+@pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:101"])
+def test_center_is_canonical_and_matches_the_literal_commutator_kernel(spec):
+    # the wide-digest algebras, then patched ones, most of whose centers are
+    # not span{1, c_i}: over the rationals the rows are the dense oracle's
+    # kernel, canonicalised; in every field the ints are canonical and central
+    field = parse_field(spec)
+    cases = [build_algebra(g, field) for g in WIDE_GRAPHS.values()]
+    for name, g in {**ORACLE_GRAPHS, **CROSS_GRAPHS, **OFF_TREE_GRAPHS}.items():
+        base = build_algebra(g, field)
+        cases += [with_patched_table(base, *patch) for patch in seeded_patches(base, 3, name)]
+        cases += [chained_patches(base, f"{name}-{k}") for k in range(2)]
+    other = 0
+    for b in cases:
+        cen = center(b)
+        assert (cen.flavor, cen.dim, cen.dimension) == ("center", b.dim, len(cen.ints))
+        assert cen.ints == exactlin._canonical(field, exactlin._span(cen.ints, field))
+        for row in cen.ints:
+            assert all(multiply(b, row, {k: 1}) == multiply(b, {k: 1}, row) for k in range(b.dim))
+        if not field.characteristic:
+            literal = sparse_vectors(center_literal(dense_table(b)))
+            assert cen.rows == span_canonical_basis(literal, RATIONALS)
+        other += cen.ints != [dict.fromkeys(range(b.graph.n), 1)] + [{c: 1} for c in b.c_at.values()]
+    assert other >= 20
+
+
 @pytest.mark.parametrize("name", sorted(CHAINED))
 def test_inner_space_matches_literal_commutators_on_patched_tables(name):
     base = build_algebra(ORACLE_GRAPHS[name])
@@ -1152,13 +1178,12 @@ def test_solve_and_the_relation_checks_make_no_fraction():
         basis = span_canonical_basis(maps)
         assert [list(r.items()) for r in space.rows] == [list(r.items()) for r in basis]
         assert all(type(x) is Fraction for r in space.rows for x in r.values())
-    # the center's off-identity entries are the only Fractions analyze makes
-    # (737 with Fraction generators, 891 with field.neg and field.add, 2,843
+    # analyze makes no Fraction at all (39 with the center's Fraction rows,
+    # 737 with Fraction generators, 891 with field.neg and field.add, 2,843
     # with Fraction canonical bases)
-    g = random_tree(40, 12345)
     with counting_fractions() as made:
-        analyze_graph(g)
-    assert made["fractions"] == sum(len(r) - 1 for r in center(build_algebra(g)).rows), made
+        analyze_graph(random_tree(40, 12345))
+    assert made["fractions"] == 0, made
 
 
 INT_ROUTE_GRAPHS = {**{f"tree{n}": random_tree(n, 3000 + n) for n in range(2, 13)}, "star7": star_graph(7)}

@@ -1,4 +1,4 @@
-"""The package's six record types keep the behaviour of the dataclasses and
+"""The package's five record types keep the behaviour of the dataclasses and
 NamedTuples they replace: constructors, equality, hashing, immutability and
 reprs, pinned as ``dataclasses`` and ``typing.NamedTuple`` print them."""
 
@@ -9,7 +9,6 @@ import pytest
 
 from zigzagalg import RATIONALS, DerivationParams, Graph, Matrix, Report, analyze_graph, path_graph, rref
 from zigzagalg.exactlin import RrefResult
-from zigzagalg.zigzag import CenterResult, build_algebra, center
 
 EDGE = frozenset({(1, 2)})
 
@@ -97,14 +96,3 @@ def test_rref_result_is_a_named_triple():
     assert copy.copy(r) == copy.deepcopy(r) == r
     with pytest.raises(AttributeError):
         r.rank = 2
-
-
-def test_center_result_is_a_named_pair():
-    c = center(build_algebra(path_graph(2)))
-    rows, dimension = c
-    assert (rows, dimension) == (c.rows, c.dimension) == (c[0], c[1]) and dimension == len(rows) == 3
-    assert c == CenterResult(rows=rows, dimension=3) == (rows, 3) and c != CenterResult(rows, 4)
-    assert repr(CenterResult([{0: 1}], 1)) == "CenterResult(rows=[{0: 1}], dimension=1)"
-    assert copy.copy(c) == copy.deepcopy(c) == c
-    with pytest.raises(AttributeError):
-        c.dimension = 4
