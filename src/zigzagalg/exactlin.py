@@ -213,10 +213,13 @@ class RrefResult(tuple):
         return "RrefResult(reduced=%r, pivot_cols=%r, rank=%r)" % self
 
 
-def _int_row(row: dict) -> dict:
-    """``row`` times the lcm of its denominators: ints, a copy if they are."""
+def _int_row(row: dict, p: int = 0) -> dict:
+    """``row``, its values in the field (GF(p) for p > 0), times the lcm of
+    its denominators: ints, a copy if they are."""
     if all(type(x) is int for x in row.values()):
         return dict(row)
+    if bad := [x for x in row.values() if not isinstance(x, (int, Fraction)) or p and x.denominator % p == 0]:
+        raise FieldMismatchError(f"{bad[0]!r} is not an element of {f'GF({p})' if p else 'the rationals'}")
     L = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (L // x.denominator) for j, x in row.items()}
 
@@ -430,7 +433,7 @@ def _in_span(rows: Sequence[dict], vectors: Iterable[dict], field) -> bool:
     p = field.characteristic
     by_pivot = {min(r): r for r in rows}
     for v in vectors:
-        rest = _int_row(v)
+        rest = _int_row(v, p)
         for c in v:
             if c in by_pivot:
                 x = rest[c]

@@ -10,11 +10,10 @@ for an inner product * and an outer product . (:data:`FLAVOR_PRODUCTS`):
 
 Two independent routes produce derivation spaces and are kept independent on
 purpose: :func:`solve` takes the kernel of the Leibniz constraint system over
-the dim^2 matrix coefficients of Theta, while :func:`structured_space`
-materializes the closed parametric form (one ``t`` and one ``d`` parameter
-per arrow, tied by antisymmetry and per-vertex consistency).  Agreement
-between the two, and HH^0 / HH^1, are left to :mod:`zigzagalg.analysis`,
-never assumed here.
+the dim^2 matrix coefficients of Theta, while :func:`structured_space` spans
+the paper's closed form, written down with no solve (a ``t`` and a ``d`` per
+arrow, every edge sum of ``d`` equal).  Agreement between the two, and
+HH^0 / HH^1, are left to :mod:`zigzagalg.analysis`, never assumed here.
 
 :func:`solve` emits, column by column, the equations over a pool of
 unknowns (those no single-entry family forces to zero, nor, for jordan, a
@@ -30,9 +29,9 @@ derivations first; if all pass, :func:`derivation_space` takes Der = JDer and
 A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
 checks and the audit all work on these dicts.  :func:`structured_space` and
-:func:`inner_space` are the canonical spans of the int maps (residues mod p
-over GF(p)) that :func:`structured_generators` and :func:`ad_map` build, so
-neither makes a ``Fraction``.  ``a`` is a ``ZigzagAlgebra``, not imported here.
+:func:`inner_space` eliminate the int maps :func:`structured_generators` and
+:func:`ad_map` build (residues mod p over GF(p)) as they come: no ``Matrix``
+and no ``Fraction``.  ``a`` is a ``ZigzagAlgebra``, not imported here.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ class MapSpace:
 
     @classmethod
     def from_generators(cls, flavor: str, algebra: ZigzagAlgebra, generators: list) -> "MapSpace":
-        """Canonical space spanned by sparse flat-index maps."""
+        """Canonical space spanned by sparse flat-index maps from outside, validated."""
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
         field = algebra.field
@@ -265,10 +264,10 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
     """Check the flavor identity for one sparse flat-index map on every
     ordered basis pair, in integers.
 
-    This is the post-hoc audit of solver output; by bilinearity, holding on
-    basis pairs is holding everywhere.  A map holding a non-int value is
-    first scaled by the lcm of its denominators (the identity is
-    homogeneous).  Each entry x[u, c] = v (b_u in Theta(b_c)) is then added
+    This is the post-hoc audit of solver output; by bilinearity, holding on basis
+    pairs is holding everywhere.  A non-int map is scaled by the lcm of its
+    denominators (the identity is homogeneous; a value outside the field raises
+    FieldMismatchError).  Each entry x[u, c] = v (b_u in Theta(b_c)) is added
     into the equations it meets, keyed (q, r, p) for coordinate p at (b_q, b_r):
 
     * +v at (q, r, u) for each (q, r) in ``a.factors[c]``;
@@ -292,8 +291,10 @@ def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:
         raise ValueError(f"unknown flavor {flavor!r}")
     mod = a.field.characteristic
     dim = a.dim
-    if type(sum(lin.values())) is not int:  # a Fraction makes the sum one
-        lin = _int_row(lin)
+    try:
+        lin = lin if type(sum(lin.values())) is int else _int_row(lin, mod)  # a Fraction or a float makes the sum one
+    except TypeError:  # a value that is no number
+        lin = _int_row(lin, mod)
     # the products by which Theta(b_c) meets the pairs (c, r) and (q, c)
     at_left, at_right = (a.right_products, a.left_products) if flavor == "anti" else (a.left_products, a.right_products)
     acc = {}
@@ -445,26 +446,20 @@ def _materialize(a: ZigzagAlgebra, t: dict, d: dict) -> dict:
 
 
 def structured_parameter_basis(a: ZigzagAlgebra) -> list:
-    """Canonical basis of the parameter space (t_a, d_a) modulo consistency.
-
-    Free coordinates: one t per arrow, one d per arrow, in ``a.arrows`` order;
-    the per-vertex cycle-consistency conditions are solved exactly, each
-    vector the ints :func:`exactlin._kernel` gives: entries 1 and -1 (p - 1
-    over GF(p)), 1 at the free coordinate.
-    """
-    arrows = a.arrows
-    m = len(arrows)
-    pos = {ar: k for k, ar in enumerate(arrows)}
-    rows = []
-    for i, nb in a.nbrs.items():
-        for j in nb[1:]:  # d[(i, j)] + d[(j, i)] = d[(i, j0)] + d[(j0, i)], j0 = nb[0]
-            rows.append({m + pos[(i, nb[0])]: 1, m + pos[(nb[0], i)]: 1, m + pos[(i, j)]: -1, m + pos[(j, i)]: -1})
-    out = []
-    for vec in _kernel(a.field, exactlin._eliminate(a.field, rows), 2 * m).values():
-        coords = sorted(vec.items())
-        t = {arrows[k]: v for k, v in coords if k < m}
-        d = {arrows[k - m]: v for k, v in coords if k >= m}
-        out.append(DerivationParams(t=t, d=d))
+    """Canonical basis of the parameter space (t_a, d_a) modulo consistency:
+    the paper's closed form, in ints (-1 is p - 1 over GF(p)).  A unit t per
+    arrow, in ``a.arrows`` order; then, per arrow (u, v) in order, d = 1 on it
+    and on the first arrow (min, max) of every other edge if (u, v) is an arrow
+    of the last edge, else, if u > v, d = -1 on (v, u) and 1 on (u, v): the
+    kernel of per-vertex consistency, all edge sums d(u->v) + d(v->u) equal."""
+    minus_one = a.field.characteristic - 1  # -1 over the rationals
+    last = max(ar for ar in a.arrows if ar[0] < ar[1])
+    out = [DerivationParams({ar: 1}, {}) for ar in a.arrows]
+    for u, v in a.arrows:
+        if last in ((u, v), (v, u)):
+            out.append(DerivationParams({}, {ar: 1 for ar in a.arrows if ar == (u, v) or ar[0] < ar[1] and ar != last}))
+        elif u > v:
+            out.append(DerivationParams({}, {(v, u): minus_one, (u, v): 1}))
     return out
 
 
@@ -476,7 +471,8 @@ def structured_generators(a: ZigzagAlgebra) -> list:
 
 def structured_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of the materialized parameter basis, as a canonical MapSpace."""
-    return MapSpace.from_generators("derivation", a, structured_generators(a))
+    field = a.field
+    return MapSpace("derivation", field, a.dim, _canonical(field, exactlin._eliminate(field, structured_generators(a))))
 
 
 def ad_map(a: ZigzagAlgebra, k: int) -> dict:
@@ -496,5 +492,6 @@ def ad_map(a: ZigzagAlgebra, k: int) -> dict:
 
 def inner_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of all commutator maps [b_k, -], as a canonical MapSpace."""
-    return MapSpace.from_generators("derivation", a, [ad_map(a, k) for k in range(a.dim)])
+    maps = [ad_map(a, k) for k in range(a.dim)]
+    return MapSpace("derivation", a.field, a.dim, _canonical(a.field, exactlin._eliminate(a.field, maps)))
 

@@ -2,9 +2,9 @@
 
 Nothing here imports the package under test: the multiplication table of the
 single-edge algebra is written out by hand, elimination is a dense
-textbook Gauss-Jordan over Fraction, and the flavor identities and
-associativity are checked pair by pair (triple by triple) from a plain
-table, which :func:`dense_table` writes out from an algebra's products.
+textbook Gauss-Jordan over Fraction (or mod a prime), and the flavor
+identities and associativity are checked pair by pair (triple by triple)
+from a plain table, which :func:`dense_table` writes out from an algebra's products.
 These are deliberately dumb so they can arbitrate when the real solver and
 the closed-form generator disagree.  :func:`sparse_leibniz_system` is the
 tests' full system: written from the products dict, the dimension and the
@@ -46,9 +46,13 @@ def dense_table(algebra):
     return table
 
 
-def dense_rref(rows):
-    """Plain dense Gauss-Jordan over Fraction: (reduced rows, pivot cols)."""
-    mat = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows]
+def dense_rref(rows, modulus=0):
+    """Plain dense Gauss-Jordan over Fraction, or, given a prime modulus, over
+    GF(modulus) on ints reduced mod modulus: (reduced rows, pivot cols)."""
+    if modulus:
+        mat = [[x % modulus for x in r] for r in rows]
+    else:
+        mat = [[x if type(x) is Fraction else Fraction(x) for x in r] for r in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -60,26 +64,28 @@ def dense_rref(rows):
             continue
         mat[rank], mat[src] = mat[src], mat[rank]
         pv = mat[rank][col]
-        mat[rank] = [v / pv if v else v for v in mat[rank]]
+        inv = pow(pv, -1, modulus) if modulus else None
+        mat[rank] = [(v * inv % modulus if modulus else v / pv) if v else v for v in mat[rank]]
         for i in range(len(mat)):
             if i != rank and mat[i][col] != 0:
                 f = mat[i][col]
-                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[rank])]
+                mat[i] = [((a - f * b) % modulus if modulus else a - f * b) if b else a for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
         rank += 1
     return mat, pivots
 
 
-def dense_nullspace(rows, ncols):
-    """Kernel basis, free variable set to 1, ordered by free column."""
-    mat, pivots = dense_rref(rows)
+def dense_nullspace(rows, ncols, modulus=0):
+    """Kernel basis, free variable set to 1, ordered by free column; over
+    GF(modulus) (:func:`dense_rref`) given a prime modulus."""
+    mat, pivots = dense_rref(rows, modulus)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [0 if modulus else Fraction(0)] * ncols
+        v[f] = 1 if modulus else Fraction(1)
         for i, c in enumerate(pivots):
-            v[c] = -mat[i][f]
+            v[c] = -mat[i][f] % modulus if modulus else -mat[i][f]
         basis.append(tuple(v))
     return basis
 
@@ -258,6 +264,25 @@ def parameter_basis_literal(arrows, characteristic=0):
         elif u > v:
             vectors.append(({}, {(v, u): minus_one, (u, v): 1}))
     return vectors
+
+
+def cycle_consistency_kernel(arrows, nbrs, characteristic=0):
+    """Dense kernel of the per-vertex cycle-consistency conditions on the
+    structured parameters, over the rationals or GF(characteristic), from
+    the ``arrows`` and the neighbour lists ``nbrs`` (vertex -> increasing
+    neighbours) alone.  Coordinates: a t per arrow, then a d per arrow, in
+    ``arrows`` order; the t are free, and at each vertex i with neighbours
+    j0 < j1 < ..., d(i, j0) + d(j0, i) = d(i, j) + d(j, i) for every j."""
+    m = len(arrows)
+    pos = {ar: k for k, ar in enumerate(arrows)}
+    rows = []
+    for i, nb in nbrs.items():
+        for j in nb[1:]:
+            row = [0] * (2 * m)
+            for ar, sign in (((i, nb[0]), 1), ((nb[0], i), 1), ((i, j), -1), ((j, i), -1)):
+                row[m + pos[ar]] += sign
+            rows.append(row)
+    return dense_nullspace(rows, 2 * m, characteristic)
 
 
 def associative_literal(table):

@@ -20,6 +20,7 @@ from bruteforce import (
     check_structure,
     commutator_literal,
     dense_nullspace,
+    dense_rref,
     dense_table,
     edge_derivation_family,
     leibniz_rows,
@@ -31,6 +32,7 @@ from zigzagalg import analysis, exactlin, linmaps
 from zigzagalg.analysis import analyze_graph
 from zigzagalg.exactlin import (
     RATIONALS,
+    FieldMismatchError,
     Matrix,
     PrimeField,
     nullspace_basis,
@@ -247,14 +249,22 @@ PARAMETER_GRAPHS = {
 
 @pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:101"])
 def test_parameter_basis_is_the_closed_form(spec):
-    # the elimination gives the paper's parametrisation itself, in order,
-    # as ints with 1 at the free coordinate: no value to convert
+    # structured_parameter_basis writes the paper's parametrisation in
+    # closed form, as ints: it must span exactly the kernel of the
+    # per-vertex cycle-consistency conditions, which the oracle eliminates
+    # densely in the field, and equal the literal closed form, in order
     field = parse_field(spec)
+    p = field.characteristic
     for name, g in PARAMETER_GRAPHS.items():
         a = build_algebra(g, field)
-        got = [(p.t, p.d) for p in structured_parameter_basis(a)]
-        assert got == bruteforce.parameter_basis_literal(a.arrows, field.characteristic), name
+        got = [(prm.t, prm.d) for prm in structured_parameter_basis(a)]
+        assert got == bruteforce.parameter_basis_literal(a.arrows, p), name
         assert all(type(v) is int for t, d in got for v in (*t.values(), *d.values())), name
+        kernel = bruteforce.cycle_consistency_kernel(a.arrows, a.nbrs, p)
+        vectors = [[t.get(ar, 0) for ar in a.arrows] + [d.get(ar, 0) for ar in a.arrows] for t, d in got]
+        assert len(vectors) == len(kernel), name  # equal dimension
+        assert len(dense_rref(vectors, p)[1]) == len(vectors), name  # independent
+        assert len(dense_rref(kernel + vectors, p)[1]) == len(kernel), name  # every vector inside the kernel
 
 
 def test_every_materialized_parameter_is_a_derivation():
@@ -401,6 +411,30 @@ def test_containment_rejects_a_non_derivation():
     assert span_dim(der.rows + [outside], field) == der.dimension + 1
     assert not der.contains([outside])
     assert not der.contains(inner_space(a).rows + [outside])
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:3"])
+def test_verify_map_and_contains_reject_values_outside_the_field(spec):
+    # a non-int map is scaled to ints by the lcm of its denominators; over
+    # GF(3) a denominator 3 made that lcm 0 and wiped a stray entry, so a
+    # non-derivation passed, and a float or a string raised no field error
+    a = build_algebra(path_graph(3), parse_field(spec))
+    der = solve(a, "derivation")
+    row = der.ints[-1]
+    e1 = a.e_at[1]
+    stray = {e1 * a.dim + e1: 1}  # e1 -> e1 is no derivation
+    planted = {"float": {j: float(v) for j, v in row.items()}, "non-number": {j: str(v) for j, v in row.items()}}
+    if spec == "gf:3":
+        planted["third"] = {j: Fraction(v, 3) for j, v in row.items()} | stray
+    for name, lin in planted.items():
+        with pytest.raises(FieldMismatchError):
+            verify_map(a, lin, "derivation")
+        with pytest.raises(FieldMismatchError):
+            der.contains([lin])
+    # values in the field still scale: halves, with or without the stray entry
+    halves = {j: Fraction(v, 2) for j, v in row.items()}
+    assert verify_map(a, halves, "derivation") and der.contains([halves])
+    assert not verify_map(a, halves | stray, "derivation") and not der.contains([halves | stray])
 
 
 ORACLE_GRAPHS = {
@@ -1095,7 +1129,8 @@ def test_a_hub_costs_the_structured_route_no_more_additions(monkeypatch):
 @pytest.mark.parametrize("spec", ["rat", "gf:3"])
 def test_center_and_the_parameter_basis_eliminate_their_own_int_rows(monkeypatch, spec):
     # their rows are ints already, so like solve they go straight to the
-    # elimination: no Matrix to validate them, no rescaling by _int_row
+    # elimination: no Matrix to validate them, no rescaling by _int_row; so
+    # do the structured and inner spans, whose int maps the package builds
     calls = Counter()
     init, int_row = Matrix.__init__, exactlin._int_row
 
@@ -1114,6 +1149,8 @@ def test_center_and_the_parameter_basis_eliminate_their_own_int_rows(monkeypatch
         a = build_algebra(g, parse_field(spec))
         assert center(a).dimension == g.n + 1
         assert len(structured_parameter_basis(a)) == 3 * g.n - 2
+        assert structured_space(a).dimension == 3 * g.n - 2
+        assert inner_space(a).dimension == 3 * g.n - 3
     assert not calls, calls
 
 
@@ -1373,15 +1410,18 @@ COEFFICIENTS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
 @st.composite
 def lemma_maps(draw):
     """A LEMMA_TABLES algebra and a sparse map on it with int and Fraction
-    entries: a combination of one flavor's solved rows plus a few random
-    entries, so that each walk passes on some draws and fails on others."""
+    entries in its field (over GF(p) no denominator p divides): a
+    combination of one flavor's solved rows plus a few random entries, so
+    that each walk passes on some draws and fails on others."""
     a, spaces = lemma_table(*draw(st.sampled_from(LEMMA_TABLES)), draw(st.sampled_from(LEMMA_SPECS)))
+    p = a.field.characteristic
+    coefficients = COEFFICIENTS.filter(lambda x: x.denominator % p) if p else COEFFICIENTS
     lin = defaultdict(int)
     for row in spaces[draw(st.sampled_from(FLAVORS))]:
-        c = draw(COEFFICIENTS)
+        c = draw(coefficients)
         for j, v in row.items():
             lin[j] += c * v
-    for j, v in draw(st.dictionaries(st.integers(0, a.dim * a.dim - 1), COEFFICIENTS, max_size=2)).items():
+    for j, v in draw(st.dictionaries(st.integers(0, a.dim * a.dim - 1), coefficients, max_size=2)).items():
         lin[j] += v
     return a, {j: v for j, v in lin.items() if v}
 
