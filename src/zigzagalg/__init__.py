@@ -12,7 +12,6 @@ graph and returns a :class:`Report`.
 from .analysis import Report, analyze_graph
 from .exactlin import (
     FieldMismatchError,
-    Matrix,
     PrimeField,
     RATIONALS,
     Rationals,

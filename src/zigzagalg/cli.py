@@ -3,9 +3,10 @@
 ``analyze`` and ``sweep`` print the reports of :mod:`zigzagalg.analysis`.
 
 Exit codes: 0 all applicable checks pass, 1 invalid input (bad file, bad
-flags, unusable graph), 2 a formula check or an internal invariant failed.
-A command returns 0 or 2 for its verdict; :func:`main` turns every error,
-for every command, into exit 1 (``error: ...``) or 2 (``internal invariant
+flags, unusable graph) or out of memory, 2 a formula check or an internal
+invariant failed.  A command returns 0 or 2 for its verdict; :func:`main`
+turns every error, for every command, into exit 1 (``error: ...``, and
+``error: out of memory ...`` for a MemoryError) or 2 (``internal invariant
 failed: ...``), an error while writing output (``--timings``) included.
 Only ``sweep`` prints the failing tree, so that it can be replayed.
 """
@@ -257,6 +258,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # the frames that held the memory are gone by now
+        print("error: out of memory: the graph is too large for the memory available", file=sys.stderr)
         return 1
 
 

@@ -4,13 +4,13 @@ Everything in this package that looks like linear algebra goes through this
 module: reduced row-echelon forms, kernels, and span comparisons, all with
 exact arithmetic and no floating point.  It works on ints (fraction-free
 over the rationals, residues mod p), scaling ``Fraction`` rows where they
-enter (an int row is only copied) and making ``Fraction``s only for a
+enter (an int row is taken as it is) and making ``Fraction``s only for a
 returned result; spans compare by canonical int rows (:func:`_canonical`).
-Every kernel is one :func:`_eliminate` then :func:`_kernel`, of a validated
-``Matrix`` or of the package's own int rows, taken as they come: repeated
-or rescaled rows reduce to zero like any other dependent row, and only the
-results are scaled, canonical rows to primitive ints and kernel vectors at
-their free column.  A field only converts values into itself
+Every kernel is one :func:`_eliminate` then :func:`_kernel`, of rows
+:func:`_int_rows` validated or of the package's own int rows, taken as they
+come: repeated or rescaled rows reduce to zero like any other dependent row,
+and only the results are scaled, canonical rows to primitive ints and kernel
+vectors at their free column.  A field only converts values into itself
 (``convert``); arithmetic on its elements is plain Python, mod p in GF(p).
 
 Matrices are stored as sparse rows (dict column -> nonzero scalar), as the
@@ -18,8 +18,9 @@ Leibniz systems downstream need: many rows, a few nonzero entries each.
 
 Canonical conventions, relied on by callers and tests:
 
-* ``rref`` returns the unique reduced row-echelon form (leading 1s, pivot
-  columns cleared, rows ordered by pivot column, zero rows at the bottom).
+* ``rref`` returns (reduced, pivot_cols, rank), ``reduced`` the unique reduced
+  row-echelon form (leading 1s, pivot columns cleared, rows ordered by pivot
+  column), a row per input row, the zero rows ``{}`` at the bottom.
 * ``nullspace_basis`` returns one vector per free column, ordered by the free
   column index, with the free variable set to 1, then the pivot coordinates
   in increasing order: entry v at f of the int pivot row of c, pivot value
@@ -30,7 +31,7 @@ Canonical conventions, relied on by callers and tests:
 
 A vector is a sparse dict index -> nonzero scalar in the field (dim^2
 coordinates, a few nonzero).  Kernels, canonical bases and span checks take
-and return this form; :meth:`Matrix.from_sparse` validates outside rows.
+and return this form; :func:`_int_rows` validates rows from outside.
 """
 
 from __future__ import annotations
@@ -150,69 +151,6 @@ def parse_field(spec: str):
     raise ValueError(f"bad field spec {spec!r}: expected 'rat' or 'gf:<p>'")
 
 
-class Matrix:
-    """Immutable sparse matrix: ``rows[i]`` maps column -> nonzero scalar."""
-
-    def __init__(self, field, nrows: int, ncols: int, rows: tuple) -> None:
-        vars(self).update(field=field, nrows=nrows, ncols=ncols, rows=rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self):
-        return f"Matrix(field={self.field!r}, nrows={self.nrows!r}, ncols={self.ncols!r}, rows={self.rows!r})"
-
-    @classmethod
-    def from_sparse(cls, field, nrows: int, ncols: int, rows: Sequence[dict]) -> "Matrix":
-        """Build from sparse rows whose entries already live in ``field``.
-
-        Raises TypeError for a row that is not a dict, ValueError for a column
-        out of range or a stored entry that is zero in the field (in GF(p),
-        any multiple of p), and FieldMismatchError for any other entry that is
-        not an element of the field: an ``int`` or ``Fraction`` over the
-        rationals, an ``int`` in 1..p-1 in GF(p).
-        """
-        if len(rows) != nrows:
-            raise ValueError(f"expected {nrows} rows, got {len(rows)}")
-        p = field.characteristic
-        scalars = int if p else (int, Fraction)
-        for i, r in enumerate(rows):
-            if not isinstance(r, dict):
-                raise TypeError(f"row {i} is a {type(r).__name__}, not a dict column -> scalar")
-            for j, v in r.items():
-                if not 0 <= j < ncols:
-                    raise ValueError(f"column index {j} out of range for {ncols} columns")
-                if not (isinstance(v, scalars) and (0 < v < p if p else v)):
-                    if isinstance(v, (int, Fraction)) and not (v % p if p else v):
-                        raise ValueError(f"row {i}, column {j}: stored entry is zero in {field.name}")
-                    raise FieldMismatchError(f"row {i}, column {j}: {v!r} is not an element of {field.name}")
-        return cls(field, nrows, ncols, tuple(dict(r) for r in rows))
-
-
-class RrefResult(tuple):
-    """The triple (reduced, pivot_cols, rank), its items also read by name."""
-
-    __slots__ = ()
-    reduced = property(lambda self: self[0])
-    pivot_cols = property(lambda self: self[1])
-    rank = property(lambda self: self[2])
-
-    def __new__(cls, reduced: Matrix, pivot_cols: tuple, rank: int):
-        return tuple.__new__(cls, (reduced, pivot_cols, rank))
-
-    def __getnewargs__(self):  # so that copy and pickle call __new__ with the items
-        return tuple(self)
-
-    def __repr__(self):
-        return "RrefResult(reduced=%r, pivot_cols=%r, rank=%r)" % self
-
-
 def _int_row(row: dict, p: int = 0) -> dict:
     """``row``, its values in the field (GF(p) for p > 0), times the lcm of
     its denominators: ints, a copy if they are."""
@@ -224,10 +162,35 @@ def _int_row(row: dict, p: int = 0) -> dict:
     return {j: x.numerator * (L // x.denominator) for j, x in row.items()}
 
 
-def _ints(m: Matrix) -> list:
-    """The rows of ``m`` as ints (:func:`_int_row` over the rationals); a
-    single entry is only tested for zero, so kept."""
-    return m.rows if m.field.characteristic else [_int_row(r) if len(r) > 1 else r for r in m.rows]
+def _int_rows(field, rows: Sequence[dict], ncols: int | None = None) -> Sequence[dict]:
+    """Sparse ``rows`` from outside, validated, as int rows for
+    :func:`_eliminate`, which does not mutate them: over the rationals a row
+    holding a ``Fraction`` scaled by :func:`_int_row`, any other as it is.
+    ``ncols`` defaults to one more than the largest column.
+
+    Raises TypeError for a row that is not a dict, ValueError for a column
+    out of range or a stored entry that is zero in the field (in GF(p),
+    any multiple of p), and FieldMismatchError for any other entry that is
+    not an element of the field: an ``int`` or ``Fraction`` over the
+    rationals, an ``int`` in 1..p-1 in GF(p).
+    """
+    if ncols is None:
+        ncols = 1 + max((j for r in rows for j in r), default=-1)
+    p = field.characteristic
+    scalars = int if p else (int, Fraction)
+    for i, r in enumerate(rows):
+        if not isinstance(r, dict):
+            raise TypeError(f"row {i} is a {type(r).__name__}, not a dict column -> scalar")
+        for j, v in r.items():
+            if not 0 <= j < ncols:
+                raise ValueError(f"column index {j} out of range for {ncols} columns")
+            if not (isinstance(v, scalars) and (0 < v < p if p else v)):
+                if isinstance(v, (int, Fraction)) and not (v % p if p else v):
+                    raise ValueError(f"row {i}, column {j}: stored entry is zero in {field.name}")
+                raise FieldMismatchError(f"row {i}, column {j}: {v!r} is not an element of {field.name}")
+    if p:
+        return rows
+    return [r if all(type(x) is int for x in r.values()) else _int_row(r) for r in rows]
 
 
 def normalize_row(field, row: dict) -> dict:
@@ -352,14 +315,14 @@ def field_rows(field, rows: Sequence[dict]) -> list:
     return [{j: Fraction(v, d) for j, v in r.items()} for r in rows for d in (r[min(r)],)]
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Unique reduced row-echelon form of ``m``, with pivot columns and rank."""
-    pivots = _eliminate(m.field, _ints(m))
-    reduced_rows = field_rows(m.field, _canonical(m.field, pivots))
-    rank = len(reduced_rows)
-    reduced_rows.extend({} for _ in range(m.nrows - rank))
-    reduced = Matrix(m.field, m.nrows, m.ncols, tuple(reduced_rows))
-    return RrefResult(reduced, tuple(sorted(pivots)), rank)
+def rref(rows: Sequence[dict], field=RATIONALS) -> tuple:
+    """Unique reduced row-echelon form of sparse ``rows``, validated by
+    :func:`_int_rows`: (reduced, pivot_cols, rank), ``reduced`` as many rows
+    as ``rows``, the zero rows ``{}`` at the bottom."""
+    pivots = _eliminate(field, _int_rows(field, rows))
+    reduced = field_rows(field, _canonical(field, pivots))
+    rank = len(reduced)
+    return reduced + [{} for _ in range(len(rows) - rank)], tuple(sorted(pivots)), rank
 
 
 def _kernel(field, pivots: dict, ncols: int) -> dict:
@@ -390,31 +353,25 @@ def _canonical_kernel(field, rows: Iterable[dict], pool: Sequence) -> list:
     return [{pool[~k]: v for k, v in vec.items()} for vec in reversed(kernel.values())]  # pool[~k] = pool[len(pool) - 1 - k]
 
 
-def nullspace_basis(m: Matrix) -> list:
-    """Canonical kernel basis: one vector per free column, free variable 1,
-    each a dict column -> nonzero scalar."""
-    kernel = _kernel(m.field, _eliminate(m.field, _ints(m)), m.ncols)
-    if m.field.characteristic:
+def nullspace_basis(rows: Sequence[dict], ncols: int, field=RATIONALS) -> list:
+    """Canonical kernel basis of sparse ``rows`` over ``ncols`` columns,
+    validated by :func:`_int_rows`: one vector per free column, free
+    variable 1, each a dict column -> nonzero scalar."""
+    kernel = _kernel(field, _eliminate(field, _int_rows(field, rows, ncols)), ncols)
+    if field.characteristic:
         return list(kernel.values())
-    return [{f: m.field.one} | {j: Fraction(v, vec[f]) for j, v in vec.items() if j != f} for f, vec in kernel.items()]
-
-
-def _span(vectors: Sequence[dict], field) -> dict:
-    """The pivot dict of the span of sparse ``vectors``, validated by
-    :meth:`Matrix.from_sparse`."""
-    ncols = 1 + max((j for v in vectors for j in v), default=-1)
-    return _eliminate(field, _ints(Matrix.from_sparse(field, len(vectors), ncols, vectors)))
+    return [{f: field.one} | {j: Fraction(v, vec[f]) for j, v in vec.items() if j != f} for f, vec in kernel.items()]
 
 
 def span_dim(vectors: Sequence, field=RATIONALS) -> int:
     """Dimension of the span of sparse ``vectors``."""
-    return len(_span(vectors, field))
+    return len(_eliminate(field, _int_rows(field, vectors)))
 
 
 def span_canonical_basis(vectors: Sequence, field=RATIONALS) -> list:
     """Canonical basis of the span of sparse ``vectors``: the nonzero rows
     of its RREF, in pivot order."""
-    return field_rows(field, _canonical(field, _span(vectors, field)))
+    return field_rows(field, _canonical(field, _eliminate(field, _int_rows(field, vectors))))
 
 
 def span_equal(a: Sequence, b: Sequence, field=RATIONALS) -> bool:
@@ -423,7 +380,7 @@ def span_equal(a: Sequence, b: Sequence, field=RATIONALS) -> bool:
     Compares the canonical int rows of the two spans, so it is an exact
     equivalence, not a mutual-containment heuristic.
     """
-    return _canonical(field, _span(a, field)) == _canonical(field, _span(b, field))
+    return _canonical(field, _eliminate(field, _int_rows(field, a))) == _canonical(field, _eliminate(field, _int_rows(field, b)))
 
 
 def _in_span(rows: Sequence[dict], vectors: Iterable[dict], field) -> bool:

@@ -30,7 +30,7 @@ A map is a sparse dict from the flat index p*dim + q to the nonzero
 coefficient of b_p in Theta(b_q).  Systems, kernels, canonical bases, span
 checks and the audit all work on these dicts.  :func:`structured_space` and
 :func:`inner_space` eliminate the int maps :func:`structured_generators` and
-:func:`ad_map` build (residues mod p over GF(p)) as they come: no ``Matrix``
+:func:`ad_map` build (residues mod p over GF(p)) as they come: no validation
 and no ``Fraction``.  ``a`` is a ``ZigzagAlgebra``, not imported here.
 """
 
@@ -40,7 +40,7 @@ from collections import Counter, defaultdict
 from functools import cached_property
 
 from . import exactlin
-from .exactlin import Matrix, _canonical, _canonical_kernel, _in_span, _int_row, _kernel, _span, field_rows, normalize_row
+from .exactlin import _canonical, _canonical_kernel, _in_span, _int_row, _kernel, field_rows, normalize_row
 from .exactlin import span_canonical_basis  # not called here: benchmarks/test_tracing.py asserts this binding
 
 # flavor -> (inner, outer): the orders (xy, yx) of the algebra's product that
@@ -84,14 +84,6 @@ class MapSpace:
     @cached_property
     def rows(self) -> list:
         return field_rows(self.field, self.ints)
-
-    @classmethod
-    def from_generators(cls, flavor: str, algebra: ZigzagAlgebra, generators: list) -> "MapSpace":
-        """Canonical space spanned by sparse flat-index maps from outside, validated."""
-        if flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        field = algebra.field
-        return cls(flavor, field, algebra.dim, _canonical(field, _span(generators, field)))
 
     def contains(self, maps) -> bool:
         """Whether every sparse flat-index map in ``maps`` lies in this space."""
@@ -242,12 +234,13 @@ def _leibniz_equations(a: ZigzagAlgebra, flavor: str, pool=None):
     return pool, list(eqs.values())
 
 
-def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
-    """Constraint matrix over the dim^2 coefficients x[p, q] of Theta: the
+def leibniz_system(a: ZigzagAlgebra, flavor: str) -> list:
+    """Constraint rows over the dim^2 coefficients x[p, q] of Theta: the
     equations :func:`_leibniz_equations` emits over every column, those
     nonzero in the field normalized, deduplicated and sorted here (the
-    eliminator does neither), so the tests can compare it row for row with
-    their oracle's full system.  Its kernel is the flavor's solution space."""
+    eliminator does neither), each a sparse row of field elements, so the
+    tests can compare them row for row with their oracle's full system.
+    Their kernel is the flavor's solution space."""
     n = a.dim * a.dim
     _, eqs = _leibniz_equations(a, flavor, range(n - 1, -1, -1))  # each column labels itself
     field = a.field
@@ -256,8 +249,7 @@ def leibniz_system(a: ZigzagAlgebra, flavor: str) -> Matrix:
     for row in eqs:
         if row := {j: c for j, c in row.items() if (c % mod if mod else c)}:
             keys.add(tuple(sorted(normalize_row(field, row).items())))
-    rows = [{j: field.convert(c) for j, c in key} for key in sorted(keys)]
-    return Matrix.from_sparse(field, len(rows), n, rows)
+    return [{j: field.convert(c) for j, c in key} for key in sorted(keys)]
 
 
 def verify_map(a: ZigzagAlgebra, lin: dict, flavor: str) -> bool:

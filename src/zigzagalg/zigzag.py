@@ -98,10 +98,6 @@ class ZigzagAlgebra:
             self.left_products[p].append((q, r))
             self.right_products[q].append((p, r))
 
-    def identity(self) -> dict:
-        """Sum of the trivial paths, the first n basis elements."""
-        return dict.fromkeys(range(self.graph.n), self.field.one)
-
     def __repr__(self) -> str:
         return f"ZigzagAlgebra(n={self.graph.n}, dim={self.dim}, field={self.field.name})"
 

@@ -302,6 +302,12 @@ def sparse_vectors(vectors):
     return [{j: x for j, x in enumerate(v) if x} for v in vectors]
 
 
+def identity_element(algebra):
+    """The unit of an algebra: the sum of the trivial paths, whose basis
+    indices are the values of ``e_at`` (vertex -> index)."""
+    return dict.fromkeys(algebra.e_at.values(), algebra.field.one)
+
+
 def check_structure(algebra, entries):
     """Zero-pattern audit of a derivation map given as p*dim + q -> nonzero
     coefficient of b_p in Theta(b_q): the image of e(i) lies on arrows

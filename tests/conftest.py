@@ -6,11 +6,14 @@ hook below repeats them where every run can see them, including piped ones.
 The ``fresh_python`` fixture runs a new interpreter on the package in src/.
 An autouse fixture fails any test that ends with the cyclic collector
 disabled: ``analyze_graph`` pauses it, and must restore it on every path.
+Another fails a test that runs past ``TIME_LIMIT_S``, so that a hang ends
+the test instead of the whole run (``SIGALRM``, where ``setitimer`` exists).
 """
 
 import gc
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +22,30 @@ import pytest
 
 ACCEPTANCE_VERDICTS: list = []
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+TIME_LIMIT_S = 60  # the slowest test takes under 2 s
+
+
+class TimeLimitExceeded(BaseException):
+    """Not an Exception, nor pytest's Failed: hypothesis takes either for a
+    failing example and goes on shrinking, now with no alarm left."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expired(signum, frame):
+        raise TimeLimitExceeded(f"the test ran past its {TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

@@ -7,18 +7,23 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import TIME_LIMIT_S, TimeLimitExceeded
 import zigzagalg
-from zigzagalg import analysis, cli, linmaps, quiver, zigzag
+from zigzagalg import analysis, cli, exactlin, linmaps, quiver, zigzag
 from zigzagalg.analysis import CHECK_KEYS, FAIL, NA, PASS, Report, analyze_graph
 from zigzagalg.cli import main
 from zigzagalg.exactlin import RATIONALS, parse_field
 from zigzagalg.linmaps import InternalInvariantError, MapSpace
 from zigzagalg.quiver import Graph, Xorshift64Star, parse_graph, path_graph, random_tree, serialize_graph, star_graph
+from zigzagalg.zigzag import build_algebra
 
 EDGE_FILE = "vertices 2\nedge 1 2\n"
 PATH3_FILE = "vertices 3\nedge 1 2\nedge 2 3\n"
@@ -52,6 +57,75 @@ def test_analyze_json_round_trip(tmp_path, capsys):
     timings = doc["timings_ms"]
     assert "checks" in timings
     assert sum(v for k, v in timings.items() if k != "total") <= timings["total"]
+
+
+# the exact bytes of analyze --json on the 3-path, each stage time masked as MS
+PATH3_JSON = """{
+  "n": 3,
+  "edges": [
+    [
+      1,
+      2
+    ],
+    [
+      2,
+      3
+    ]
+  ],
+  "is_tree": true,
+  "field": "rat",
+  "dim_algebra": 10,
+  "dim_center": 4,
+  "dim_der": 7,
+  "dim_jordan": 7,
+  "dim_anti": 0,
+  "dim_inner": 6,
+  "hh0": 4,
+  "hh1": 1,
+  "formula_checks": {
+    "dim_algebra_formula": "pass",
+    "center_formula": "pass",
+    "der_formula": "pass",
+    "inner_formula": "pass",
+    "hh1_is_one": "pass",
+    "jordan_eq_der": "pass",
+    "anti_is_zero": "pass",
+    "structured_eq_solver": "pass"
+  },
+  "timings_ms": {
+    "build": MS,
+    "associativity": MS,
+    "center": MS,
+    "jordan": MS,
+    "derivation": MS,
+    "anti": MS,
+    "structured": MS,
+    "inner": MS,
+    "checks": MS,
+    "total": MS
+  }
+}
+"""
+
+
+def test_analyze_json_bytes_are_pinned(tmp_path, capsys):
+    assert main(["analyze", write(tmp_path, PATH3_FILE), "--json"]) == 0
+    head, sep, tail = capsys.readouterr().out.partition('"timings_ms": {')
+    assert head + sep + re.sub(r": [0-9.e+-]+", ": MS", tail) == PATH3_JSON
+
+
+def test_stage_timings_are_bounded_by_the_clock_around_the_analysis():
+    # every stage is read off one clock in whole microseconds: none is
+    # negative, together they fit in the total, and the total is no more
+    # than a reading taken around the whole call (plus 1 us of rounding)
+    g = random_tree(30, 7)
+    t0 = time.perf_counter()
+    report, _ = analyze_graph(g)
+    outside_us = (time.perf_counter() - t0) * 1e6
+    us = {k: round(v * 1000) for k, v in report.timings_ms.items()}
+    total = us.pop("total")
+    assert all(v >= 0 for v in us.values()) and sum(us.values()) <= total, report.timings_ms
+    assert 0 < total <= outside_us + 1, (total, outside_us)
 
 
 def test_analyze_non_tree_gates_tree_checks(tmp_path, capsys):
@@ -210,6 +284,22 @@ def test_sweep_passes_and_is_deterministic(capsys):
     assert all("timings_ms" not in r for r in doc["results"])
 
 
+# sha256 of the stdout of sweep with every numeric option at its default
+# (--count 50, --n-min 2, --n-max 12, --seed 0): the table depends on the
+# tree sizes only, the JSON also on the seed and each tree's seed
+DEFAULT_SWEEP_DIGESTS = {
+    "table": "4830ff2202da70e4a698a1797ae95ca02c082c7f87339dbc41509dba303bff80",
+    "json": "cd8fed76799797bd5b93adbd66f6f8e6ae5612f1ff8f1848fee113307674e0e2",
+}
+
+
+@pytest.mark.parametrize("output", sorted(DEFAULT_SWEEP_DIGESTS))
+def test_default_sweep_output_is_pinned(capsys, output):
+    assert main(["sweep"] + (["--json"] if output == "json" else [])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_SWEEP_DIGESTS[output]
+
+
 def test_sweep_table_output(capsys):
     assert main(SWEEP_ARGS) == 0
     out = capsys.readouterr().out
@@ -255,6 +345,14 @@ def test_dump_non_tree_falls_back_to_solver(tmp_path, capsys):
     assert doc["presentation"] == "solver"
     assert len(doc["maps"]) == 10
     assert all(entry["params"] is None for entry in doc["maps"])
+
+
+def test_elements_print_each_coefficient_other_than_plus_or_minus_one():
+    # the pinned rat dumps hold only +-1 coefficients
+    a = build_algebra(path_graph(2))
+    element = {0: Fraction(2), 1: Fraction(1, 2), 2: Fraction(-2), 3: Fraction(-1), 4: Fraction(1)}
+    assert cli._format_element(a, element) == "2*e1 + 1/2*e2 - 2*a(1->2) - a(2->1) + c1"
+    assert cli._format_element(a, {2: Fraction(-1, 3), 5: Fraction(3)}) == "-1/3*a(1->2) + 3*c2"
 
 
 def test_dump_rejects_unusable_graph(tmp_path, capsys):
@@ -402,7 +500,7 @@ def test_dump_derivations_walks_the_graph_once(monkeypatch, tmp_path, capsys):
 
 PUBLIC_NAMES = [
     "CharacteristicTwoError", "DerivationParams", "FieldMismatchError", "Graph", "GraphParseError",
-    "InternalInvariantError", "MapSpace", "Matrix", "PrimeField", "RATIONALS", "Rationals", "Report",
+    "InternalInvariantError", "MapSpace", "PrimeField", "RATIONALS", "Rationals", "Report",
     "Xorshift64Star", "ZigzagAlgebra", "ad_map", "analyze_graph", "build_algebra", "center",
     "check_associativity", "inner_space", "leibniz_system", "materialize", "multiply", "nullspace_basis",
     "parse_field", "parse_graph", "path_graph", "random_tree", "rref", "serialize_graph", "solve",
@@ -534,8 +632,8 @@ def test_analyze_fails_a_center_span_that_differs_at_equal_dimension(monkeypatch
 def larger_derivation_space(a, jordan):
     """Der with the identity map, which is no derivation, added to its basis."""
     der = linmaps.derivation_space(a, jordan)
-    identity = {p * a.dim + p: a.field.one for p in range(a.dim)}
-    return MapSpace.from_generators("derivation", a, der.rows + [identity])
+    identity = {p * a.dim + p: 1 for p in range(a.dim)}
+    return MapSpace("derivation", a.field, a.dim, exactlin._canonical(a.field, exactlin._eliminate(a.field, der.ints + [identity])))
 
 
 def test_tree_formula_mismatches_are_warnings_over_gf_p(monkeypatch, tmp_path, capsys):
@@ -699,6 +797,41 @@ def test_huge_edgeless_input_exits_1_without_running_out_of_memory(tmp_path, fre
     proc = fresh_python("-m", "zigzagalg", "analyze", graph, max_bytes=2**30)
     assert proc.returncode == 1, proc.stderr
     assert "not connected" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_out_of_memory_exits_1_with_one_error_line(monkeypatch, tmp_path, capsys, command):
+    def exhausted(g, field):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "analyze_graph", exhausted)
+    argv = ["analyze", write(tmp_path, PATH3_FILE)] if command == "analyze" else ["sweep", "--count", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: out of memory")
+
+
+def test_a_path_too_large_for_the_memory_cap_exits_1_with_one_error_line(tmp_path, fresh_python):
+    # 6 * 10^4 vertices under a 256 MB address-space cap run out of memory
+    # inside the analysis, with no traceback
+    n = 60_000
+    graph = write(tmp_path, f"vertices {n}\n" + "".join(f"edge {i} {i + 1}\n" for i in range(1, n)))
+    proc = fresh_python("-m", "zigzagalg", "analyze", graph, max_bytes=2**28)
+    assert proc.returncode == 1, proc.stderr
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: out of memory"), proc.stderr
+
+
+def test_each_test_runs_under_a_time_limit():
+    # armed by conftest before the test, the alarm's handler fails the test
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("no setitimer here: tests run without a time limit")
+    remaining, _ = signal.getitimer(signal.ITIMER_REAL)
+    assert 0 < remaining <= TIME_LIMIT_S
+    with pytest.raises(TimeLimitExceeded, match=f"past its {TIME_LIMIT_S} s limit"):
+        signal.getsignal(signal.SIGALRM)(signal.SIGALRM, None)
 
 
 def test_paper_claims_hold_on_a_200_vertex_tree():

@@ -13,7 +13,6 @@ from zigzagalg import exactlin
 from zigzagalg.exactlin import (
     RATIONALS,
     FieldMismatchError,
-    Matrix,
     PrimeField,
     Rationals,
     normalize_row,
@@ -28,15 +27,12 @@ from zigzagalg.linmaps import MapSpace
 
 
 def qq(rows, field=RATIONALS):
-    """Dense test rows, converted into ``field``, as a sparse Matrix."""
-    ncols = len(rows[0]) if rows else 0
-    sparse = [{j: v for j, x in enumerate(r) if (v := field.convert(x)) != field.zero} for r in rows]
-    return Matrix.from_sparse(field, len(rows), ncols, sparse)
+    """Dense test rows, converted into ``field``, as sparse rows."""
+    return [{j: v for j, x in enumerate(r) if (v := field.convert(x)) != field.zero} for r in rows]
 
 
-def dense(m):
-    """The rows of ``m`` as dense lists."""
-    return [[r.get(j, m.field.zero) for j in range(m.ncols)] for r in m.rows]
+def dense_rows(vectors, ncols, field=RATIONALS):
+    return [[v.get(j, field.zero) for j in range(ncols)] for v in vectors]
 
 
 def test_rref_identity_is_fixed():
@@ -48,10 +44,10 @@ def test_rref_identity_is_fixed():
 
 
 def test_rref_proportional_rows():
-    red, pivots, rank = rref(qq([[1, 2], [2, 4]]))
-    assert dense(red) == [[1, 2], [0, 0]]
-    assert pivots == (0,)
-    assert rank == 1
+    # a plain triple, the zero rows {} at the bottom of as many rows as came in
+    r = rref(qq([[1, 2], [2, 4]]))
+    assert type(r) is tuple and r == ([{0: 1, 1: 2}, {}], (0,), 1)
+    assert dense_rows(r[0], 2) == [[1, 2], [0, 0]]
 
 
 # the 6x6 coefficient pattern of the two-vertex derivation family, at
@@ -74,32 +70,31 @@ def test_rref_six_by_six_hand_elimination():
     assert pivots == (0, 2, 3, 4)
     reference, reference_pivots = dense_rref(HAND_MATRIX)
     nonzero = [row for row in reference if any(row)]
-    assert dense(red)[:4] == nonzero
+    assert dense_rows(red, 6)[:4] == nonzero
     assert list(pivots) == reference_pivots
 
 
 def test_nullspace_one_row():
-    vecs = nullspace_basis(qq([[1, 1]]))
+    vecs = nullspace_basis(qq([[1, 1]]), 2)
     assert vecs == [{0: Fraction(-1), 1: Fraction(1)}]
 
 
 def test_nullspace_free_variable_convention():
     # x0 + 2 x2 = 0, x1 - x2 = 0; single free column 2
-    vecs = nullspace_basis(qq([[1, 0, 2], [0, 1, -1]]))
+    vecs = nullspace_basis(qq([[1, 0, 2], [0, 1, -1]]), 3)
     assert vecs == [{0: Fraction(-2), 1: Fraction(1), 2: Fraction(1)}]
 
 
 def test_nullspace_of_full_rank_matrix_is_empty():
-    assert nullspace_basis(qq([[1, 0], [0, 1]])) == []
+    assert nullspace_basis(qq([[1, 0], [0, 1]]), 2) == []
 
 
 def test_zero_rows_and_duplicates_do_not_change_anything():
     a = qq([[1, 2, 3], [0, 0, 0], [1, 2, 3], [2, 4, 6]])
     b = qq([[1, 2, 3]])
-    ra = rref(a)
-    rb = rref(b)
-    assert ra.rank == rb.rank == 1
-    assert ra.reduced.rows[0] == rb.reduced.rows[0]
+    (reduced_a, _, rank_a), (reduced_b, _, rank_b) = rref(a), rref(b)
+    assert rank_a == rank_b == 1
+    assert reduced_a[0] == reduced_b[0]
 
 
 def test_rref_row_order_invariance():
@@ -109,9 +104,7 @@ def test_rref_row_order_invariance():
     for _ in range(10):
         shuffled = base[:]
         rng.shuffle(shuffled)
-        got = rref(qq(shuffled))
-        assert got.reduced.rows == ref.reduced.rows
-        assert got.pivot_cols == ref.pivot_cols
+        assert rref(qq(shuffled)) == ref
 
 
 small_matrices = st.lists(
@@ -124,21 +117,20 @@ small_matrices = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_rref_is_idempotent(rows):
-    m = qq(rows)
-    once = rref(m).reduced
-    twice = rref(once).reduced
-    assert once.rows == twice.rows
+    once = rref(qq(rows))[0]
+    twice = rref(once)[0]
+    assert once == twice
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrices)
 def test_rank_nullity_and_exact_kernel(rows):
-    m = qq(rows)
+    m, ncols = qq(rows), len(rows[0])
     _, _, rank = rref(m)
-    kernel = nullspace_basis(m)
-    assert rank + len(kernel) == m.ncols
+    kernel = nullspace_basis(m, ncols)
+    assert rank + len(kernel) == ncols
     for v in kernel:
-        assert all(sum(a * v.get(j, 0) for j, a in row.items()) == 0 for row in m.rows)
+        assert all(sum(a * v.get(j, 0) for j, a in row.items()) == 0 for row in m)
     if kernel:
         assert span_dim(kernel) == len(kernel)
 
@@ -148,26 +140,26 @@ def test_rank_nullity_and_exact_kernel(rows):
 def test_rational_and_large_prime_agree_on_rank(rows):
     # a big prime sees the same rank as the rationals for these tiny entries
     gf = PrimeField(1000003)
-    assert rref(qq(rows)).rank == rref(qq(rows, gf)).rank
+    assert rref(qq(rows))[2] == rref(qq(rows, gf), gf)[2]
 
 
-def kernel_from_rref(m):
-    """The kernel as read off ``rref(m)``: free columns in order, then minus
-    each pivot row's entry there, pivots in increasing order."""
-    red, pivot_cols, _ = rref(m)
-    vecs = {f: {f: m.field.one} for f in range(m.ncols) if f not in pivot_cols}
-    for c, row in zip(pivot_cols, red.rows):
+def kernel_from_rref(rows, ncols, field):
+    """The kernel as read off ``rref(rows)``: free columns in order, then
+    minus each pivot row's entry there, pivots in increasing order."""
+    red, pivot_cols, _ = rref(rows, field)
+    vecs = {f: {f: field.one} for f in range(ncols) if f not in pivot_cols}
+    for c, row in zip(pivot_cols, red):
         for j, x in row.items():
             if j != c:
-                vecs[j][c] = m.field.convert(-x)
+                vecs[j][c] = field.convert(-x)
     return list(vecs.values())
 
 
 @st.composite
 def sparse_systems(draw, field):
-    """A drawn sparse system with fewer rows than columns: over rat, Fraction
-    entries with negative and non-unit leads; over GF(p), their images,
-    zeros dropped."""
+    """(rows, ncols): a drawn sparse system with fewer rows than columns: over
+    rat, Fraction entries with negative and non-unit leads; over GF(p), their
+    images, zeros dropped."""
     ncols = draw(st.integers(2, 8))
     entry = st.builds(Fraction, st.sampled_from([-6, -3, -2, -1, 1, 2, 4, 5]), st.sampled_from([1, 2, 3, 5]))
     rows = []
@@ -177,7 +169,7 @@ def sparse_systems(draw, field):
         if field.characteristic:
             row = {j: x for j, v in row.items() if v.denominator % field.characteristic if (x := field.convert(v))}
         rows.append(row)
-    return Matrix.from_sparse(field, len(rows), ncols, rows)
+    return rows, ncols
 
 
 @pytest.mark.parametrize("spec", ["rat", "gf:101", "gf:3", "gf:2"])
@@ -188,8 +180,8 @@ def test_nullspace_basis_is_the_kernel_read_off_the_rref(spec):
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_systems(field))
-    def check(m):
-        got, want = nullspace_basis(m), kernel_from_rref(m)
+    def check(system):
+        got, want = nullspace_basis(*system, field), kernel_from_rref(*system, field)
         assert [list(v.items()) for v in got] == [list(v.items()) for v in want]
         assert [type(x) for v in got for x in v.values()] == [type(x) for v in want for x in v.values()]
 
@@ -270,23 +262,27 @@ def test_span_functions_answer_sparse_input_in_sparse_form():
     assert span_equal(sparse, canon) and not span_equal(sparse, [{2: q(1)}])
     assert in_span(canon, [{0: q(1), 1: q(2)}], RATIONALS)
     assert not in_span(canon, [{0: q(1)}], RATIONALS)
-    assert nullspace_basis(qq([[1, 0, 2], [0, 1, -1]])) == [{2: 1, 0: -2, 1: 1}]
+    assert nullspace_basis(qq([[1, 0, 2], [0, 1, -1]]), 3) == [{2: 1, 0: -2, 1: 1}]
 
 
-def test_from_sparse_checks_the_row_count_and_column_range():
-    with pytest.raises(ValueError, match="expected 2 rows, got 1"):
-        Matrix.from_sparse(RATIONALS, 2, 2, [{0: 1}])
+def test_rows_from_outside_have_their_columns_checked():
+    # against ncols where it is given, else against one more than the largest
     for j in (-1, 2):
         with pytest.raises(ValueError, match=f"column index {j} out of range for 2 columns"):
-            Matrix.from_sparse(PrimeField(5), 1, 2, [{j: 1}])
+            nullspace_basis([{j: 1}], 2, PrimeField(5))
+    for entry in (rref, span_dim, span_canonical_basis, lambda rows: span_equal([{0: 1}], rows)):
+        with pytest.raises(ValueError, match="column index -1 out of range for 3 columns"):
+            entry([{2: 1}, {-1: 1}])
 
 
 def test_dense_vectors_are_rejected():
     # a dense tuple is no sparse row: rejected by name, not read as a dict
     q = Fraction
     with pytest.raises(TypeError, match="row 0 is a tuple, not a dict"):
-        Matrix.from_sparse(RATIONALS, 1, 2, [(q(1), q(0))])
+        nullspace_basis([(q(1), q(0))], 2)
     for bad in ([(q(1), q(0))], [{0: q(1)}, (q(1), q(0))]):
+        with pytest.raises(TypeError, match="not a dict"):
+            rref(bad)
         with pytest.raises(TypeError, match="not a dict"):
             span_dim(bad)
         with pytest.raises(TypeError, match="not a dict"):
@@ -375,12 +371,6 @@ def test_normalize_row_is_primitive_integer_over_rationals():
     assert normalize_row(gf5, {1: 8, 4: -3}) == {1: 1, 4: 4}
 
 
-def test_matrix_equality_includes_field():
-    a = qq([[1, 2]])
-    b = qq([[1, 2]], PrimeField(5))
-    assert a != b
-
-
 def test_scalar_invariants_hold_after_ops():
     # rationals stay reduced with positive denominators by construction
     x = Fraction(2, 4)
@@ -402,7 +392,7 @@ def test_explicit_zero_entries_in_sparse_input_are_rejected(field):
         zero_rows.append({0: 1, 1: field.characteristic})  # p is zero in GF(p)
     for row in zero_rows:
         with pytest.raises(ValueError, match=r"row 0, column \d+: stored entry is zero"):
-            Matrix.from_sparse(field, 1, 2, [row])
+            nullspace_basis([row], 2, field)
         with pytest.raises(ValueError, match=r"row 0, column \d+: stored entry is zero"):
             span_canonical_basis([row], field)
     with pytest.raises(ValueError, match="row 1, column 0"):
@@ -415,12 +405,21 @@ def test_entries_outside_the_field_are_rejected():
              (gf5, {0: 1, 1: -1}), (gf5, {0: 1, 1: Fraction(1, 2)}), (gf5, {0: 1, 1: 2.0})]
     for field, row in cases:
         with pytest.raises(FieldMismatchError, match=r"row 0, column \d+: .* is not an element of"):
-            Matrix.from_sparse(field, 1, 2, [row])
+            nullspace_basis([row], 2, field)
         with pytest.raises(FieldMismatchError, match=r"row 0, column \d+"):
             span_canonical_basis([row], field)
     # elements of the field pass: ints and Fractions over Q, 1..p-1 in GF(p)
     assert span_canonical_basis([{0: 2, 1: Fraction(1, 2)}]) == [{0: 1, 1: Fraction(1, 4)}]
-    assert Matrix.from_sparse(gf5, 1, 2, [{0: 1, 1: 4}]).rows == ({0: 1, 1: 4},)
+    assert rref([{0: 1, 1: 4}], gf5) == ([{0: 1, 1: 4}], (0,), 1)
+
+
+def test_int_rows_scale_only_the_rows_holding_a_fraction():
+    # an int row, and any row in GF(p), goes to the elimination as it is
+    ints, fractions = {0: 2, 1: -3}, {0: Fraction(1, 2), 2: Fraction(-2, 3)}
+    got = exactlin._int_rows(RATIONALS, [ints, fractions, {1: Fraction(3)}])
+    assert got[0] is ints and got[1:] == [{0: 3, 2: -4}, {1: 3}]
+    rows = [{0: 1, 1: 4}, {1: 2}]
+    assert all(a is b for a, b in zip(exactlin._int_rows(PrimeField(5), rows, 2), rows))
 
 
 def singleton_heavy_rows(rng, ncols):
@@ -448,13 +447,12 @@ def test_singleton_heavy_elimination_matches_dense_reference():
     for _ in range(150):
         ncols = rng.randint(4, 9)
         rows = singleton_heavy_rows(rng, ncols)
-        m = Matrix.from_sparse(RATIONALS, len(rows), ncols, rows)
-        reduced, pivots = dense_rref(dense(m))
-        got = rref(m)
-        assert dense(got.reduced) == reduced
-        assert list(got.pivot_cols) == pivots
-        kernel = dense_nullspace(dense(m), ncols)
-        assert [tuple(v.get(j, 0) for j in range(ncols)) for v in nullspace_basis(m)] == kernel
+        reduced, pivots = dense_rref(dense_rows(rows, ncols))
+        got_reduced, got_pivots, _ = rref(rows)
+        assert dense_rows(got_reduced, ncols) == reduced
+        assert list(got_pivots) == pivots
+        kernel = dense_nullspace(dense_rows(rows, ncols), ncols)
+        assert [tuple(v.get(j, 0) for j in range(ncols)) for v in nullspace_basis(rows, ncols)] == kernel
 
 
 def textbook_rref(rows, ncols, p):
@@ -523,15 +521,15 @@ def test_rref_matches_a_textbook_gauss_jordan(spec):
     for _ in range(200):
         rows, ncols, kind = random_system(rng, field)
         sparse = [{j: x for j, x in enumerate(r) if x} for r in rows]
-        got = rref(Matrix.from_sparse(field, len(rows), ncols, sparse))
+        got, got_pivots, rank = rref(sparse, field)
         pivots, reduced = textbook_rref(rows, ncols, p)
-        assert list(got.pivot_cols) == pivots, rows
-        assert list(got.reduced.rows[: got.rank]) == reduced, rows
-        assert not any(got.reduced.rows[got.rank :])
-        for r in got.reduced.rows:
+        assert list(got_pivots) == pivots, rows
+        assert len(got) == len(rows) and got[:rank] == reduced, rows
+        assert not any(got[rank:])
+        for r in got:
             for x in r.values():
                 assert type(x) is Fraction if not p else type(x) is int and 0 < x < p
-        kinds.add((kind, got.rank == ncols, got.rank == 0))
+        kinds.add((kind, rank == ncols, rank == 0))
     # every kind of system came up, and with it both rank extremes
     assert {("zero", False, True), ("full", True, False)} <= kinds
     assert any(k[0] == "sparse" for k in kinds)
@@ -539,7 +537,7 @@ def test_rref_matches_a_textbook_gauss_jordan(spec):
 
 def canonical(vectors, field):
     """The canonical int rows of the span of sparse ``vectors``."""
-    return exactlin._canonical(field, exactlin._span(vectors, field))
+    return exactlin._canonical(field, exactlin._eliminate(field, exactlin._int_rows(field, vectors)))
 
 
 @st.composite
@@ -572,10 +570,6 @@ def generators_and_copies(draw, field):
         b.append(vector())
     draw(st.randoms(use_true_random=False)).shuffle(b)
     return ncols, a, [v for v in b if v]
-
-
-def dense_rows(vectors, ncols, field):
-    return [[v.get(j, field.zero) for j in range(ncols)] for v in vectors]
 
 
 @pytest.mark.parametrize("spec", ["rat", "gf:101", "gf:3", "gf:2"])
@@ -618,9 +612,10 @@ def test_int_kernel_is_primitive(spec):
 
     @settings(max_examples=60, deadline=None)
     @given(sparse_systems(field))
-    def check(m):
-        kernel = exactlin._kernel(field, exactlin._eliminate(field, exactlin._ints(m)), m.ncols)
-        assert list(kernel.values()) == [exactlin._int_row(v) for v in nullspace_basis(m)]
+    def check(system):
+        rows, ncols = system
+        kernel = exactlin._kernel(field, exactlin._eliminate(field, exactlin._int_rows(field, rows, ncols)), ncols)
+        assert list(kernel.values()) == [exactlin._int_row(v) for v in nullspace_basis(rows, ncols, field)]
         assert all(vec[f] > 0 and list(vec)[0] == f for f, vec in kernel.items())
 
     check()
@@ -670,14 +665,15 @@ def test_eliminate_is_blind_to_repeated_rescaled_and_reordered_rows(spec):
 
     @settings(max_examples=80, deadline=None)
     @given(sparse_systems(field), st.data())
-    def check(m, data):
-        rows = exactlin._ints(m)
+    def check(system, data):
+        rows, ncols = system
+        rows = exactlin._int_rows(field, rows, ncols)
         fed = [{j: k * v for j, v in r.items()} for r in rows for k in data.draw(st.lists(units, min_size=1, max_size=3))]
         data.draw(st.randoms(use_true_random=False)).shuffle(fed)
         got, want = exactlin._eliminate(field, fed), exactlin._eliminate(field, [dict(r) for r in rows])
         assert sorted(got) == sorted(want)
         assert exactlin._canonical(field, got) == exactlin._canonical(field, want)
-        assert exactlin._kernel(field, got, m.ncols) == exactlin._kernel(field, want, m.ncols)
+        assert exactlin._kernel(field, got, ncols) == exactlin._kernel(field, want, ncols)
 
     check()
 

@@ -1,14 +1,13 @@
-"""The package's five record types keep the behaviour of the dataclasses and
-NamedTuples they replace: constructors, equality, hashing, immutability and
-reprs, pinned as ``dataclasses`` and ``typing.NamedTuple`` print them."""
+"""The package's three record types keep the behaviour of the dataclasses
+they replace: constructors, equality, hashing, immutability and reprs,
+pinned as ``dataclasses`` prints them."""
 
 import copy
 from fractions import Fraction
 
 import pytest
 
-from zigzagalg import RATIONALS, DerivationParams, Graph, Matrix, Report, analyze_graph, path_graph, rref
-from zigzagalg.exactlin import RrefResult
+from zigzagalg import DerivationParams, Graph, Report, analyze_graph, path_graph
 
 EDGE = frozenset({(1, 2)})
 
@@ -34,19 +33,6 @@ def test_graph_is_a_frozen_value():
         del g.n
     assert (g.n, g.edges) == (2, EDGE)
     assert copy.copy(g) == copy.deepcopy(g) == g
-
-
-def test_matrix_is_a_frozen_unhashable_value():
-    m = Matrix.from_sparse(RATIONALS, 1, 2, [{0: Fraction(1, 2)}])
-    assert m == Matrix(RATIONALS, 1, 2, ({0: Fraction(1, 2)},)) and m != Matrix(RATIONALS, 1, 3, m.rows)
-    assert m != (RATIONALS, 1, 2, m.rows)
-    assert repr(m) == "Matrix(field=Rationals(), nrows=1, ncols=2, rows=({0: Fraction(1, 2)},))"
-    with pytest.raises(AttributeError, match="cannot assign to field 'rows'"):
-        m.rows = ()
-    with pytest.raises(AttributeError, match="cannot delete field 'nrows'"):
-        del m.nrows
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(m)
 
 
 def test_report_is_a_mutable_value_with_its_own_timings():
@@ -85,14 +71,3 @@ def test_derivation_params_is_a_mutable_value():
     with pytest.raises(TypeError, match="unhashable"):
         hash(p)
 
-
-def test_rref_result_is_a_named_triple():
-    r = rref(Matrix.from_sparse(RATIONALS, 2, 2, [{0: 2, 1: 4}, {0: 1, 1: 2}]))
-    reduced, pivot_cols, rank = r
-    assert (reduced, pivot_cols, rank) == (r.reduced, r.pivot_cols, r.rank) == (r[0], r[1], r[2])
-    assert (pivot_cols, rank, len(r)) == ((0,), 1, 3)
-    assert r == RrefResult(reduced=reduced, pivot_cols=(0,), rank=1) == (reduced, (0,), 1)
-    assert repr(RrefResult(None, (), 0)) == "RrefResult(reduced=None, pivot_cols=(), rank=0)"
-    assert copy.copy(r) == copy.deepcopy(r) == r
-    with pytest.raises(AttributeError):
-        r.rank = 2
