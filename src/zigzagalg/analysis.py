@@ -110,7 +110,8 @@ def analyze_graph(g: Graph, field=RATIONALS):
         anti = stage("anti", lambda: anti_space(algebra, jor))
         if rational and is_tree:
             struct = stage("structured", lambda: structured_space(algebra))
-        # span_dim, not inner_space: over GF(p) it is the one span_dim call, whose input benchmarks/tracing.py counts
+        # span_dim, not inner_space: in every field it is the analysis's one span_* call, and so the
+        # only input that benchmarks/tracing.py counts in exactlin.dense_entries_in
         inner, dim_inner = stage("inner", lambda: (maps := [ad_map(algebra, k) for k in range(algebra.dim)], span_dim(maps, field)))
 
         t_checks = elapsed_us()
@@ -139,7 +140,7 @@ def analyze_graph(g: Graph, field=RATIONALS):
                 checks[key] = PASS if got == want else FAIL
             if is_tree:
                 # the center is spanned by the identity and the cycles: canonical rows are unique per span
-                if cen.ints != [dict.fromkeys(range(n), 1)] + [{c: 1} for c in algebra.c_at.values()]:
+                if cen.ints != [dict.fromkeys(algebra.e_at.values(), 1)] + [{c: 1} for c in algebra.c_at.values()]:
                     checks["center_formula"] = FAIL
                 if jor is not None:
                     checks["jordan_eq_der"] = PASS if jor.ints == der.ints else FAIL

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from functools import cache
 
 from .analysis import CHECK_KEYS, Report, analyze_graph
@@ -43,10 +44,10 @@ def _format_element(algebra, col: dict) -> str:
     return out
 
 
-def _print_report(report: Report, quiet: bool, out) -> None:
+def _print_report(report: Report, quiet: bool) -> None:
     if not quiet:
         edges = ", ".join(f"({u},{v})" for u, v in report.edges)
-        print(f"graph: n={report.n} edges=[{edges}] tree={'yes' if report.is_tree else 'no'} field={report.field}", file=out)
+        print(f"graph: n={report.n} edges=[{edges}] tree={'yes' if report.is_tree else 'no'} field={report.field}")
         rows = [
             ("dim algebra", report.dim_algebra),
             ("dim center", report.dim_center),
@@ -58,13 +59,13 @@ def _print_report(report: Report, quiet: bool, out) -> None:
             ("hh1", report.hh1),
         ]
         for label, val in rows:
-            print(f"  {label:<18} {val}", file=out)
+            print(f"  {label:<18} {val}")
         for key in CHECK_KEYS:
-            print(f"  check {key:<24} {report.formula_checks[key]}", file=out)
+            print(f"  check {key:<24} {report.formula_checks[key]}")
         timing = " ".join(f"{k}={v}" for k, v in report.timings_ms.items())
-        print(f"  timings_ms: {timing}", file=out)
+        print(f"  timings_ms: {timing}")
     verdict = "PASS" if report.all_pass() else "FAIL"
-    print(f"result: {verdict}", file=out)
+    print(f"result: {verdict}")
 
 
 def _parse_field_flag(args):
@@ -86,7 +87,7 @@ def cmd_analyze(args) -> int:
     if args.json:
         print(json.dumps(report.to_dict(include_timings=True), indent=2))
     else:
-        _print_report(report, args.quiet, sys.stdout)
+        _print_report(report, args.quiet)
     return 0 if report.all_pass() else 2
 
 
@@ -95,10 +96,8 @@ def cmd_sweep(args) -> int:
     if args.count < 1 or args.n_min < 2 or args.n_max < args.n_min:
         raise ValueError("need count >= 1 and 2 <= n-min <= n-max")
     rng = Xorshift64Star(args.seed)
-    if args.timings is None:
-        return _sweep(args, field, rng, None)
     # opened only now, so a rejected sweep leaves an existing FILE as it was
-    with open(args.timings, "w", encoding="utf-8") as timings:
+    with nullcontext() if args.timings is None else open(args.timings, "w", encoding="utf-8") as timings:
         return _sweep(args, field, rng, timings)
 
 

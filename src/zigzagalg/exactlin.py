@@ -78,10 +78,8 @@ class Rationals:
 
     characteristic = 0
     name = "rat"
-
-    def __init__(self) -> None:
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def convert(self, x) -> Fraction:
         if isinstance(x, float):
