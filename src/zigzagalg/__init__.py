@@ -23,7 +23,6 @@ from .exactlin import (
 )
 from .linmaps import (
     CharacteristicTwoError,
-    DerivationParams,
     InternalInvariantError,
     MapSpace,
     ad_map,

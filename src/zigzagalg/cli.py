@@ -162,7 +162,7 @@ def cmd_dump(args) -> int:
     algebra = build_algebra(g, field)
     is_tree = algebra.is_tree
     if is_tree:
-        maps = [(p, materialize(algebra, p)) for p in structured_parameter_basis(algebra)]
+        maps = [(p, materialize(algebra, *p)) for p in structured_parameter_basis(algebra)]
     else:
         maps = [(None, m) for m in solve(algebra, "derivation").rows]
 
@@ -180,8 +180,8 @@ def cmd_dump(args) -> int:
                 "params": None
                 if p is None
                 else {
-                    "t": {f"{u}->{v}": str(c) for (u, v), c in sorted(p.t.items())},
-                    "d": {f"{u}->{v}": str(c) for (u, v), c in sorted(p.d.items())},
+                    name: {f"{u}->{v}": str(c) for (u, v), c in sorted(part.items())}
+                    for name, part in zip("td", p)
                 },
                 "matrix": [
                     [str(m.get(p_ * dim + q, field.zero)) for q in range(dim)]
@@ -194,8 +194,7 @@ def cmd_dump(args) -> int:
         print(f"derivation basis of n={g.n} ({'parameter' if is_tree else 'solver'} presentation), {len(maps)} maps")
         for idx, (p, m) in enumerate(maps):
             if p is not None:
-                bits = [f"t[{u}->{v}]={c}" for (u, v), c in sorted(p.t.items())]
-                bits += [f"d[{u}->{v}]={c}" for (u, v), c in sorted(p.d.items())]
+                bits = [f"{name}[{u}->{v}]={c}" for name, part in zip("td", p) for (u, v), c in sorted(part.items())]
                 print(f"map {idx}: " + (", ".join(bits) if bits else "(zero parameters)"))
             else:
                 print(f"map {idx}:")

@@ -73,11 +73,10 @@ class MapSpace:
     every basis map passed the derivation audit.
     """
 
-    def __init__(self, flavor: str, field, dim: int, ints: list) -> None:
+    def __init__(self, flavor: str, field, ints: list) -> None:
         self.derivations = False
         self.flavor = flavor
         self.field = field
-        self.dim = dim
         self.ints = ints
         self.dimension = len(ints)
 
@@ -321,7 +320,7 @@ def solve(a: ZigzagAlgebra, flavor: str) -> MapSpace:
     a solver bug, reported as InternalInvariantError, not a wrong answer.
     """
     pool, eqs = _leibniz_equations(a, flavor)
-    space = MapSpace(flavor, a.field, a.dim, _canonical_kernel(a.field, eqs, pool))
+    space = MapSpace(flavor, a.field, _canonical_kernel(a.field, eqs, pool))
     walk = "derivation" if flavor == "jordan" else flavor
     failed = [row for row in space.ints if not verify_map(a, row, walk)]
     if any(walk == flavor or not verify_map(a, row, flavor) for row in failed):
@@ -335,7 +334,7 @@ def derivation_space(a: ZigzagAlgebra, jordan: MapSpace | None) -> MapSpace:
     recorded that its basis passed the derivation audit: Der lies in JDer, as
     D(x o y) = D(x) o y + x o D(y), so Der = JDer."""
     if jordan is not None and jordan.derivations:
-        return MapSpace("derivation", a.field, a.dim, jordan.ints)
+        return MapSpace("derivation", a.field, jordan.ints)
     return solve(a, "derivation")
 
 
@@ -362,41 +361,26 @@ def anti_space(a: ZigzagAlgebra, jordan: MapSpace | None) -> MapSpace:
     for m, vec in zip(maps, kernel.values()):
         for i, w in vec.items():
             m.update({s: w * v for s, v in jordan.ints[i].items()})
-    space = MapSpace("anti", a.field, a.dim, _canonical(a.field, exactlin._eliminate(a.field, maps)))
+    space = MapSpace("anti", a.field, _canonical(a.field, exactlin._eliminate(a.field, maps)))
     if not all(verify_map(a, row, "anti") for row in space.ints):
         raise InternalInvariantError("anti basis map read off JDer fails the defining identity")
     return space
 
 
-class DerivationParams:
-    """Closed-form derivation data: per arrow (u, v), an ``e``-part coefficient
-    t[(u, v)] (the coefficient of a(u->v) in the image of e(v); its negative
-    appears in the image of e(u)) and a diagonal coefficient d[(u, v)] (the
-    coefficient of a(u->v) in its own image).
-
-    Images of cycles are forced: c(i) maps to (d[(i, j)] + d[(j, i)]) c(i)
-    for any neighbor j, so those sums must agree across the neighbors of i.
-    """
-
-    def __init__(self, t: dict, d: dict) -> None:
-        self.t, self.d = t, d
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self):
-        return f"DerivationParams(t={self.t!r}, d={self.d!r})"
-
-
-def materialize(a: ZigzagAlgebra, params: DerivationParams) -> dict:
-    """The sparse flat-index map the parameters describe, built from their
-    nonzeros, each converted into the field.  Raises ValueError if the
-    parameters mention a non-arrow or violate per-vertex consistency."""
-    for key in list(params.t) + list(params.d):
+def materialize(a: ZigzagAlgebra, t: dict, d: dict) -> dict:
+    """The sparse flat-index map of the closed-form derivation parameters,
+    built from their nonzeros, each converted into the field.  Per arrow
+    (u, v): t[(u, v)] is the coefficient of a(u->v) in the image of e(v) (its
+    negative appears in the image of e(u)), and d[(u, v)] the coefficient of
+    a(u->v) in its own image.  Images of cycles are forced: c(i) maps to
+    (d[(i, j)] + d[(j, i)]) c(i) for any neighbor j, so those sums must agree
+    across the neighbors of i.  Raises ValueError if the parameters mention a
+    non-arrow or violate that per-vertex consistency."""
+    for key in list(t) + list(d):
         if key not in a.a_at:
             raise ValueError(f"parameter for non-arrow {key}")
-    t = {ar: c for ar, v in params.t.items() if (c := a.field.convert(v))}
-    d = {ar: c for ar, v in params.d.items() if (c := a.field.convert(v))}
+    t = {ar: c for ar, v in t.items() if (c := a.field.convert(v))}
+    d = {ar: c for ar, v in d.items() if (c := a.field.convert(v))}
     return _materialize(a, t, d)
 
 
@@ -438,33 +422,34 @@ def _materialize(a: ZigzagAlgebra, t: dict, d: dict) -> dict:
 
 
 def structured_parameter_basis(a: ZigzagAlgebra) -> list:
-    """Canonical basis of the parameter space (t_a, d_a) modulo consistency:
-    the paper's closed form, in ints (-1 is p - 1 over GF(p)).  A unit t per
-    arrow, in ``a.arrows`` order; then, per arrow (u, v) in order, d = 1 on it
-    and on the first arrow (min, max) of every other edge if (u, v) is an arrow
-    of the last edge, else, if u > v, d = -1 on (v, u) and 1 on (u, v): the
+    """Canonical basis of the parameter space (t_a, d_a) modulo consistency,
+    as the (t, d) dict pairs :func:`materialize` takes: the paper's closed
+    form, in ints (-1 is p - 1 over GF(p)).  A unit t per arrow, in
+    ``a.arrows`` order; then, per arrow (u, v) in order, d = 1 on it and on
+    the first arrow (min, max) of every other edge if (u, v) is an arrow of
+    the last edge, else, if u > v, d = -1 on (v, u) and 1 on (u, v): the
     kernel of per-vertex consistency, all edge sums d(u->v) + d(v->u) equal."""
     minus_one = a.field.characteristic - 1  # -1 over the rationals
     last = max(ar for ar in a.arrows if ar[0] < ar[1])
-    out = [DerivationParams({ar: 1}, {}) for ar in a.arrows]
+    out = [({ar: 1}, {}) for ar in a.arrows]
     for u, v in a.arrows:
         if last in ((u, v), (v, u)):
-            out.append(DerivationParams({}, {ar: 1 for ar in a.arrows if ar == (u, v) or ar[0] < ar[1] and ar != last}))
+            out.append(({}, {ar: 1 for ar in a.arrows if ar == (u, v) or ar[0] < ar[1] and ar != last}))
         elif u > v:
-            out.append(DerivationParams({}, {(v, u): minus_one, (u, v): 1}))
+            out.append(({}, {(v, u): minus_one, (u, v): 1}))
     return out
 
 
 def structured_generators(a: ZigzagAlgebra) -> list:
     """Int maps spanning the structured space: :func:`materialize`'s
     arithmetic on the int parameter basis, no value converted."""
-    return [_materialize(a, p.t, p.d) for p in structured_parameter_basis(a)]
+    return [_materialize(a, t, d) for t, d in structured_parameter_basis(a)]
 
 
 def structured_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of the materialized parameter basis, as a canonical MapSpace."""
     field = a.field
-    return MapSpace("derivation", field, a.dim, _canonical(field, exactlin._eliminate(field, structured_generators(a))))
+    return MapSpace("derivation", field, _canonical(field, exactlin._eliminate(field, structured_generators(a))))
 
 
 def ad_map(a: ZigzagAlgebra, k: int) -> dict:
@@ -485,5 +470,5 @@ def ad_map(a: ZigzagAlgebra, k: int) -> dict:
 def inner_space(a: ZigzagAlgebra) -> MapSpace:
     """Span of all commutator maps [b_k, -], as a canonical MapSpace."""
     maps = [ad_map(a, k) for k in range(a.dim)]
-    return MapSpace("derivation", a.field, a.dim, _canonical(a.field, exactlin._eliminate(a.field, maps)))
+    return MapSpace("derivation", a.field, _canonical(a.field, exactlin._eliminate(a.field, maps)))
 

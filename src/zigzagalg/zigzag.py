@@ -179,4 +179,4 @@ def center(a: ZigzagAlgebra) -> MapSpace:
         row[j] = row.get(j := top - u, 0) + 1
         row = eqs.setdefault((u, r), {})
         row[j] = row.get(j := top - v, 0) - 1
-    return MapSpace("center", a.field, a.dim, _canonical_kernel(a.field, eqs.values(), range(a.dim)))
+    return MapSpace("center", a.field, _canonical_kernel(a.field, eqs.values(), range(a.dim)))

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import shutil
 import signal
 import subprocess
 import time
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,6 +128,69 @@ def test_stage_timings_are_bounded_by_the_clock_around_the_analysis():
     total = us.pop("total")
     assert all(v >= 0 for v in us.values()) and sum(us.values()) <= total, report.timings_ms
     assert 0 < total <= outside_us + 1, (total, outside_us)
+
+
+# the text report of analyze on the 3-path, with the stage times masked as MS
+PATH3_REPORTS = {
+    "rat": """graph: n=3 edges=[(1,2), (2,3)] tree=yes field=rat
+  dim algebra        10
+  dim center         4
+  dim derivations    7
+  dim jordan         7
+  dim anti           0
+  dim inner          6
+  hh0                4
+  hh1                1
+  check dim_algebra_formula      pass
+  check center_formula           pass
+  check der_formula              pass
+  check inner_formula            pass
+  check hh1_is_one               pass
+  check jordan_eq_der            pass
+  check anti_is_zero             pass
+  check structured_eq_solver     pass
+  timings_ms: build=MS associativity=MS center=MS jordan=MS derivation=MS anti=MS structured=MS inner=MS checks=MS total=MS
+result: PASS
+""",
+    "gf:2": """graph: n=3 edges=[(1,2), (2,3)] tree=yes field=gf:2
+  dim algebra        10
+  dim center         4
+  dim derivations    7
+  dim jordan         skipped
+  dim anti           0
+  dim inner          6
+  hh0                4
+  hh1                1
+  check dim_algebra_formula      not-applicable
+  check center_formula           not-applicable
+  check der_formula              not-applicable
+  check inner_formula            not-applicable
+  check hh1_is_one               not-applicable
+  check jordan_eq_der            not-applicable
+  check anti_is_zero             not-applicable
+  check structured_eq_solver     not-applicable
+  timings_ms: build=MS associativity=MS center=MS derivation=MS anti=MS inner=MS checks=MS total=MS
+result: PASS
+""",
+}
+
+
+@pytest.mark.parametrize("spec", PATH3_REPORTS)
+def test_analyze_text_report_is_pinned(tmp_path, capsys, spec):
+    assert main(["analyze", write(tmp_path, PATH3_FILE), "--field", spec]) == 0
+    head, sep, tail = capsys.readouterr().out.partition("  timings_ms:")
+    assert head + sep + re.sub(r"=[0-9.e+-]+", "=MS", tail) == PATH3_REPORTS[spec]
+
+
+def test_stage_timings_are_milliseconds(monkeypatch):
+    # a clock whose k-th read is k * 1.5 ms: each stage, checks included, spans
+    # one tick, and the total the 19 ticks from the first read to the last
+    ticks = itertools.count(1)
+    monkeypatch.setattr(analysis, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks) * 0.0015))
+    timings = analyze_graph(path_graph(3))[0].timings_ms
+    assert timings == dict.fromkeys(
+        ("build", "associativity", "center", "jordan", "derivation", "anti", "structured", "inner", "checks"), 1.5
+    ) | {"total": 28.5}
 
 
 def test_analyze_non_tree_gates_tree_checks(tmp_path, capsys):
@@ -499,7 +564,7 @@ def test_dump_derivations_walks_the_graph_once(monkeypatch, tmp_path, capsys):
 
 
 PUBLIC_NAMES = [
-    "CharacteristicTwoError", "DerivationParams", "FieldMismatchError", "Graph", "GraphParseError",
+    "CharacteristicTwoError", "FieldMismatchError", "Graph", "GraphParseError",
     "InternalInvariantError", "MapSpace", "PrimeField", "RATIONALS", "Rationals", "Report",
     "Xorshift64Star", "ZigzagAlgebra", "ad_map", "analyze_graph", "build_algebra", "center",
     "check_associativity", "inner_space", "leibniz_system", "materialize", "multiply", "nullspace_basis",
@@ -603,7 +668,7 @@ def test_analyze_reports_internal_invariants_and_warnings(monkeypatch, tmp_path,
     [
         ("check_associativity", lambda a: False, "the basis products are not associative"),
         # one more center row than the solved center has
-        ("center", lambda a: MapSpace("center", a.field, a.dim, zigzag.center(a).ints + [{0: 1}]), "inner dimension 6 != dim algebra 10 - dim center 5"),
+        ("center", lambda a: MapSpace("center", a.field, zigzag.center(a).ints + [{0: 1}]), "inner dimension 6 != dim algebra 10 - dim center 5"),
     ],
     ids=["associativity", "center"],
 )
@@ -619,7 +684,7 @@ def test_analyze_graph_internal_invariants(monkeypatch, tmp_path, capsys, name, 
 def test_analyze_fails_a_center_span_that_differs_at_equal_dimension(monkeypatch, tmp_path, capsys):
     # the last cycle's row swapped for the first arrow's: equal dimension, not central
     def swapped(a):
-        return MapSpace("center", a.field, a.dim, zigzag.center(a).ints[:-1] + [{a.a_at[a.arrows[0]]: 1}])
+        return MapSpace("center", a.field, zigzag.center(a).ints[:-1] + [{a.a_at[a.arrows[0]]: 1}])
 
     monkeypatch.setattr(analysis, "center", swapped)
     report, _ = analyze_graph(path_graph(3))
@@ -633,7 +698,7 @@ def larger_derivation_space(a, jordan):
     """Der with the identity map, which is no derivation, added to its basis."""
     der = linmaps.derivation_space(a, jordan)
     identity = {p * a.dim + p: 1 for p in range(a.dim)}
-    return MapSpace("derivation", a.field, a.dim, exactlin._canonical(a.field, exactlin._eliminate(a.field, der.ints + [identity])))
+    return MapSpace("derivation", a.field, exactlin._canonical(a.field, exactlin._eliminate(a.field, der.ints + [identity])))
 
 
 def test_tree_formula_mismatches_are_warnings_over_gf_p(monkeypatch, tmp_path, capsys):

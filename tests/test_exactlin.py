@@ -596,7 +596,7 @@ def test_int_canonical_rows_decide_span_equality(spec):
             assert lead == 1 and all(0 < x < p for x in r.values()) if p else lead > 0 and gcd(*r.values()) == 1
         basis = span_canonical_basis(a, field)
         assert [list(r.items()) for r in ca] == [list(exactlin._int_row(r).items()) for r in basis]
-        rows = MapSpace("derivation", field, ncols, ca).rows
+        rows = MapSpace("derivation", field, ca).rows
         assert [list(r.items()) for r in rows] == [list(r.items()) for r in basis]
         assert [type(x) for r in rows for x in r.values()] == [type(x) for r in basis for x in r.values()]
 

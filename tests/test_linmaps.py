@@ -43,7 +43,6 @@ from zigzagalg.exactlin import (
 from zigzagalg.linmaps import (
     FLAVORS,
     CharacteristicTwoError,
-    DerivationParams,
     InternalInvariantError,
     MapSpace,
     _leibniz_equations,
@@ -108,6 +107,14 @@ def test_jordan_equals_derivation_on_path_three():
     assert span_equal(jor.rows, der.rows)
 
 
+def test_verify_map_checks_jordan_squares_over_gf2():
+    # solve refuses jordan over GF(2), but the audit still walks it: at (q, q)
+    # it checks D(x^2) = D(x)x + xD(x), not the doubled sum, which is 0 there;
+    # e1 -> c1 fails at (e1, e1), as D(e1) = c1 while D(e1)e1 + e1D(e1) = 2c1
+    a = build_algebra(EDGE, PrimeField(2))
+    assert verify_map(a, {a.c_at[1] * a.dim + a.e_at[1]: 1}, "jordan") is False
+
+
 def test_derivation_dims_small_cases():
     for g, want in ((path_graph(4), 10), (star_graph(4), 10)):
         a = build_algebra(g)
@@ -131,7 +138,7 @@ def test_unknown_flavor_rejected(edge_algebra):
 
 def test_map_space_repr_names_flavor_and_dimension(edge_algebra):
     assert repr(solve(edge_algebra, "derivation")) == "MapSpace('derivation', dim=4)"
-    assert repr(MapSpace("anti", edge_algebra.field, edge_algebra.dim, [])) == "MapSpace('anti', dim=0)"
+    assert repr(MapSpace("anti", edge_algebra.field, [])) == "MapSpace('anti', dim=0)"
 
 
 def test_verify_map_and_ad_map_reject_indices_outside_the_basis(edge_algebra):
@@ -161,7 +168,7 @@ def as_entries(a, lin):
 def test_materialize_e_part_frozen_example(edge_algebra):
     a = edge_algebra
     one = Fraction(1)
-    lin = materialize(a, DerivationParams(t={(2, 1): one}, d={}))
+    lin = materialize(a, {(2, 1): one}, {})
     assert as_entries(a, lin) == {
         ("a(2->1)", "e1"): one,       # image of e1 is a(2->1)
         ("a(2->1)", "e2"): -one,      # image of e2 is -a(2->1)
@@ -175,7 +182,7 @@ def test_materialize_e_part_frozen_example(edge_algebra):
 def test_materialize_diagonal_part_frozen_example(edge_algebra):
     a = edge_algebra
     one = Fraction(1)
-    lin = materialize(a, DerivationParams(t={}, d={(1, 2): one}))
+    lin = materialize(a, {}, {(1, 2): one})
     assert as_entries(a, lin) == {
         ("a(1->2)", "a(1->2)"): one,  # image of a(1->2) is itself
         ("c1", "c1"): one,            # both cycles scale by d(1->2) + d(2->1) = 1
@@ -186,36 +193,35 @@ def test_materialize_diagonal_part_frozen_example(edge_algebra):
 
 def test_materialize_rejects_non_arrows(edge_algebra):
     with pytest.raises(ValueError, match="non-arrow"):
-        materialize(edge_algebra, DerivationParams(t={(1, 3): Fraction(1)}, d={}))
+        materialize(edge_algebra, {(1, 3): Fraction(1)}, {})
 
 
 def test_materialize_rejects_inconsistent_cycle_sums():
     a = build_algebra(path_graph(3))
     # vertex 2 sees both edges: sums d(2,1)+d(1,2)=1 vs d(2,3)+d(3,2)=0 clash
-    params = DerivationParams(t={}, d={(2, 1): Fraction(1)})
     with pytest.raises(ValueError, match="inconsistent"):
-        materialize(a, params)
+        materialize(a, {}, {(2, 1): Fraction(1)})
 
 
 def test_materialize_checks_a_hub_whose_edges_are_all_touched():
     # every edge at the hub carries d, so no untouched edge adds a zero sum
     a = build_algebra(star_graph(4))
     one = Fraction(1)
-    lin = materialize(a, DerivationParams(t={}, d={(1, 2): one, (3, 1): one, (1, 4): one}))
+    lin = materialize(a, {}, {(1, 2): one, (3, 1): one, (1, 4): one})
     assert as_entries(a, lin)[("c1", "c1")] == one
     assert verify_map(a, lin, "derivation")
     with pytest.raises(ValueError, match="inconsistent parameters: cycle coefficients at vertex 1 "):
-        materialize(a, DerivationParams(t={}, d={(1, 2): one, (3, 1): one, (1, 4): 2 * one}))
+        materialize(a, {}, {(1, 2): one, (3, 1): one, (1, 4): 2 * one})
 
 
 def test_materialize_converts_parameters_into_the_field():
-    params = DerivationParams(t={(1, 2): 4}, d={(1, 2): 4, (2, 1): 2})
+    params = {(1, 2): 4}, {(1, 2): 4, (2, 1): 2}
     gf3 = build_algebra(path_graph(2), PrimeField(3))
-    assert materialize(gf3, params) == materialize(gf3, DerivationParams(t={(1, 2): 1}, d={(1, 2): 1, (2, 1): 2}))
-    lin = materialize(build_algebra(path_graph(2)), params)
+    assert materialize(gf3, *params) == materialize(gf3, {(1, 2): 1}, {(1, 2): 1, (2, 1): 2})
+    lin = materialize(build_algebra(path_graph(2)), *params)
     assert lin and all(type(v) is Fraction for v in lin.values())
     with pytest.raises(ValueError, match="floating point"):
-        materialize(gf3, DerivationParams(t={(1, 2): 0.5}, d={}))
+        materialize(gf3, {(1, 2): 0.5}, {})
 
 
 def test_parameter_count_single_edge(edge_algebra):
@@ -253,7 +259,7 @@ def test_parameter_basis_is_the_closed_form(spec):
     p = field.characteristic
     for name, g in PARAMETER_GRAPHS.items():
         a = build_algebra(g, field)
-        got = [(prm.t, prm.d) for prm in structured_parameter_basis(a)]
+        got = structured_parameter_basis(a)
         assert got == bruteforce.parameter_basis_literal(a.arrows, p), name
         assert all(type(v) is int for t, d in got for v in (*t.values(), *d.values())), name
         kernel = bruteforce.cycle_consistency_kernel(a.arrows, a.nbrs, p)
@@ -265,8 +271,8 @@ def test_parameter_basis_is_the_closed_form(spec):
 
 def test_every_materialized_parameter_is_a_derivation():
     a = build_algebra(random_tree(6, 17))
-    for p in structured_parameter_basis(a):
-        lin = materialize(a, p)
+    for t, d in structured_parameter_basis(a):
+        lin = materialize(a, t, d)
         assert verify_map(a, lin, "derivation")
         assert check_structure(a, lin)
 
@@ -431,6 +437,8 @@ def test_verify_map_and_contains_reject_values_outside_the_field(spec):
     halves = {j: Fraction(v, 2) for j, v in row.items()}
     assert verify_map(a, halves, "derivation") and der.contains([halves])
     assert not verify_map(a, halves | stray, "derivation") and not der.contains([halves | stray])
+    with pytest.raises(FieldMismatchError, match="0.5 is not an element"):  # the one bad entry is named
+        verify_map(a, {0: 0.5}, "derivation")
 
 
 ORACLE_GRAPHS = {
@@ -904,7 +912,7 @@ def test_center_is_canonical_and_matches_the_literal_commutator_kernel(spec):
     other = 0
     for b in cases:
         cen = center(b)
-        assert (cen.flavor, cen.dim, cen.dimension) == ("center", b.dim, len(cen.ints))
+        assert (cen.flavor, cen.dimension) == ("center", len(cen.ints))
         assert cen.ints == exactlin._canonical(field, exactlin._eliminate(field, exactlin._int_rows(field, cen.ints)))
         for row in cen.ints:
             assert all(multiply(b, row, {k: 1}) == multiply(b, {k: 1}, row) for k in range(b.dim))
@@ -1112,7 +1120,7 @@ def test_a_hub_costs_the_structured_route_no_more_additions(monkeypatch):
     calls = Counter()
     basis = linmaps.structured_parameter_basis
     monkeypatch.setattr(
-        linmaps, "structured_parameter_basis", lambda b: [DerivationParams(p.t, CountingDict(p.d, calls)) for p in basis(b)]
+        linmaps, "structured_parameter_basis", lambda b: [(t, CountingDict(d, calls)) for t, d in basis(b)]
     )
     work = {}
     for graph, g in (("star", star_graph(400)), ("tree", random_tree(400, 12345))):
@@ -1191,7 +1199,7 @@ def test_solve_and_the_relation_checks_make_no_fraction():
     # analyze_graph stay in ints; Fractions are made when rows is read,
     # with the values, types and dict order of the canonical RREF rows
     a = build_algebra(random_tree(12, 5))
-    structured = [materialize(a, p) for p in structured_parameter_basis(a)]
+    structured = [materialize(a, t, d) for t, d in structured_parameter_basis(a)]
     inner = [ad_map(a, k) for k in range(a.dim)]
     with counting_fractions() as made:
         spaces = {flavor: solve(a, flavor) for flavor in FLAVORS}
@@ -1237,7 +1245,7 @@ def test_int_structured_generators_span_the_materialized_parameter_basis(spec):
     for name, g in INT_ROUTE_GRAPHS.items():
         a = build_algebra(g, field)
         ints = structured_generators(a)
-        maps = [materialize(a, params) for params in structured_parameter_basis(a)]
+        maps = [materialize(a, t, d) for t, d in structured_parameter_basis(a)]
         assert len(ints) == len(maps) == 3 * g.n - 2 and int_values(ints, field), name
         for m, f in zip(ints, maps):
             j = min(f)
@@ -1295,7 +1303,7 @@ def test_a_relation_is_more_than_a_dimension(monkeypatch, relation):
     if relation == "jordan":
         skewed = exactlin._canonical(a.field, exactlin._eliminate(a.field, [skew(m) for m in maps]))
         monkeypatch.setattr(
-            analysis, "solve", lambda b, f: MapSpace(f, b.field, b.dim, skewed) if f == "jordan" else real["solve"](b, f)
+            analysis, "solve", lambda b, f: MapSpace(f, b.field, skewed) if f == "jordan" else real["solve"](b, f)
         )
         report, _ = analyze_graph(random_tree(6, 3))
         assert report.dim_jordan == report.dim_der and report.formula_checks["jordan_eq_der"] == "fail"
@@ -1467,7 +1475,7 @@ def test_a_jordan_map_that_is_no_derivation_gets_one_more_walk(monkeypatch, spec
         assert audits == Counter(derivation=jordan.dimension, jordan=len(failing))
         assert jordan.derivations is (not failing)
         der = solve(b, "derivation")
-        unaudited = MapSpace("jordan", field, b.dim, jordan.ints)
+        unaudited = MapSpace("jordan", field, jordan.ints)
         assert not der.derivations and not unaudited.derivations
         for space in (jordan, unaudited):
             audits.clear()
@@ -1534,7 +1542,7 @@ def test_anti_is_read_off_the_jordan_space(monkeypatch, spec):
         assert solves == Counter(anti=int(not jordan.derivations)) and audits == Counter(anti=want.dimension)
         seen["read" if jordan.derivations else "solved", bool(want.dimension)] += 1
         if jordan.derivations and want.dimension:
-            mixed = MapSpace("jordan", b.field, b.dim, mixed_basis(jordan.ints))
+            mixed = MapSpace("jordan", b.field, mixed_basis(jordan.ints))
             mixed.derivations = True
             assert anti_space(b, mixed).ints == want.ints
     assert seen["read", True] and seen["read", False] and seen["solved", False], seen

@@ -42,10 +42,12 @@ def test_parse_accepts_comments_blanks_and_bytes():
     [
         ("edge 1 2\n", 1, "header"),
         ("vertices two\n", 1, "not an integer"),
+        ("vertices x\n", 1, "vertex count 'x' is not an integer"),
         ("vertices 3\nedge 1\n", 2, "expected 'edge"),
         ("vertices 3\nedge 1 x\n", 2, "not integers"),
         ("vertices 3\nedge 0 2\n", 2, "out of range"),
         ("vertices 3\nedge 1 4\n", 2, "out of range"),
+        ("vertices 3\nedge 1 0\n", 2, "edge (1, 0) out of range 1..3"),
         ("vertices 3\nedge 2 2\n", 2, "loop"),
         ("vertices 3\nedge 1 2\nedge 2 1\n", 3, "duplicate"),
         ("# only a comment\n", 1, "missing"),
@@ -99,6 +101,8 @@ def test_graph_rejects_bad_edges():
         Graph(3, frozenset({(1, 1)}))
     with pytest.raises(ValueError):
         Graph(3, frozenset({(2, 1)}))
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) out of range"):
+        Graph(3, frozenset({(0, 1)}))
     with pytest.raises(ValueError, match="vertex count -1 is negative"):
         Graph(-1, frozenset())
 
@@ -172,6 +176,18 @@ def test_xorshift_contract():
         with pytest.raises(ValueError, match=f"got {n}$"):
             Xorshift64Star(5).below(n)
     assert Xorshift64Star(5).below(2**64) == Xorshift64Star(5).next_u64()
+    assert Xorshift64Star(5).below(1) == 0
+
+
+def test_xorshift_below_rejects_exactly_the_draws_past_the_last_whole_multiple():
+    # for n = 3 * 2**62 the draws below n are kept and those at or above it
+    # rejected: seed 2's first draw lies in [2**63, n), seed 3's in [n, 2**64)
+    n = 3 << 62
+    first = Xorshift64Star(2).next_u64()
+    assert 1 << 63 <= first < n and Xorshift64Star(2).below(n) == first
+    rng = Xorshift64Star(3)
+    assert rng.next_u64() >= n
+    assert Xorshift64Star(3).below(n) == rng.next_u64() % n
 
 
 def test_xorshift_rejects_a_seed_outside_64_bits():

@@ -1,13 +1,12 @@
-"""The package's three record types keep the behaviour of the dataclasses
+"""The package's two record types keep the behaviour of the dataclasses
 they replace: constructors, equality, hashing, immutability and reprs,
 pinned as ``dataclasses`` prints them."""
 
 import copy
-from fractions import Fraction
 
 import pytest
 
-from zigzagalg import DerivationParams, Graph, Report, analyze_graph, path_graph
+from zigzagalg import Graph, Report, analyze_graph, path_graph
 
 EDGE = frozenset({(1, 2)})
 
@@ -59,15 +58,4 @@ def test_report_from_a_json_document():
     assert Report(**doc).to_dict() == doc
     with pytest.raises(TypeError, match="bogus"):
         Report(**doc, bogus=1)
-
-
-def test_derivation_params_is_a_mutable_value():
-    p = DerivationParams(t={(1, 2): Fraction(1, 2)}, d={})
-    assert p == DerivationParams({(1, 2): Fraction(1, 2)}, {}) and p != DerivationParams({}, {})
-    assert p != (p.t, p.d)
-    assert repr(p) == "DerivationParams(t={(1, 2): Fraction(1, 2)}, d={})"
-    p.d = {(2, 1): 1}
-    assert p.d == {(2, 1): 1}
-    with pytest.raises(TypeError, match="unhashable"):
-        hash(p)
 

@@ -90,6 +90,12 @@ def test_multiply_is_bilinear(edge_algebra):
         assert both == sparse_sum(xy, xz)
 
 
+def test_multiply_reduces_each_coefficient_mod_p():
+    a = build_algebra(path_graph(2), PrimeField(3))
+    assert multiply(a, {0: 2}, {0: 1}) == {0: 2}  # e1 e1 = e1, and 2 * 1 is 2 in GF(3)
+    assert multiply(a, {0: 2}, {0: 2}) == {0: 1}
+
+
 def test_multiply_rejects_indices_outside_the_basis(edge_algebra):
     # a negative index would otherwise read table[-1], the last basis row
     a = edge_algebra
