@@ -356,7 +356,7 @@ def anti_space(a: ZigzagAlgebra, jordan: MapSpace | None) -> MapSpace:
                 for i, u, v in at[s]:
                     row = eqs[p, t, u]
                     row[i] = row.get(i, 0) + sign * v
-    kernel = _kernel(a.field, exactlin._eliminate(a.field, eqs.values()), jordan.dimension)
+    kernel = _kernel(a.field, exactlin._eliminate(a.field, eqs.values(), by_support=False), jordan.dimension)
     maps = [Counter() for _ in kernel]
     for m, vec in zip(maps, kernel.values()):
         for i, w in vec.items():

@@ -75,8 +75,10 @@ ACCEPTED = {
         "equivalent: g is 0 only for an empty row, and dividing by g = 1 changes nothing",
     ("exactlin", "if a != 1 and (g := gcd(*row.values())) > 1:", "(g := gcd(*row.values())) > 1 -> (g := gcd(*row.values())) > 0"):
         "equivalent: g is 0 only for an empty row, and dividing by g = 1 changes nothing",
-    ("exactlin", "if len(row := pivots[c]) > 1:", "len((row := pivots[c])) > 1 -> len((row := pivots[c])) >= 1"):
-        "equivalent: a one-entry pivot row has no other column to clear",
+    **{("exactlin", "if len(held := (row := pivots[c]).keys() & pivots.keys()) > 1:",
+        f"len((held := ((row := pivots[c]).keys() & pivots.keys()))) > 1 -> len((held := ((row := pivots[c]).keys() & pivots.keys()))) {change}"):
+       "equivalent: held always holds c, the row's own pivot column, and sorted(held)[1:] is empty when it holds no other"
+       for change in (">= 1", "> 0")},
     ("exactlin", "if D > 1:", "D > 1 -> D > 0"):
         "equivalent: at D = 1 each vector has the entry 1 at its free column, so content 1",
     ("exactlin", "if (L := row[c]) != 1:", "(L := row[c]) != 1 -> (L := row[c]) != 0"):

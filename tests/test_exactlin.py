@@ -280,15 +280,17 @@ def test_dense_vectors_are_rejected():
     q = Fraction
     with pytest.raises(TypeError, match="row 0 is a tuple, not a dict"):
         nullspace_basis([(q(1), q(0))], 2)
-    for bad in ([(q(1), q(0))], [{0: q(1)}, (q(1), q(0))]):
-        with pytest.raises(TypeError, match="not a dict"):
-            rref(bad)
-        with pytest.raises(TypeError, match="not a dict"):
-            span_dim(bad)
-        with pytest.raises(TypeError, match="not a dict"):
-            span_canonical_basis(bad)
-        with pytest.raises(TypeError, match="not a dict"):
-            span_equal([{0: q(1)}], bad)
+    # nor is a scalar or None, named before any column is read off the rows
+    for bad, named in (
+        ([(q(1), q(0))], "row 0 is a tuple"),
+        ([{0: q(1)}, (q(1), q(0))], "row 1 is a tuple"),
+        ([5], "row 0 is a int"),
+        ([None], "row 0 is a NoneType"),
+        ([{0: 1}, 7], "row 1 is a int"),
+    ):
+        for entry in (rref, span_dim, span_canonical_basis, lambda rows: span_equal([{0: q(1)}], rows)):
+            with pytest.raises(TypeError, match=f"{named}, not a dict"):
+                entry(bad)
 
 
 def test_float_entries_are_rejected():
@@ -625,8 +627,8 @@ def test_int_kernel_is_primitive(spec):
 def test_eliminate_drops_entries_that_vanish_in_the_field(spec):
     # raw int rows: zeros, negatives, entries >= p and entries zero only in
     # the field (+-2 in GF(2), +-3 in GF(3)); rows that shrink to one entry
-    # or none.  They give the pivots and kernel of their reduced, zero-free
-    # counterparts.
+    # or none.  In either order of the elimination they give the pivots and
+    # kernel of their reduced, zero-free counterparts.
     field = parse_field(spec)
     p = field.characteristic
     values = [0, 0, 1, -1, 2, -2, 3, -3, 5, 101, -101, 102, 202]
@@ -642,12 +644,14 @@ def test_eliminate_drops_entries_that_vanish_in_the_field(spec):
         rows = data.draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), st.sampled_from(values), max_size=4), max_size=8))
         clean = [r for r in map(reduced, rows) if r]
         shrunk.update(len(reduced(r)) for r in rows if len(reduced(r)) < min(len(r), 2))
-        got, want = exactlin._eliminate(field, rows), exactlin._eliminate(field, clean)
-        assert sorted(got) == sorted(want)
-        assert exactlin._canonical(field, got) == exactlin._canonical(field, want)
-        assert exactlin._kernel(field, got, ncols) == exactlin._kernel(field, want, ncols)
-        if p:
-            assert all(0 < x < p for r in got.values() for x in r.values())
+        want = exactlin._eliminate(field, clean)
+        for by_support in (True, False):
+            got = exactlin._eliminate(field, rows, by_support=by_support)
+            assert sorted(got) == sorted(want)
+            assert exactlin._canonical(field, got) == exactlin._canonical(field, want)
+            assert exactlin._kernel(field, got, ncols) == exactlin._kernel(field, want, ncols)
+            if p:
+                assert all(0 < x < p for r in got.values() for x in r.values())
 
     check()
     assert shrunk == {0, 1}
@@ -657,8 +661,9 @@ def test_eliminate_drops_entries_that_vanish_in_the_field(spec):
 def test_eliminate_is_blind_to_repeated_rescaled_and_reordered_rows(spec):
     # the eliminator keeps no dedupe pass: each row repeated, every copy
     # scaled by a unit of the field (a nonzero int over Q, an unreduced
-    # residue prime to p in GF(p)) and the copies shuffled give the pivot
-    # columns, canonical rows and kernel of the rows taken once each
+    # residue prime to p in GF(p)) and the copies shuffled give, in either
+    # order of the elimination, the pivot columns, canonical rows and kernel
+    # of the rows taken once each
     field = parse_field(spec)
     p = field.characteristic
     units = st.integers(-2 * p, 2 * p).filter(lambda k: k % p) if p else st.integers(-6, 6).filter(bool)
@@ -670,10 +675,12 @@ def test_eliminate_is_blind_to_repeated_rescaled_and_reordered_rows(spec):
         rows = exactlin._int_rows(field, rows, ncols)
         fed = [{j: k * v for j, v in r.items()} for r in rows for k in data.draw(st.lists(units, min_size=1, max_size=3))]
         data.draw(st.randoms(use_true_random=False)).shuffle(fed)
-        got, want = exactlin._eliminate(field, fed), exactlin._eliminate(field, [dict(r) for r in rows])
-        assert sorted(got) == sorted(want)
-        assert exactlin._canonical(field, got) == exactlin._canonical(field, want)
-        assert exactlin._kernel(field, got, ncols) == exactlin._kernel(field, want, ncols)
+        want = exactlin._eliminate(field, [dict(r) for r in rows])
+        for by_support in (True, False):
+            got = exactlin._eliminate(field, fed, by_support=by_support)
+            assert sorted(got) == sorted(want)
+            assert exactlin._canonical(field, got) == exactlin._canonical(field, want)
+            assert exactlin._kernel(field, got, ncols) == exactlin._kernel(field, want, ncols)
 
     check()
 
@@ -741,3 +748,43 @@ def test_two_stable_sorts_keep_the_old_candidate_order_and_pivots(spec):
         assert [(c, list(r.items())) for c, r in got.items()] == [(c, list(r.items())) for c, r in want.items()]
 
     check()
+
+
+@pytest.mark.parametrize("spec", ["rat", "gf:2", "gf:3", "gf:101"])
+def test_eliminations_leave_their_input_rows_as_they_were(spec):
+    # analyze_graph hands span_dim the commutator maps and reads them again
+    # in der.contains, so no entry point may change a row it is given, in
+    # value or in dict order: the elimination in both its orders on raw int
+    # rows (zeros, multiples of p, singleton columns), and rref,
+    # nullspace_basis and the span_* functions on rows in the field
+    field = parse_field(spec)
+    p = field.characteristic
+    raw = st.sampled_from([0, 1, -1, 2, -2, 3, 5, 101, -202, 303])
+    valid = st.integers(1, p - 1) if p else st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    singletons = set()
+
+    def rows_of(values, ncols):
+        return st.lists(st.dictionaries(st.integers(0, ncols - 1), values, max_size=4), max_size=8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def check(data):
+        ncols = data.draw(st.integers(1, 6))
+        ints, rows, others = (data.draw(rows_of(values, ncols)) for values in (raw, valid, valid))
+        singletons.update(len(r) == 1 for r in ints + rows)
+        calls = [
+            (lambda: exactlin._eliminate(field, ints), ints),
+            (lambda: exactlin._eliminate(field, ints, by_support=False), ints),
+            (lambda: rref(rows, field), rows),
+            (lambda: nullspace_basis(rows, ncols, field), rows),
+            (lambda: span_dim(rows, field), rows),
+            (lambda: span_canonical_basis(rows, field), rows),
+            (lambda: span_equal(rows, others, field), rows + others),
+        ]
+        for call, given_rows in calls:
+            before = [list(r.items()) for r in given_rows]
+            call()
+            assert [list(r.items()) for r in given_rows] == before
+
+    check()
+    assert singletons == {True, False}
